@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import checks, markov, stanley
 from .coxeter import CoxeterSystem, Dihedral, Hypercube, SymmetricGroup
-from .crystal import factorization_crystal, parse_factorization
+from .crystal import factorization_crystal, parse_blocks, parse_factorization
 from .edelman_greene import ck_graph, eg_insert, p_transpose_reading_word
 from .partitions import check_partition, hook_length_count
 from .tableaux import tableau_crystal
@@ -40,13 +40,25 @@ def build_system(kind: str, rank: int) -> CoxeterSystem:
     raise InputError(f"unknown system type {kind!r}")
 
 
+def type_a_system(kind: str, rank: int) -> SymmetricGroup:
+    """The system for a command whose layer is built for the symmetric group."""
+    system = build_system(kind, rank)
+    if not isinstance(system, SymmetricGroup):
+        raise InputError(f"this command needs type A (the symmetric group), not {kind!r}")
+    return system
+
+
 def parse_element(system: CoxeterSystem, text: str):
+    """'w0', comma-separated letters such as ``10,11``, or single digits such as ``121``."""
     if text == "w0":
         return system.longest_element
-    cleaned = text.replace(",", "").replace(" ", "")
-    if not cleaned.isdigit():
-        raise InputError(f"element must be 'w0' or a word of digits, got {text!r}")
-    word = tuple(int(ch) for ch in cleaned)
+    if "," in text:
+        tokens = [tok.strip() for tok in text.split(",")]
+    else:
+        tokens = list(text.replace(" ", ""))
+    if not tokens or not all(tok.isdigit() for tok in tokens):
+        raise InputError(f"element must be 'w0' or a word of letters, got {text!r}")
+    word = tuple(int(tok) for tok in tokens)
     for i in word:
         if i not in system.index_set:
             raise InputError(f"letter {i} is not a generator of {system!r}")
@@ -115,7 +127,7 @@ def cmd_red_words(args) -> int:
 
 
 def cmd_stanley(args) -> int:
-    system = build_system(args.type, args.rank)
+    system = type_a_system(args.type, args.rank)
     element = parse_element(system, args.element)
     if args.basis == "monomial":
         expansion = stanley.stanley_monomial(system, element, args.factors)
@@ -129,7 +141,7 @@ def cmd_stanley(args) -> int:
 
 
 def cmd_crystal_graph(args) -> int:
-    system = build_system(args.type, args.rank)
+    system = type_a_system(args.type, args.rank)
     element = parse_element(system, args.element)
     graph = factorization_crystal(system, element, args.factors)
     if args.dot:
@@ -191,9 +203,9 @@ def cmd_tableaux_crystal(args) -> int:
 def cmd_eg_insert(args) -> int:
     rank = args.rank
     if rank is None:
-        letters = [int(ch) for ch in re.findall(r"\d", args.factors)]
+        letters = [a for block in parse_blocks(args.factors) for a in block]
         rank = max(letters) + 1 if letters else 2
-    system = build_system(args.type, rank)
+    system = type_a_system(args.type, rank)
     fz = parse_factorization(system, args.factors)
     pair = eg_insert(fz)
     word = p_transpose_reading_word(pair.p)
@@ -211,7 +223,7 @@ def cmd_eg_insert(args) -> int:
 
 
 def cmd_eg_ck_graph(args) -> int:
-    system = build_system(args.type, args.rank)
+    system = type_a_system(args.type, args.rank)
     element = parse_element(system, args.element)
     graph = ck_graph(system, element)
     if args.dot:
@@ -232,7 +244,7 @@ def cmd_eg_ck_graph(args) -> int:
     return 0
 
 
-def _markov_report(system, measure, matrix, with_spectrum: bool, variant: str) -> dict:
+def _markov_report(system, measure, matrix, with_spectrum: bool) -> dict:
     report: dict = {
         "states": [list(s) for s in matrix.states],
         "matrix": [[str(x) for x in row] for row in matrix.entries],
@@ -241,7 +253,7 @@ def _markov_report(system, measure, matrix, with_spectrum: bool, variant: str) -
         },
     }
     if with_spectrum:
-        lines = markov.spectrum(system, measure, variant=variant)
+        lines = markov.spectrum(system, measure)
         coeffs = markov.charpoly(matrix)
         collapsed = markov.eigenvalues_by_value(lines)
         report["eigenvalues"] = [
@@ -258,7 +270,7 @@ def _markov_report(system, measure, matrix, with_spectrum: bool, variant: str) -
         vector = [pi[s] for s in matrix.states]
         report["stationary"] = [str(x) for x in vector]
         report["checks"]["T_pi_eq_pi"] = matrix.fixes(vector)
-        report["checks"]["charpoly_match"] = markov.charpoly(matrix) == markov.poly_from_eigenvalues(collapsed)
+        report["checks"]["charpoly_match"] = coeffs == markov.poly_from_eigenvalues(collapsed)
     else:
         vector = markov.solve_stationary(matrix)
         report["stationary"] = [str(x) for x in vector]
@@ -273,7 +285,7 @@ def cmd_markov_exchange(args) -> int:
     if args.dot:
         print(matrix.to_dot("exchange"), end="")
         return 0
-    report = _markov_report(system, measure, matrix, True, args.multiplicity_variant)
+    report = _markov_report(system, measure, matrix, True)
     if args.report or args.json:
         print(json.dumps(report))
     else:
@@ -295,7 +307,7 @@ def cmd_markov_promote(args) -> int:
     if args.dot:
         print(matrix.to_dot("promotion"), end="")
         return 0
-    report = _markov_report(None, measure, matrix, False, "inner")
+    report = _markov_report(None, measure, matrix, False)
     if args.report or args.json:
         print(json.dumps(report))
     else:
@@ -343,7 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("red-words", help="enumerate reduced words of an element")
     _add_system_args(p)
-    p.add_argument("--element", required=True, help="'w0' or a word such as 121")
+    p.add_argument(
+        "--element",
+        required=True,
+        help="'w0', digits such as 121, or comma-separated letters such as 10,11",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_red_words)
 
@@ -401,12 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--report", action="store_true")
     e.add_argument("--json", action="store_true")
     e.add_argument("--dot", action="store_true")
-    e.add_argument(
-        "--multiplicity-variant",
-        choices=("inner", "outer"),
-        default="inner",
-        help="where the reduced-word count sits in the alternating sum",
-    )
     e.set_defaults(func=cmd_markov_exchange)
     r = markov_sub.add_parser("promote", help="promotion walk on linear extensions")
     r.add_argument("--poset", required=True, help='JSON file {"n":..,"relations":[[i,j],..]}')

@@ -33,6 +33,10 @@ class CoxeterSystem:
     def __init__(self) -> None:
         self._red_words_cache: dict = {}
         self._red_count_cache: dict = {}
+        # decreasing-factorization engine (see crystal.py): element -> its
+        # peel table, and (element, block lengths) -> factorization count
+        self._peel_table: dict = {}
+        self._weight_count_cache: dict = {}
         self._w0 = None
 
     # ------------------------------------------------------------------

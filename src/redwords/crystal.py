@@ -175,45 +175,48 @@ class DecreasingFactorization:
 
     def epsilon(self, i: int) -> int:
         """Number of times :meth:`e` applies at index i."""
-        count = 0
-        cur = self.e(i)
-        while cur is not None:
-            count += 1
-            cur = cur.e(i)
-        return count
+        return _string_length(self, lambda x: x.e(i))
 
     def phi(self, i: int) -> int:
         """Number of times :meth:`f` applies at index i."""
-        count = 0
-        cur = self.f(i)
-        while cur is not None:
-            count += 1
-            cur = cur.f(i)
-        return count
+        return _string_length(self, lambda x: x.f(i))
+
+
+def _string_length(x, step: Callable[[object], object]) -> int:
+    """Number of times ``step`` applies from ``x`` before it returns None."""
+    count = 0
+    while (x := step(x)) is not None:
+        count += 1
+    return count
 
 
 # ----------------------------------------------------------------------
 # enumeration
 
 
-def _decreasing_moves(system: CoxeterSystem) -> tuple[tuple[Word, object, object], ...]:
-    """All decreasing elements as (letters, element, inverse), cached per system."""
-    cached = getattr(system, "_decreasing_moves_cache", None)
-    if cached is not None:
-        return cached
-    moves = []
-    indices = sorted(system.index_set)
-    for mask in range(1 << len(indices)):
-        letters = tuple(
-            indices[k] for k in range(len(indices) - 1, -1, -1) if mask >> k & 1
-        )
-        v = system.evaluate(letters)
-        assert system.length(v) == len(letters), "decreasing words must be reduced"
-        moves.append((letters, v, system.inverse(v)))
-    moves.sort(key=lambda m: (len(m[0]), m[0]))
-    out = tuple(moves)
-    system._decreasing_moves_cache = out
-    return out
+def _peels(system: CoxeterSystem, u) -> tuple[tuple[Word, object], ...]:
+    """The peel table of ``u``: each pair (block, u * v^-1) where the
+    decreasing block v peels off the right of ``u`` with the length dropping
+    by len(v), in (len(block), block) order, the empty block first.
+
+    Filled on first use and kept on the system.  Letters come off the right
+    smallest first, so each next letter is a larger right descent of what
+    is left.
+    """
+    table = system._peel_table.get(u)
+    if table is None:
+        found = [((), u)]
+        stack = [((), u)]
+        while stack:
+            block, rest = stack.pop()
+            for a in system.right_descents(rest):
+                if not block or a > block[0]:
+                    entry = ((a,) + block, system.right_multiplied(rest, a))
+                    found.append(entry)
+                    stack.append(entry)
+        found.sort(key=lambda entry: (len(entry[0]), entry[0]))
+        table = system._peel_table[u] = tuple(found)
+    return table
 
 
 def default_num_factors(system: CoxeterSystem, w) -> int:
@@ -221,36 +224,46 @@ def default_num_factors(system: CoxeterSystem, w) -> int:
     return max(1, system.length(w))
 
 
-def decreasing_factorizations(system: CoxeterSystem, w, num_factors: int | None = None) -> Iterator[DecreasingFactorization]:
-    """All decreasing factorizations of ``w`` into exactly ``num_factors`` blocks.
+def _block_sequences(
+    system: CoxeterSystem,
+    w,
+    num_factors: int | None,
+    admissible: Callable[[Word, Word], bool] | None = None,
+) -> Iterator[tuple[Word, ...]]:
+    """Blocks of every decreasing factorization of ``w``, rightmost first.
 
-    Blocks may be empty; the block lengths always sum to the length of ``w``.
+    ``admissible(block, previous)``, when given, must accept each block
+    against the block to its right; a rejected block prunes every
+    factorization that would contain it there.
     """
     if num_factors is None:
         num_factors = default_num_factors(system, w)
     if num_factors < 1:
         raise ValueError("need at least one block")
-    moves = _decreasing_moves(system)
     max_block = len(system.index_set)
-    identity = system.identity
 
-    def rec(u, k: int):
-        remaining = system.length(u)
+    def rec(u, length: int, k: int, previous: Word | None):
         if k == 0:
-            if u == identity:
+            if length == 0:
                 yield ()
             return
-        if remaining > k * max_block:
+        if length > k * max_block:
             return
-        for letters, _, vinv in moves:
-            if len(letters) > remaining:
+        for block, rest in _peels(system, u):
+            if admissible is not None and previous is not None and not admissible(block, previous):
                 continue
-            u2 = system.multiply(u, vinv)
-            if system.length(u2) == remaining - len(letters):
-                for rest in rec(u2, k - 1):
-                    yield (letters,) + rest
+            for tail in rec(rest, length - len(block), k - 1, block):
+                yield (block,) + tail
 
-    for blocks in rec(w, num_factors):
+    yield from rec(w, system.length(w), num_factors, None)
+
+
+def decreasing_factorizations(system: CoxeterSystem, w, num_factors: int | None = None) -> Iterator[DecreasingFactorization]:
+    """All decreasing factorizations of ``w`` into exactly ``num_factors`` blocks.
+
+    Blocks may be empty; the block lengths always sum to the length of ``w``.
+    """
+    for blocks in _block_sequences(system, w, num_factors):
         yield DecreasingFactorization(blocks, w)
 
 
@@ -261,41 +274,54 @@ def highest_weight_factorizations(system: CoxeterSystem, w, num_factors: int | N
     against block k leaves no unpaired upper letter, which is exactly the
     condition e_k = None and depends on no later block.
     """
-    if num_factors is None:
-        num_factors = default_num_factors(system, w)
-    if num_factors < 1:
-        raise ValueError("need at least one block")
-    moves = _decreasing_moves(system)
-    max_block = len(system.index_set)
-    identity = system.identity
-    out: list[DecreasingFactorization] = []
+    found = _block_sequences(
+        system, w, num_factors, lambda block, previous: not bracket_unpaired(block, previous)[0]
+    )
+    return sorted(
+        (DecreasingFactorization(blocks, w) for blocks in found),
+        key=lambda fz: fz.factors,
+    )
 
-    def rec(u, chosen: tuple[Word, ...]) -> None:
-        remaining = system.length(u)
-        k = num_factors - len(chosen)
-        if k == 0:
-            if u == identity:
-                out.append(DecreasingFactorization(chosen, w))
-            return
-        if remaining > k * max_block:
-            return
-        for letters, _, vinv in moves:
-            if len(letters) > remaining:
-                continue
-            if chosen:
-                unpaired_upper, _ = bracket_unpaired(letters, chosen[-1])
-                if unpaired_upper:
-                    continue
-            u2 = system.multiply(u, vinv)
-            if system.length(u2) == remaining - len(letters):
-                rec(u2, chosen + (letters,))
 
-    rec(w, ())
-    return sorted(out, key=lambda fz: fz.factors)
+def weight_vector_count(system: CoxeterSystem, w, parts: tuple[int, ...]) -> int:
+    """Number of decreasing factorizations of ``w`` whose block lengths,
+    rightmost block first, are exactly ``parts``; memoised on the system."""
+    key = (w, parts)
+    count = system._weight_count_cache.get(key)
+    if count is None:
+        if not parts:
+            count = int(w == system.identity)
+        else:
+            count = sum(
+                weight_vector_count(system, rest, parts[1:])
+                for block, rest in _peels(system, w)
+                if len(block) == parts[0]
+            )
+        system._weight_count_cache[key] = count
+    return count
 
 
 # ----------------------------------------------------------------------
 # crystal graphs
+
+
+def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> tuple[frozenset, ...]:
+    """Components of the undirected graph with the given edge pairs, by
+    union-find, ordered by their first vertex in ``vertices``."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    groups: dict = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return tuple(frozenset(g) for g in groups.values())
 
 
 @dataclass(eq=False)
@@ -340,25 +366,27 @@ class CrystalGraph:
                 out.append((v, self.weights[v]))
         return out
 
+    @classmethod
+    def from_lowering(
+        cls,
+        vertices: tuple,
+        index_set: tuple[int, ...],
+        f: Callable[[object, int], object],
+        weight: Callable[[object], tuple[int, ...]],
+    ) -> "CrystalGraph":
+        """The graph of the lowering operator ``f(vertex, i)`` on ``vertices``,
+        where None means f_i does not apply."""
+        f_edges = {}
+        for v in vertices:
+            for i in index_set:
+                image = f(v, i)
+                if image is not None:
+                    f_edges[(v, i)] = image
+        return cls(vertices, index_set, f_edges, {v: weight(v) for v in vertices})
+
     def components(self) -> tuple[frozenset, ...]:
         """Connected components, each a frozenset of vertices."""
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, _), v in self.f_edges.items():
-            parent[find(u)] = find(v)
-        groups: dict = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        order = {v: k for k, v in enumerate(self.vertices)}
-        return tuple(
-            frozenset(g) for g in sorted(groups.values(), key=lambda g: min(order[v] for v in g))
-        )
+        return connected_components(self.vertices, ((u, v) for (u, _), v in self.f_edges.items()))
 
     def component_of(self) -> dict:
         """Map from vertex to its component index."""
@@ -390,15 +418,12 @@ def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = No
             key=lambda fz: fz.factors,
         )
     )
-    index_set = tuple(range(1, num_factors))
-    f_edges = {}
-    for v in vertices:
-        for i in index_set:
-            image = v.f(i)
-            if image is not None:
-                f_edges[(v, i)] = image
-    weights = {v: v.weight() for v in vertices}
-    return CrystalGraph(vertices, index_set, f_edges, weights)
+    return CrystalGraph.from_lowering(
+        vertices,
+        tuple(range(1, num_factors)),
+        DecreasingFactorization.f,
+        DecreasingFactorization.weight,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -408,11 +433,11 @@ def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = No
 _FACTOR_TOKEN = re.compile(r"\(([^()]*)\)|1")
 
 
-def parse_factorization(system: CoxeterSystem, text: str) -> DecreasingFactorization:
-    """Parse digit notation like ``(32)(31)(2)``, blocks listed left to right.
+def parse_blocks(text: str) -> list[tuple[int, ...]]:
+    """Blocks of digit notation like ``(32)(31)(2)``, listed left to right.
 
     A bare ``1`` or an empty group ``()`` denotes an empty block.  Letters
-    are single digits, or comma separated inside a group.
+    are single digits, or comma separated inside a group, as in ``(10,1)``.
     """
     stripped = text.replace(" ", "")
     blocks: list[tuple[int, ...]] = []
@@ -432,9 +457,19 @@ def parse_factorization(system: CoxeterSystem, text: str) -> DecreasingFactoriza
             else:
                 blocks.append(tuple(int(ch) for ch in inner))
         pos = match.end()
+    return blocks
+
+
+def parse_factorization(system: CoxeterSystem, text: str) -> DecreasingFactorization:
+    """Parse digit notation (see :func:`parse_blocks`) into a factorization
+    of the element it spells; every letter must be a generator of ``system``."""
+    blocks = parse_blocks(text)
     word: list[int] = []
     for b in blocks:
         word.extend(b)
+    for letter in word:
+        if letter not in system.index_set:
+            raise ValueError(f"letter {letter} is not a generator of {system!r}")
     target = system.evaluate(word)
     fz = DecreasingFactorization.from_display(blocks, target)
     fz.validate(system)
@@ -457,18 +492,10 @@ def stembridge_violations(graph: CrystalGraph) -> list[str]:
     bad: list[str] = []
 
     def eps(x, i):
-        count = 0
-        while (cur := graph.e(x, i)) is not None:
-            count += 1
-            x = cur
-        return count
+        return _string_length(x, lambda y: graph.e(y, i))
 
     def phi(x, i):
-        count = 0
-        while (cur := graph.f(x, i)) is not None:
-            count += 1
-            x = cur
-        return count
+        return _string_length(x, lambda y: graph.f(y, i))
 
     for x in graph.vertices:
         for i in graph.index_set:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coxeter import CoxeterSystem, Word
-from .crystal import CrystalGraph, DecreasingFactorization, factorization_crystal
+from .crystal import CrystalGraph, DecreasingFactorization, connected_components, factorization_crystal
 from .reports import CheckReport
 from .tableaux import Tableau, crystal_e, crystal_f
 
@@ -118,22 +118,9 @@ class CKGraph:
     edges: tuple[tuple[Word, Word, str], ...]
 
     def components(self) -> tuple[frozenset[Word], ...]:
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v, _ in self.edges:
-            parent[find(u)] = find(v)
-        groups: dict = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        return tuple(
-            frozenset(g) for g in sorted(groups.values(), key=lambda g: min(g))
-        )
+        """Coxeter-Knuth classes, ordered by their least word (the vertices
+        are in lexicographic order)."""
+        return connected_components(self.vertices, ((u, v) for u, v, _ in self.edges))
 
     def to_dot(self, name: str = "ck") -> str:
         from .dot import digraph

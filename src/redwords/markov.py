@@ -161,13 +161,19 @@ def build_chain(system: CoxeterSystem, measure: ProbabilityMeasure) -> Transitio
     if measure.support != frozenset(index_set):
         raise ValueError("measure must have full support on the generators")
     states = tuple(sorted(system.reduced_words(system.longest_element)))
-    position = {word: k for k, word in enumerate(states)}
+    return _transition_matrix(states, measure, system.exchange)
+
+
+def _transition_matrix(states: tuple, measure: ProbabilityMeasure, step) -> TransitionMatrix:
+    """The walk that moves ``state`` to ``step(i, state)`` with probability
+    measure[i], over the ordered ``states``."""
+    position = {state: k for k, state in enumerate(states)}
     entries = [[Fraction(0)] * len(states) for _ in states]
     labels: dict[tuple[int, int], tuple[int, ...]] = {}
-    for b, word in enumerate(states):
-        for i in index_set:
-            a = position[system.exchange(i, word)]
-            entries[a][b] += measure[i]
+    for b, state in enumerate(states):
+        for i, p in measure.weights:
+            a = position[step(i, state)]
+            entries[a][b] += p
             labels[(a, b)] = labels.get((a, b), ()) + (i,)
     return TransitionMatrix(states, tuple(tuple(row) for row in entries), labels)
 
@@ -183,21 +189,12 @@ class SpectrumLine:
     multiplicity: int
 
 
-def spectrum(
-    system: CoxeterSystem,
-    measure: ProbabilityMeasure,
-    variant: str = "inner",
-) -> tuple[SpectrumLine, ...]:
+def spectrum(system: CoxeterSystem, measure: ProbabilityMeasure) -> tuple[SpectrumLine, ...]:
     """Closed-form eigenvalues with multiplicities, one line per subset J.
 
     The eigenvalue for J is the measure of J.  Its multiplicity is an
-    alternating sum over supersets K of reduced-word counts of w_K * w0
-    (``variant="inner"``, the default, which matches the characteristic
-    polynomial) or of w_J * w0 held fixed (``variant="outer"``, kept for
-    comparison; it fails the cross-check in general).
+    alternating sum over supersets K of reduced-word counts of w_K * w0.
     """
-    if variant not in ("inner", "outer"):
-        raise ValueError(f"unknown variant {variant!r}")
     index_set = tuple(sorted(system.index_set))
     w0 = system.longest_element
 
@@ -216,7 +213,7 @@ def spectrum(
                 for added in itertools.combinations(rest, extra):
                     superset = tuple(sorted(subset + added))
                     sign = -1 if extra % 2 else 1
-                    mult += sign * count_for(superset if variant == "inner" else subset)
+                    mult += sign * count_for(superset)
             lines.append(SpectrumLine(subset, eigenvalue, mult))
     return tuple(lines)
 
@@ -522,12 +519,6 @@ def promotion_chain(poset: NaturalPoset, measure: ProbabilityMeasure) -> Transit
     if measure.index_set != labels:
         raise ValueError(f"measure must be on the labels {labels}")
     states = tuple(sorted(poset.linear_extensions()))
-    position = {state: k for k, state in enumerate(states)}
-    entries = [[Fraction(0)] * len(states) for _ in states]
-    edge_labels: dict[tuple[int, int], tuple[int, ...]] = {}
-    for b, state in enumerate(states):
-        for label in labels:
-            a = position[promotion_by_label(poset, state, label)]
-            entries[a][b] += measure[label]
-            edge_labels[(a, b)] = edge_labels.get((a, b), ()) + (label,)
-    return TransitionMatrix(states, tuple(tuple(row) for row in entries), edge_labels)
+    return _transition_matrix(
+        states, measure, lambda label, state: promotion_by_label(poset, state, label)
+    )

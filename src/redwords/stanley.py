@@ -17,7 +17,7 @@ of w, which suffices because no contributing weight has more parts.
 from __future__ import annotations
 
 from .coxeter import CoxeterSystem
-from .crystal import _decreasing_moves, highest_weight_factorizations
+from .crystal import highest_weight_factorizations, weight_vector_count
 from .partitions import Partition, conjugate, partitions_of
 from .reports import CheckReport
 from .symfunc import SymFuncExpansion, omega, s1_perp
@@ -40,31 +40,6 @@ def _resolve_num_factors(system: CoxeterSystem, w, num_factors: int | None) -> i
     return num_factors
 
 
-def _weight_vector_count(system: CoxeterSystem, w, parts: tuple[int, ...]) -> int:
-    """Factorizations whose block-length vector equals ``parts`` exactly."""
-    cache = getattr(system, "_weight_count_cache", None)
-    if cache is None:
-        cache = system._weight_count_cache = {}
-    key = (w, parts)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    if not parts:
-        out = 1 if w == system.identity else 0
-    else:
-        out = 0
-        size = parts[0]
-        remaining = system.length(w)
-        for letters, _, vinv in _decreasing_moves(system):
-            if len(letters) != size:
-                continue
-            u = system.multiply(w, vinv)
-            if system.length(u) == remaining - size:
-                out += _weight_vector_count(system, u, parts[1:])
-    cache[key] = out
-    return out
-
-
 def stanley_monomial(system: CoxeterSystem, w, num_factors: int | None = None) -> SymFuncExpansion:
     """Monomial expansion: each coefficient counts factorizations whose block
     lengths spell that partition, rightmost block first."""
@@ -73,7 +48,7 @@ def stanley_monomial(system: CoxeterSystem, w, num_factors: int | None = None) -
     for mu in partitions_of(system.length(w)):
         if len(mu) > num_factors:
             continue
-        count = _weight_vector_count(system, w, mu)
+        count = weight_vector_count(system, w, mu)
         if count:
             terms[mu] = count
     return SymFuncExpansion.from_dict("monomial", terms)

@@ -108,33 +108,7 @@ def yamanouchi_tableau(shape: Partition) -> Tableau:
 def generate_ssyt(shape: Partition, max_entry: int) -> list[Tableau]:
     """All semistandard fillings of ``shape`` with entries at most ``max_entry``."""
     shape = check_partition(shape)
-    if not shape:
-        return _empty_shape()
-    grid = [[0] * shape[r] for r in range(len(shape))]
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    out: list[Tableau] = []
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            out.append(Tableau(tuple(tuple(row) for row in grid)))
-            return
-        r, c = cells[k]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, max_entry + 1):
-            grid[r][c] = v
-            fill(k + 1)
-        grid[r][c] = 0
-
-    fill(0)
-    return out
-
-
-def _empty_shape() -> list[Tableau]:
-    return [Tableau(())]
+    return _fill_ssyt(shape, [sum(shape)] * max_entry)
 
 
 def generate_ssyt_with_content(shape: Partition, content: tuple[int, ...]) -> list[Tableau]:
@@ -142,11 +116,14 @@ def generate_ssyt_with_content(shape: Partition, content: tuple[int, ...]) -> li
     shape = check_partition(shape)
     if sum(shape) != sum(content):
         return []
-    if not shape:
-        return _empty_shape()
+    return _fill_ssyt(shape, list(content))
+
+
+def _fill_ssyt(shape: Partition, remaining: list[int]) -> list[Tableau]:
+    """All semistandard fillings of ``shape`` with entries 1..len(remaining),
+    cells filled in row order; entry v may be used remaining[v-1] times."""
     grid = [[0] * shape[r] for r in range(len(shape))]
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    remaining = list(content)
     out: list[Tableau] = []
 
     def fill(k: int) -> None:
@@ -159,14 +136,14 @@ def generate_ssyt_with_content(shape: Partition, content: tuple[int, ...]) -> li
             lo = max(lo, grid[r][c - 1])
         if r > 0:
             lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, len(content) + 1):
+        for v in range(lo, len(remaining) + 1):
             if remaining[v - 1] == 0:
                 continue
             remaining[v - 1] -= 1
             grid[r][c] = v
             fill(k + 1)
-            grid[r][c] = 0
             remaining[v - 1] += 1
+        grid[r][c] = 0
 
     fill(0)
     return out
@@ -235,15 +212,9 @@ def tableau_phi(tableau: Tableau, i: int) -> int:
 def tableau_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
     """The crystal graph on all semistandard fillings with bounded entries."""
     vertices = tuple(sorted(generate_ssyt(shape, max_entry), key=lambda t: t.rows))
-    index_set = tuple(range(1, max_entry))
-    f_edges = {}
-    for v in vertices:
-        for i in index_set:
-            image = crystal_f(v, i)
-            if image is not None:
-                f_edges[(v, i)] = image
-    weights = {v: v.content(max_entry) for v in vertices}
-    return CrystalGraph(vertices, index_set, f_edges, weights)
+    return CrystalGraph.from_lowering(
+        vertices, tuple(range(1, max_entry)), crystal_f, lambda t: t.content(max_entry)
+    )
 
 
 # ----------------------------------------------------------------------

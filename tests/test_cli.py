@@ -46,6 +46,19 @@ def test_parse_element_forms():
         parse_element(system, "abc")
 
 
+
+def test_parse_element_multi_digit_letters():
+    system = build_system("A", 12)
+    assert parse_element(system, "10,11") == system.evaluate((10, 11))
+    assert parse_element(system, "10, 11") == system.evaluate((10, 11))
+    with pytest.raises(InputError):
+        parse_element(system, "1011")  # single digits 1,0,1,1; 0 is no generator
+    with pytest.raises(InputError):
+        parse_element(system, "10,12")  # 12 is out of range in S12
+    with pytest.raises(InputError):
+        parse_element(system, "10,,11")
+
+
 def test_parse_probs_exact_only():
     assert parse_probs("1/3,2/3")[0].denominator == 3
     with pytest.raises(InputError):
@@ -63,6 +76,13 @@ def test_red_words_text(capsys):
                            "--element", "w0")
     assert code == 0
     assert out.splitlines() == ["121", "212"]
+
+
+def test_red_words_multi_digit_element(capsys):
+    code, out, _ = run_cli(capsys, "red-words", "--type", "A", "--rank", "12",
+                           "--element", "10,11", "--json")
+    assert code == 0
+    assert json.loads(out)["words"] == [[10, 11]]
 
 
 def test_red_words_json_roundtrip(capsys):
@@ -143,6 +163,40 @@ def test_eg_insert_json(capsys):
     assert data["P"] == [[1, 3], [2], [3]]
     assert data["Q"] == [[1, 1], [2], [3]]
     assert data["reading_word"] == [3, 1, 2, 3]
+
+
+def test_eg_insert_multi_digit_letters(capsys):
+    # the rank is inferred from the largest letter, 10, so S11
+    code, out, _ = run_cli(capsys, "eg", "insert", "--factors", "(10,1)", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["P"] == [[1, 10]]
+    assert data["reading_word"] == [10, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("eg", "insert", "--rank", "3", "--factors", "(10,1)"),
+    ("eg", "insert", "--rank", "3", "--factors", "(0)"),
+    ("eg", "insert", "--factors", "(2)(0)"),
+])
+def test_out_of_range_letters_are_input_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "not a generator" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("stanley", "--type", "dihedral", "--rank", "4", "--element", "w0"),
+    ("stanley", "--type", "hypercube", "--rank", "3", "--element", "w0"),
+    ("crystal", "graph", "--type", "dihedral", "--rank", "4", "--element", "w0"),
+    ("crystal", "graph", "--type", "hypercube", "--rank", "3", "--element", "w0"),
+    ("eg", "ck-graph", "--type", "dihedral", "--rank", "4", "--element", "w0"),
+    ("eg", "insert", "--type", "hypercube", "--factors", "(1)(2)"),
+])
+def test_type_a_only_commands_reject_other_types(capsys, argv):
+    # main() runs in-process, so an uncaught exception would fail the test
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "needs type A" in err and "Traceback" not in err
 
 
 def test_eg_ck_graph(capsys):

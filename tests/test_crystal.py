@@ -1,5 +1,6 @@
 import pytest
 
+from redwords.coxeter import SymmetricGroup
 from redwords.crystal import (
     DecreasingFactorization,
     decreasing_factorizations,
@@ -8,6 +9,7 @@ from redwords.crystal import (
     parse_factorization,
     stembridge_violations,
 )
+from redwords.edelman_greene import ck_components
 
 
 def fz(system, *display_blocks):
@@ -217,3 +219,15 @@ def test_highest_weight_weights_are_partitions(s4):
 def test_stembridge_spot_checks(s4):
     graph = factorization_crystal(s4, s4.longest_element)
     assert stembridge_violations(graph) == []
+
+
+def test_s5_crystal_pinned():
+    # the five-block crystal of the S5 longest element is one copy of the
+    # staircase highest weight, matching its single Coxeter-Knuth class
+    s5 = SymmetricGroup(5)
+    w0 = s5.longest_element
+    graph = factorization_crystal(s5, w0, 5)
+    assert len(graph.vertices) == 1024
+    assert len(graph.f_edges) == 2304
+    assert [weight for _, weight in graph.highest_weights()] == [(4, 3, 2, 1, 0)]
+    assert len(graph.components()) == 1 == len(ck_components(s5, w0))

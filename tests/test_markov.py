@@ -152,13 +152,6 @@ def test_s4_uniform_eigenvalues(s4):
     assert charpoly_matches_spectrum(s4, uniform)
 
 
-def test_outer_variant_fails_the_cross_check(s3):
-    uniform = ProbabilityMeasure.uniform(s3.index_set)
-    matrix = build_chain(s3, uniform)
-    outer = eigenvalues_by_value(spectrum(s3, uniform, variant="outer"))
-    assert charpoly(matrix) != poly_from_eigenvalues(outer)
-
-
 @given(measure_strategy((1, 2)))
 @settings(max_examples=10, deadline=None)
 def test_charpoly_matches_spectrum_random_s3(measure):
