@@ -336,7 +336,7 @@ def markov_checks(max_rank: int) -> list[CheckReport]:
         measure = markov.ProbabilityMeasure.random_rational(range(1, n + 1), 40 + n)
         tc = markov.tsetlin_chain(n, measure)
         pc = markov.promotion_chain(markov.NaturalPoset.antichain(n), measure)
-        if tc.states != pc.states or tc.entries != pc.entries:
+        if tc.states != pc.states or tc.columns != pc.columns:
             tsetlin_ok = False
     out.append(CheckReport("promotion-on-antichain-is-tsetlin", tsetlin_ok, "n up to 4"))
     v_poset = markov.NaturalPoset.from_relations(3, [(1, 3), (2, 3)])

@@ -14,13 +14,17 @@ import sys
 from fractions import Fraction
 
 from . import checks, markov, stanley
-from .coxeter import CoxeterSystem, Dihedral, Hypercube, SymmetricGroup
+from .coxeter import CoxeterSystem, Dihedral, Hypercube, SymmetricGroup, format_word
 from .crystal import factorization_crystal, parse_blocks, parse_factorization
 from .edelman_greene import ck_graph, eg_insert, p_transpose_reading_word
 from .partitions import check_partition, hook_length_count
 from .tableaux import tableau_crystal
 
 _FRACTION = re.compile(r"^-?\d+(/\d+)?$")
+
+# Largest exchange walk that `markov exchange` reports on: the report holds
+# the dense matrix and its exact characteristic polynomial, which is O(n^4).
+MAX_REPORT_STATES = 64
 
 
 class InputError(ValueError):
@@ -97,10 +101,6 @@ def measure_for(system_or_labels, probs: list[Fraction]) -> markov.ProbabilityMe
     return markov.ProbabilityMeasure.from_mapping(dict(zip(labels, probs)))
 
 
-def _word_str(word) -> str:
-    return "".join(str(i) for i in word)
-
-
 def _element_json(system, element):
     if isinstance(system, Hypercube):
         return sorted(element)
@@ -122,7 +122,7 @@ def cmd_red_words(args) -> int:
         }))
     else:
         for word in words:
-            print(_word_str(word))
+            print(format_word(word))
     return 0
 
 
@@ -218,7 +218,7 @@ def cmd_eg_insert(args) -> int:
     else:
         print(f"P: {pair.p}")
         print(f"Q: {pair.q}")
-        print(f"transposed reading word: {_word_str(word)}")
+        print(f"transposed reading word: {format_word(word)}")
     return 0
 
 
@@ -234,13 +234,13 @@ def cmd_eg_ck_graph(args) -> int:
         "edges": [
             {"a": list(u), "b": list(v), "kind": kind} for u, v, kind in graph.edges
         ],
-        "components": [sorted(_word_str(w) for w in comp) for comp in graph.components()],
+        "components": [sorted(format_word(w) for w in comp) for comp in graph.components()],
     }
     if args.json:
         print(json.dumps(payload))
     else:
         for comp in graph.components():
-            print(" ".join(sorted(_word_str(w) for w in comp)))
+            print(" ".join(sorted(format_word(w) for w in comp)))
     return 0
 
 
@@ -281,6 +281,13 @@ def _markov_report(system, measure, matrix, with_spectrum: bool) -> dict:
 def cmd_markov_exchange(args) -> int:
     system = build_system(args.type, args.rank)
     measure = measure_for(system, parse_probs(args.probs))
+    if not args.dot:
+        states = system.reduced_word_count(system.longest_element)
+        if states > MAX_REPORT_STATES:
+            raise InputError(
+                f"the walk of {system!r} has {states} states; the exact report "
+                f"stops at {MAX_REPORT_STATES} (--dot draws larger walks)"
+            )
     matrix = markov.build_chain(system, measure)
     if args.dot:
         print(matrix.to_dot("exchange"), end="")

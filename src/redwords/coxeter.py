@@ -19,9 +19,39 @@ construction apart from internal memo tables, so values can be shared freely.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable
 
 Word = tuple[int, ...]
+
+
+def format_word(word: Iterable[int]) -> str:
+    """Letters run together while each is one digit, comma separated once
+    any letter has two, so the text reads back as the same word.
+
+    >>> format_word((1, 2, 1))
+    '121'
+    >>> format_word((9, 10, 9))
+    '9,10,9'
+    """
+    letters = tuple(word)
+    separator = "," if any(i >= 10 for i in letters) else ""
+    return separator.join(str(i) for i in letters)
+
+
+@dataclass(frozen=True, eq=False)
+class ExchangeKernel:
+    """The exchange walk's moves, tabulated once per system.
+
+    ``states`` are the reduced words of the longest element in lexicographic
+    order, ``index`` maps each word to its position, and
+    ``next[k][g]`` is the position of ``exchange(generators[g], states[k])``.
+    """
+
+    states: tuple[Word, ...]
+    index: dict
+    generators: tuple[int, ...]
+    next: tuple[tuple[int, ...], ...]
 
 
 class CoxeterSystem:
@@ -30,13 +60,18 @@ class CoxeterSystem:
     index_set: tuple[int, ...]
     identity: object
 
-    def __init__(self) -> None:
+    def __init__(self, index_set: tuple[int, ...], identity) -> None:
+        self.index_set = index_set
+        self.identity = identity
+        self._letters = frozenset(index_set)
         self._red_words_cache: dict = {}
         self._red_count_cache: dict = {}
         # decreasing-factorization engine (see crystal.py): element -> its
         # peel table, and (element, block lengths) -> factorization count
         self._peel_table: dict = {}
         self._weight_count_cache: dict = {}
+        # the exchange walk's move table (see exchange_kernel)
+        self._exchange_kernel: ExchangeKernel | None = None
         self._w0 = None
 
     # ------------------------------------------------------------------
@@ -65,7 +100,7 @@ class CoxeterSystem:
     # derived operations
 
     def _check_index(self, i: int) -> None:
-        if i not in self.index_set:
+        if i not in self._letters:
             raise ValueError(f"generator index {i} not in {self.index_set}")
 
     def left_multiplied(self, i: int, a):
@@ -84,6 +119,8 @@ class CoxeterSystem:
         """
         out = self.identity
         for i in word:
+            if i not in self._letters:
+                self._check_index(i)
             out = self.right_multiplied(out, i)
         return out
 
@@ -97,12 +134,13 @@ class CoxeterSystem:
             if self.length(self.left_multiplied(i, a)) < self.length(a)
         )
 
+    def is_right_descent(self, a, i: int) -> bool:
+        """True when ``a * s_i`` is shorter than ``a``."""
+        return self.length(self.right_multiplied(a, i)) < self.length(a)
+
     def right_descents(self, a) -> frozenset:
         """Generators that shorten ``a`` on the right."""
-        return frozenset(
-            i for i in self.index_set
-            if self.length(self.right_multiplied(a, i)) < self.length(a)
-        )
+        return frozenset(i for i in self.index_set if self.is_right_descent(a, i))
 
     def reduced_words(self, a) -> tuple[Word, ...]:
         """All reduced words for ``a``, in lexicographic order.
@@ -174,6 +212,11 @@ class CoxeterSystem:
         """Prepend ``i`` to a reduced word of the longest element and delete
         the unique letter that keeps the result reduced.
 
+        One pass over the word checks that each letter is a generator and an
+        ascent of its prefix, so the word is reduced, and that it spells the
+        longest element.  The same pass carries s_i times the prefix: the
+        deleted letter is the first one that is a right descent of it.
+
         >>> SymmetricGroup(4).exchange(2, (1, 2, 3, 1, 2, 1))
         (2, 1, 2, 3, 2, 1)
         >>> SymmetricGroup(3).exchange(2, (1, 2, 1))
@@ -181,18 +224,37 @@ class CoxeterSystem:
         """
         self._check_index(i)
         word = tuple(word)
-        w0 = self.longest_element
-        if len(word) != self.length(w0) or self.evaluate(word) != w0:
-            raise ValueError(f"{word} is not a reduced word of the longest element")
-        u = self.generator(i)
-        prev_len = 1
+        prefix = self.identity
+        shifted = self.generator(i)  # s_i * prefix, until the deletion
+        deleted = None
         for j, letter in enumerate(word):
-            u = self.right_multiplied(u, letter)
-            cur_len = self.length(u)
-            if cur_len < prev_len:
-                return (i,) + word[:j] + word[j + 1:]
-            prev_len = cur_len
-        raise AssertionError("exchange condition must produce a deletion")
+            if letter not in self._letters or self.is_right_descent(prefix, letter):
+                raise ValueError(f"{word} is not a reduced word of the longest element")
+            if deleted is None:
+                if self.is_right_descent(shifted, letter):
+                    deleted = j
+                else:
+                    shifted = self.right_multiplied(shifted, letter)
+            prefix = self.right_multiplied(prefix, letter)
+        if prefix != self.longest_element:
+            raise ValueError(f"{word} is not a reduced word of the longest element")
+        if deleted is None:
+            raise ArithmeticError("exchange condition must produce a deletion")
+        return (i,) + word[:deleted] + word[deleted + 1:]
+
+    def exchange_kernel(self) -> ExchangeKernel:
+        """The exchange table over the reduced words of the longest element,
+        built with one ``exchange`` per (word, generator) and kept."""
+        if self._exchange_kernel is None:
+            states = tuple(sorted(self.reduced_words(self.longest_element)))
+            index = {state: k for k, state in enumerate(states)}
+            generators = tuple(sorted(self.index_set))
+            table = tuple(
+                tuple(index[self.exchange(i, state)] for i in generators)
+                for state in states
+            )
+            self._exchange_kernel = ExchangeKernel(states, index, generators, table)
+        return self._exchange_kernel
 
 
 class SymmetricGroup(CoxeterSystem):
@@ -205,10 +267,8 @@ class SymmetricGroup(CoxeterSystem):
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError("need n >= 1")
-        super().__init__()
+        super().__init__(tuple(range(1, n)), tuple(range(1, n + 1)))
         self.n = n
-        self.index_set = tuple(range(1, n))
-        self.identity = tuple(range(1, n + 1))
 
     def __repr__(self) -> str:
         return f"SymmetricGroup({self.n})"
@@ -268,8 +328,8 @@ class SymmetricGroup(CoxeterSystem):
             pos[v] = p
         return frozenset(i for i in self.index_set if pos[i] > pos[i + 1])
 
-    def right_descents(self, a) -> frozenset:
-        return frozenset(i for i in self.index_set if a[i - 1] > a[i])
+    def is_right_descent(self, a, i: int) -> bool:
+        return a[i - 1] > a[i]
 
     def elements(self) -> tuple:
         return tuple(sorted(itertools.permutations(range(1, self.n + 1))))
@@ -285,10 +345,8 @@ class Hypercube(CoxeterSystem):
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError("need n >= 1")
-        super().__init__()
+        super().__init__(tuple(range(1, n + 1)), frozenset())
         self.n = n
-        self.index_set = tuple(range(1, n + 1))
-        self.identity = frozenset()
         self._universe = frozenset(self.index_set)
 
     def __repr__(self) -> str:
@@ -316,8 +374,8 @@ class Hypercube(CoxeterSystem):
     def left_descents(self, a) -> frozenset:
         return frozenset(a)
 
-    def right_descents(self, a) -> frozenset:
-        return frozenset(a)
+    def is_right_descent(self, a, i: int) -> bool:
+        return i in a
 
     def elements(self) -> tuple:
         out = []
@@ -339,10 +397,8 @@ class Dihedral(CoxeterSystem):
     def __init__(self, m: int) -> None:
         if m < 2:
             raise ValueError("need m >= 2")
-        super().__init__()
+        super().__init__((1, 2), ())
         self.m = m
-        self.index_set = (1, 2)
-        self.identity = ()
         self._pair_of: dict[Word, tuple[int, int]] = {(): (0, 0)}
         self._word_of: dict[tuple[int, int], Word] = {(0, 0): ()}
         layer: list[Word] = [()]

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional
 
-from .coxeter import CoxeterSystem, Word
+from .coxeter import CoxeterSystem, Word, format_word
 
 
 def bracket_unpaired(upper: Iterable[int], lower: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -112,10 +112,7 @@ class DecreasingFactorization:
 
     def compact(self) -> str:
         """Digit notation, e.g. ``(32)(31)(2)`` with ``()`` for an empty block."""
-        return "".join(
-            "(" + "".join(str(i) for i in block) + ")"
-            for block in self.display_factors()
-        )
+        return "".join("(" + format_word(block) + ")" for block in self.display_factors())
 
     # ------------------------------------------------------------------
     # crystal operators

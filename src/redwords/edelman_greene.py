@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coxeter import CoxeterSystem, Word
+from .coxeter import CoxeterSystem, Word, format_word
 from .crystal import CrystalGraph, DecreasingFactorization, connected_components, factorization_crystal
 from .reports import CheckReport
 from .tableaux import Tableau, crystal_e, crystal_f
@@ -126,7 +126,7 @@ class CKGraph:
         from .dot import digraph
 
         ids = {v: f"n{k}" for k, v in enumerate(self.vertices)}
-        nodes = [(ids[v], "".join(str(i) for i in v)) for v in self.vertices]
+        nodes = [(ids[v], format_word(v)) for v in self.vertices]
         edges = [
             (ids[u], ids[v], {"label": kind, "dir": "none"})
             for u, v, kind in self.edges

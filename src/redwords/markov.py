@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .coxeter import CoxeterSystem, Hypercube, Word
+from .coxeter import CoxeterSystem, Hypercube, Word, format_word
 
 
 @dataclass(frozen=True)
@@ -82,60 +82,72 @@ class ProbabilityMeasure:
 
 @dataclass(eq=False)
 class TransitionMatrix:
-    """Column-stochastic matrix over an ordered state list.
+    """Column-stochastic matrix over an ordered state list, stored by columns.
 
-    ``entries[a][b]`` is the probability of moving from ``states[b]`` to
-    ``states[a]``; ``labels`` records which choices realize each arrow.
+    ``columns[b]`` lists the ``(a, p)`` pairs, rows ascending, of the nonzero
+    probabilities p of moving from ``states[b]`` to ``states[a]``;
+    ``labels`` records which choices realize each arrow.
     """
 
     states: tuple
-    entries: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[tuple[tuple[int, Fraction], ...], ...]
     labels: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense view: ``entries[a][b]`` is the probability of moving from
+        ``states[b]`` to ``states[a]``.  Built on each access, n^2 in size."""
+        rows = [[Fraction(0)] * self.size for _ in self.states]
+        for b, column in enumerate(self.columns):
+            for a, p in column:
+                rows[a][b] = p
+        return tuple(tuple(row) for row in rows)
+
     def column_sums(self) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((row[b] for row in self.entries), Fraction(0))
-            for b in range(self.size)
-        )
+        return tuple(sum((p for _, p in column), Fraction(0)) for column in self.columns)
 
     def is_column_stochastic(self) -> bool:
         return all(total == 1 for total in self.column_sums())
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((self.entries[a][b] * vector[b] for b in range(self.size)), Fraction(0))
-            for a in range(self.size)
-        )
+        out = [Fraction(0)] * self.size
+        for b, column in enumerate(self.columns):
+            weight = vector[b]
+            for a, p in column:
+                out[a] += p * weight
+        return tuple(out)
 
     def fixes(self, vector: Sequence[Fraction]) -> bool:
         return self.apply(vector) == tuple(vector)
 
     def is_strongly_connected(self) -> bool:
-        n = self.size
-        forward = {a: [b for b in range(n) if self.entries[b][a] > 0] for a in range(n)}
-        backward = {a: [b for b in range(n) if self.entries[a][b] > 0] for a in range(n)}
+        forward = [[a for a, _ in column] for column in self.columns]
+        backward: list[list[int]] = [[] for _ in self.states]
+        for b, targets in enumerate(forward):
+            for a in targets:
+                backward[a].append(b)
         for adjacency in (forward, backward):
-            seen = {0}
+            seen = [False] * self.size
+            seen[0] = True
+            reached = 1
             queue = [0]
             while queue:
-                cur = queue.pop()
-                for nxt in adjacency[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
+                for nxt in adjacency[queue.pop()]:
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        reached += 1
                         queue.append(nxt)
-            if len(seen) != n:
+            if reached != self.size:
                 return False
         return True
 
-    def to_dot(self, name: str = "chain", label=None) -> str:
+    def to_dot(self, name: str = "chain", label=format_word) -> str:
         from .dot import digraph
 
-        if label is None:
-            label = lambda state: "".join(str(i) for i in state)
         ids = {k: f"n{k}" for k in range(self.size)}
         nodes = [(ids[k], label(self.states[k])) for k in range(self.size)]
         edges = []
@@ -153,29 +165,28 @@ class TransitionMatrix:
 def build_chain(system: CoxeterSystem, measure: ProbabilityMeasure) -> TransitionMatrix:
     """Exchange walk transition matrix over the reduced words of the longest
     element.  The measure must have full support for ergodicity."""
-    index_set = tuple(sorted(system.index_set))
-    if measure.index_set != index_set:
+    kernel = system.exchange_kernel()
+    if measure.index_set != kernel.generators:
         raise ValueError(
-            f"measure is on {measure.index_set}, system needs {index_set}"
+            f"measure is on {measure.index_set}, system needs {kernel.generators}"
         )
-    if measure.support != frozenset(index_set):
+    if measure.support != frozenset(kernel.generators):
         raise ValueError("measure must have full support on the generators")
-    states = tuple(sorted(system.reduced_words(system.longest_element)))
-    return _transition_matrix(states, measure, system.exchange)
+    return _transition_matrix(kernel.states, measure, kernel.next)
 
 
-def _transition_matrix(states: tuple, measure: ProbabilityMeasure, step) -> TransitionMatrix:
-    """The walk that moves ``state`` to ``step(i, state)`` with probability
-    measure[i], over the ordered ``states``."""
-    position = {state: k for k, state in enumerate(states)}
-    entries = [[Fraction(0)] * len(states) for _ in states]
+def _transition_matrix(states: tuple, measure: ProbabilityMeasure, table) -> TransitionMatrix:
+    """The walk that moves ``states[b]`` to ``states[table[b][g]]`` with the
+    probability of the g-th weight of ``measure``."""
+    columns = []
     labels: dict[tuple[int, int], tuple[int, ...]] = {}
-    for b, state in enumerate(states):
-        for i, p in measure.weights:
-            a = position[step(i, state)]
-            entries[a][b] += p
+    for b, targets in enumerate(table):
+        column: dict[int, Fraction] = {}
+        for (i, p), a in zip(measure.weights, targets):
+            column[a] = column[a] + p if a in column else p
             labels[(a, b)] = labels.get((a, b), ()) + (i,)
-    return TransitionMatrix(states, tuple(tuple(row) for row in entries), labels)
+        columns.append(tuple(sorted((a, p) for a, p in column.items() if p)))
+    return TransitionMatrix(states, tuple(columns), labels)
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +250,8 @@ def _charpoly_int(matrix: list[list[int]]) -> list[int]:
     work = [row[:] for row in matrix]
     for k in range(1, n + 1):
         trace = sum(work[j][j] for j in range(n))
-        assert trace % k == 0
+        if trace % k:
+            raise ArithmeticError(f"Faddeev-LeVerrier trace {trace} not divisible by {k}")
         c = -trace // k
         coeffs.append(c)
         if k == n:
@@ -261,8 +273,8 @@ def charpoly(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
     degree first, computed exactly over the rationals."""
     n = matrix.size
     denominator = 1
-    for row in matrix.entries:
-        for value in row:
+    for column in matrix.columns:
+        for _, value in column:
             denominator = denominator * value.denominator // gcd(denominator, value.denominator)
     scaled = [[int(value * denominator) for value in row] for row in matrix.entries]
     integer_coeffs = _charpoly_int(scaled)
@@ -321,30 +333,47 @@ def stationary_distribution(system: CoxeterSystem, measure: ProbabilityMeasure) 
     The weight of a word multiplies, over its prefixes, the probability of
     the next letter divided by one minus the measure of the right descents
     of the prefix so far; full support keeps every denominator positive.
+    The words come in lexicographic order, so each one reuses the partial
+    products of the prefix it shares with the word before it.
     """
     if measure.support != frozenset(system.index_set):
         raise ValueError("measure must have full support on the generators")
+    weight = dict(measure.weights)
+    free: dict = {}  # prefix -> one minus the measure of its right descents
+
+    def free_measure(prefix) -> Fraction:
+        if prefix not in free:
+            blocked = sum((weight[i] for i in system.right_descents(prefix)), Fraction(0))
+            if blocked >= 1:
+                raise ArithmeticError("descent measure must stay below one off the top")
+            free[prefix] = 1 - blocked
+        return free[prefix]
+
     out: dict[Word, Fraction] = {}
+    prefixes = [system.identity]  # prefixes[k]: product of the first k letters
+    values = [Fraction(1)]  # values[k]: the partial product over those k letters
+    previous: Word = ()
     for word in system.reduced_words(system.longest_element):
-        prefix = system.identity
-        value = Fraction(1)
-        for letter in word:
-            blocked = sum(
-                (measure[i] for i in system.right_descents(prefix)), Fraction(0)
-            )
-            assert blocked < 1, "descent measure must stay below one off the top"
-            value *= measure[letter] / (1 - blocked)
-            prefix = system.right_multiplied(prefix, letter)
-        out[word] = value
-    assert sum(out.values()) == 1
+        shared = 0
+        while shared < len(previous) and previous[shared] == word[shared]:
+            shared += 1
+        del prefixes[shared + 1:], values[shared + 1:]
+        for letter in word[shared:]:
+            values.append(values[-1] * weight[letter] / free_measure(prefixes[-1]))
+            prefixes.append(system.right_multiplied(prefixes[-1], letter))
+        out[word] = values[-1]
+        previous = word
+    if sum(out.values()) != 1:
+        raise ArithmeticError("closed-form stationary weights do not sum to one")
     return out
 
 
 def solve_stationary(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
     """Stationary vector of any column-stochastic matrix by exact elimination."""
     n = matrix.size
+    entries = matrix.entries
     rows = [
-        [matrix.entries[r][c] - (1 if r == c else 0) for c in range(n)] + [Fraction(0)]
+        [entries[r][c] - (1 if r == c else 0) for c in range(n)] + [Fraction(0)]
         for r in range(n)
     ]
     rows.append([Fraction(1)] * n + [Fraction(1)])  # normalization
@@ -389,21 +418,29 @@ def simulate(
     The state at every time 0..steps is counted, so zero steps give a point
     mass at the start state; identical seeds give identical trajectories.
     """
-    states = tuple(sorted(system.reduced_words(system.longest_element)))
+    kernel = system.exchange_kernel()
     if start is None:
-        start = states[0]
-    if start not in set(states):
+        start = kernel.states[0]
+    if start not in kernel.index:
         raise ValueError(f"{start} is not a reduced word of the longest element")
+    column = {i: g for g, i in enumerate(kernel.generators)}
+    for i, _ in measure.weights:
+        if i not in column:
+            raise ValueError(f"measure index {i} is not a generator of {system!r}")
     rng = random.Random(seed)
-    indices = [i for i, _ in measure.weights]
+    indices = [column[i] for i, _ in measure.weights]
     weights = [float(p) for _, p in measure.weights]
-    counts: dict[Word, int] = {start: 1}
-    current = start
-    for i in rng.choices(indices, weights=weights, k=steps):
-        current = system.exchange(i, current)
-        counts[current] = counts.get(current, 0) + 1
+    table = kernel.next
+    counts = [0] * len(kernel.states)
+    current = kernel.index[start]
+    counts[current] = 1
+    for g in rng.choices(indices, weights=weights, k=steps):
+        current = table[current][g]
+        counts[current] += 1
     total = steps + 1
-    return {word: Fraction(c, total) for word, c in counts.items()}
+    return {
+        state: Fraction(c, total) for state, c in zip(kernel.states, counts) if c
+    }
 
 
 def total_variation(p: Mapping, q: Mapping) -> Fraction:
@@ -519,6 +556,9 @@ def promotion_chain(poset: NaturalPoset, measure: ProbabilityMeasure) -> Transit
     if measure.index_set != labels:
         raise ValueError(f"measure must be on the labels {labels}")
     states = tuple(sorted(poset.linear_extensions()))
-    return _transition_matrix(
-        states, measure, lambda label, state: promotion_by_label(poset, state, label)
-    )
+    position = {state: k for k, state in enumerate(states)}
+    table = [
+        [position[promotion_by_label(poset, state, label)] for label in labels]
+        for state in states
+    ]
+    return _transition_matrix(states, measure, table)

@@ -14,6 +14,11 @@ requires_s5 = pytest.mark.skipif(
     reason="set REDWORDS_MAX_RANK=5 to include the larger enumerations",
 )
 
+requires_s6 = pytest.mark.skipif(
+    max_rank() < 6,
+    reason="set REDWORDS_MAX_RANK=6 to include the 292,864-state S6 walk",
+)
+
 
 @pytest.fixture(scope="session")
 def s3():

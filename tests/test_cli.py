@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -83,6 +84,18 @@ def test_red_words_multi_digit_element(capsys):
                            "--element", "10,11", "--json")
     assert code == 0
     assert json.loads(out)["words"] == [[10, 11]]
+
+
+def test_red_words_text_reads_back_from_rank_11(capsys):
+    for element in ("10,11", "11,10,11"):
+        code, out, _ = run_cli(capsys, "red-words", "--rank", "12", "--element", element)
+        assert code == 0
+        s12 = build_system("A", 12)
+        target = parse_element(s12, element)
+        words = out.splitlines()
+        assert words and all("," in word for word in words)
+        for word in words:
+            assert parse_element(s12, word) == target
 
 
 def test_red_words_json_roundtrip(capsys):
@@ -254,6 +267,17 @@ def test_markov_exchange_rejects_bad_probs(capsys):
     code, _, err = run_cli(capsys, "markov", "exchange", "--type", "A", "--rank", "3",
                            "--probs", "0.5,0.5")
     assert code == 2 and "exact fraction" in err
+
+
+@pytest.mark.parametrize("rank", [5, 6])
+def test_markov_exchange_refuses_large_reports(capsys, rank):
+    probs = ",".join([f"1/{rank - 1}"] * (rank - 1))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "markov", "exchange", "--rank", str(rank),
+                             "--probs", probs)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert "states" in err and "Traceback" not in err
 
 
 def test_markov_promote(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from redwords import coxeter, markov
 from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
 from redwords.partitions import hook_length_count, staircase
 
@@ -132,6 +135,61 @@ def test_exchange_rejects_bad_input(s3):
         s3.exchange(1, (1, 2))
     with pytest.raises(ValueError):
         s3.exchange(1, (1, 1, 1))
+
+
+def test_exchange_rejects_non_reduced_words_and_foreign_letters(s3, s4):
+    # both spell the longest element, but neither is reduced
+    with pytest.raises(ValueError):
+        s3.exchange(1, (1, 2, 1, 1, 1))
+    with pytest.raises(ValueError):
+        s4.exchange(2, (1, 1, 1, 2, 3, 1, 2, 1))
+    # letters outside the index set, in the word or prepended
+    with pytest.raises(ValueError):
+        s3.exchange(1, (1, 2, 0))
+    with pytest.raises(ValueError):
+        s3.exchange(1, (3, 2, 1))
+    with pytest.raises(ValueError):
+        s3.exchange(0, (1, 2, 1))
+    with pytest.raises(ValueError):
+        Hypercube(3).exchange(4, (1, 2, 3))
+    with pytest.raises(ValueError):
+        Dihedral(4).exchange(3, (1, 2, 1, 2))
+
+
+@given(st.sampled_from((SymmetricGroup(4), Hypercube(3), Dihedral(4))), st.data())
+@settings(max_examples=60)
+def test_exchange_is_a_reduced_word_of_w0_starting_with_i(system, data):
+    w0 = system.longest_element
+    word = data.draw(st.sampled_from(system.reduced_words(w0)))
+    i = data.draw(st.sampled_from(system.index_set))
+    image = system.exchange(i, word)
+    assert image[0] == i
+    assert system.is_reduced(image) and system.evaluate(image) == w0
+    # the strong exchange condition: exactly one deletion keeps i + word at w0
+    spelled = [
+        (i,) + word[:j] + word[j + 1:]
+        for j in range(len(word))
+        if system.evaluate((i,) + word[:j] + word[j + 1:]) == w0
+    ]
+    assert spelled == [image]
+
+
+def test_evaluate_rejects_letters_outside_index_set(s3):
+    with pytest.raises(ValueError):
+        s3.evaluate((0,))
+    with pytest.raises(ValueError):
+        s3.evaluate((1, 3))
+    with pytest.raises(ValueError):
+        Hypercube(2).evaluate((3,))
+    with pytest.raises(ValueError):
+        Dihedral(3).evaluate((1, 0))
+
+
+def test_runtime_invariants_are_not_asserts():
+    # `python -O` strips assert statements, so invariants must raise
+    for module in (coxeter, markov):
+        tree = ast.parse(Path(module.__file__).read_text())
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def test_longest_element_is_unique_maximum():

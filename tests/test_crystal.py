@@ -63,6 +63,18 @@ def test_weight_and_display(s4):
     assert x.compact() == "(32)(31)(2)"
 
 
+def test_from_word_rejects_letters_outside_index_set(s3):
+    with pytest.raises(ValueError):
+        DecreasingFactorization.from_word(s3, (0,))
+
+
+def test_compact_separates_multi_digit_letters():
+    s12 = SymmetricGroup(12)
+    x = DecreasingFactorization.from_display(((11, 10), (), (2,)), s12.evaluate((11, 10, 2)))
+    assert x.compact() == "(11,10)()(2)"
+    assert parse_factorization(s12, x.compact()) == x
+
+
 def test_parse_factorization_roundtrip(s4):
     x = parse_factorization(s4, "(32)(31)(2)")
     assert x == fz(s4, (3, 2), (3, 1), (2,))

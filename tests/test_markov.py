@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import requires_s5
+from conftest import requires_s5, requires_s6
 from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
 from redwords.markov import (
     NaturalPoset,
@@ -233,6 +233,57 @@ def test_s5_chain_behind_flag():
     assert all(line.multiplicity >= 0 for line in lines)
 
 
+@requires_s6
+def test_s6_chain_exact():
+    # 292,864 states and 1,464,320 arrows: every check walks the sparse columns
+    s6 = SymmetricGroup(6)
+    measure = ProbabilityMeasure.random_rational(s6.index_set, 11)
+    matrix = build_chain(s6, measure)
+    assert matrix.size == 292_864
+    assert sum(len(column) for column in matrix.columns) == 1_464_320
+    assert matrix.is_column_stochastic()
+    assert matrix.is_strongly_connected()
+    pi = stationary_distribution(s6, measure)
+    assert matrix.fixes([pi[s] for s in matrix.states])
+
+
+# ----------------------------------------------------------------------
+# the sparse kernel against the dense view
+
+
+def _small_chains():
+    chains = [
+        build_chain(system, ProbabilityMeasure.random_rational(system.index_set, 5))
+        for system in (SymmetricGroup(4), Hypercube(3), Dihedral(4))
+    ]
+    v_poset = NaturalPoset.from_relations(3, [(1, 3), (2, 3)])
+    chains.append(promotion_chain(v_poset, ProbabilityMeasure.random_rational((1, 2, 3), 5)))
+    return chains
+
+
+def test_sparse_apply_matches_dense_product():
+    for matrix in _small_chains():
+        entries = matrix.entries
+        vector = [F(k + 1, 2 * k + 3) for k in range(matrix.size)]
+        dense = tuple(
+            sum((row[b] * vector[b] for b in range(matrix.size)), F(0)) for row in entries
+        )
+        assert matrix.apply(vector) == dense
+        assert matrix.column_sums() == tuple(sum(column, F(0)) for column in zip(*entries))
+        for column in matrix.columns:
+            assert all(p for _, p in column) and list(column) == sorted(column)
+
+
+def test_kernel_table_is_the_exchange_map(s4):
+    kernel = s4.exchange_kernel()
+    assert kernel is s4.exchange_kernel()
+    assert kernel.states == tuple(sorted(s4.reduced_words(s4.longest_element)))
+    for k, state in enumerate(kernel.states):
+        assert kernel.index[state] == k
+        for g, i in enumerate(kernel.generators):
+            assert kernel.states[kernel.next[k][g]] == s4.exchange(i, state)
+
+
 # ----------------------------------------------------------------------
 # simulation
 
@@ -247,6 +298,27 @@ def test_simulate_deterministic_under_seed(s3):
     a = simulate(s3, uniform, 500, seed=42)
     b = simulate(s3, uniform, 500, seed=42)
     assert a == b
+
+
+def test_simulate_seeded_occupation_pinned(s4):
+    measure = ProbabilityMeasure.random_rational(s4.index_set, 11)
+    empirical = simulate(s4, measure, 2000, seed=7)
+    counts = sorted((word, int(p * 2001)) for word, p in empirical.items())
+    assert counts == [
+        ((1, 2, 1, 3, 2, 1), 189), ((1, 2, 3, 1, 2, 1), 82), ((1, 2, 3, 2, 1, 2), 91),
+        ((1, 3, 2, 1, 3, 2), 189), ((1, 3, 2, 3, 1, 2), 136), ((2, 1, 2, 3, 2, 1), 177),
+        ((2, 1, 3, 2, 1, 3), 96), ((2, 1, 3, 2, 3, 1), 78), ((2, 3, 1, 2, 1, 3), 84),
+        ((2, 3, 1, 2, 3, 1), 87), ((2, 3, 2, 1, 2, 3), 153), ((3, 1, 2, 1, 3, 2), 173),
+        ((3, 1, 2, 3, 1, 2), 141), ((3, 2, 1, 2, 3, 2), 80), ((3, 2, 1, 3, 2, 3), 99),
+        ((3, 2, 3, 1, 2, 3), 146),
+    ]
+
+
+def test_simulate_rejects_foreign_measure_and_start(s3):
+    with pytest.raises(ValueError):
+        simulate(s3, ProbabilityMeasure.uniform((1, 2, 3)), 10, seed=1)
+    with pytest.raises(ValueError):
+        simulate(s3, ProbabilityMeasure.uniform((1, 2)), 10, seed=1, start=(1, 1, 1))
 
 
 def test_simulate_approaches_stationary(s3):
