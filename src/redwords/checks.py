@@ -268,20 +268,22 @@ def eg_checks(max_rank: int) -> list[CheckReport]:
     system = SymmetricGroup(n)
     intertwine = components = biconditional = edge_identity = yamanouchi = shapes = True
     for g in system.elements():
-        if not eg.intertwining_check(system, g).passed:
+        # one crystal (a block per letter) and one insertion per vertex
+        # serve every check on g
+        graph = factorization_crystal(system, g)
+        pairs = {fz: eg.eg_insert(fz) for fz in graph.vertices}
+        if not eg._intertwining(graph, {fz: pair.q for fz, pair in pairs.items()}).passed:
             intertwine = False
-        if not eg.crystal_component_correspondence(system, g).passed:
+        if not eg._component_correspondence(system, g, graph).passed:
             components = False
         if not eg.same_p_tableau_iff_ck_equivalent(system, g).passed:
             biconditional = False
         if not eg.ck_edge_operator_identity(system, g).passed:
             edge_identity = False
-        for fz in factorization_crystal(system, g).vertices:
-            pair = eg.eg_insert(fz)
-            if pair.p.shape != pair.q.shape:
-                shapes = False
-        for fz, _ in factorization_crystal(system, g).highest_weights():
-            if not eg.is_yamanouchi(eg.eg_insert(fz).q):
+        if any(pair.p.shape != pair.q.shape for pair in pairs.values()):
+            shapes = False
+        for fz, _ in graph.highest_weights():
+            if not eg.is_yamanouchi(pairs[fz].q):
                 yamanouchi = False
     out.append(CheckReport(f"S{n}-EG-intertwining", intertwine))
     out.append(CheckReport(f"S{n}-CK-crystal-component-bijection", components))

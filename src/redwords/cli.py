@@ -53,11 +53,13 @@ def type_a_system(kind: str, rank: int) -> SymmetricGroup:
 
 
 def parse_element(system: CoxeterSystem, text: str):
-    """'w0', comma-separated letters such as ``10,11``, or single digits such as ``121``."""
+    """'w0', comma-separated letters such as ``10,11`` (one trailing comma
+    allowed, as in the lone letter ``10,``), or single digits such as ``121``."""
     if text == "w0":
         return system.longest_element
     if "," in text:
-        tokens = [tok.strip() for tok in text.split(",")]
+        body = text[:-1] if text.endswith(",") else text
+        tokens = [tok.strip() for tok in body.split(",")]
     else:
         tokens = list(text.replace(" ", ""))
     if not tokens or not all(tok.isdigit() for tok in tokens):

@@ -27,16 +27,21 @@ Word = tuple[int, ...]
 
 def format_word(word: Iterable[int]) -> str:
     """Letters run together while each is one digit, comma separated once
-    any letter has two, so the text reads back as the same word.
+    any letter has two, so the text reads back as the same word.  A lone
+    two-digit letter carries a trailing comma, telling it from two letters.
 
     >>> format_word((1, 2, 1))
     '121'
     >>> format_word((9, 10, 9))
     '9,10,9'
+    >>> format_word((10,))
+    '10,'
     """
     letters = tuple(word)
-    separator = "," if any(i >= 10 for i in letters) else ""
-    return separator.join(str(i) for i in letters)
+    if not any(i >= 10 for i in letters):
+        return "".join(str(i) for i in letters)
+    text = ",".join(str(i) for i in letters)
+    return text + "," if len(letters) == 1 else text
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,34 @@ left-to-right notation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .coxeter import CoxeterSystem, Word, format_word
+
+
+def _bracket(upper: Word, lower: Word) -> tuple[list[int], list[int]]:
+    """Bracketing of two blocks in one merge pass.
+
+    ``upper`` must be non-increasing and ``lower`` strictly decreasing.  The
+    lower letters larger than the current upper letter wait on a stack, so
+    its top is the smallest of them not yet used; each upper letter pairs
+    with that top, or is unpaired when the stack is empty.  Returns the
+    unpaired upper and lower letters, both in decreasing order.
+    """
+    stack: list[int] = []
+    unpaired: list[int] = []
+    j = 0
+    for b in upper:
+        while j < len(lower) and lower[j] > b:
+            stack.append(lower[j])
+            j += 1
+        if stack:
+            stack.pop()
+        else:
+            unpaired.append(b)
+    stack.extend(lower[j:])
+    return unpaired, stack
 
 
 def bracket_unpaired(upper: Iterable[int], lower: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -28,36 +52,56 @@ def bracket_unpaired(upper: Iterable[int], lower: Iterable[int]) -> tuple[tuple[
     with the smallest strictly larger letter of ``lower`` not yet used.
     Returns (unpaired upper letters, unpaired lower letters), both sorted
     increasingly.
+
+    >>> bracket_unpaired((3, 1), (4, 2))
+    ((), ())
+    >>> bracket_unpaired((4, 2), (3, 1))
+    ((4,), (1,))
     """
-    lower_set = set(lower)
-    used: set[int] = set()
-    unpaired_upper = []
-    for b in sorted(upper, reverse=True):
-        candidates = [a for a in lower_set - used if a > b]
-        if candidates:
-            used.add(min(candidates))
-        else:
-            unpaired_upper.append(b)
-    return tuple(sorted(unpaired_upper)), tuple(sorted(lower_set - used))
+    left, right = _bracket(sorted(upper, reverse=True), sorted(set(lower), reverse=True))
+    return tuple(left[::-1]), tuple(right[::-1])
 
 
-@dataclass(frozen=True)
+def _check_block(block: Word) -> None:
+    for k in range(len(block) - 1):
+        if block[k] <= block[k + 1]:
+            raise ValueError(f"block {block} is not strictly decreasing")
+
+
+def _inserted(block: Word, letter: int) -> Word:
+    """``block`` with ``letter`` placed where the decreasing order puts it."""
+    k = 0
+    while k < len(block) and block[k] > letter:
+        k += 1
+    return block[:k] + (letter,) + block[k:]
+
+
+@dataclass(frozen=True, slots=True)
 class DecreasingFactorization:
     """A tuple of strictly decreasing blocks multiplying to ``target``.
 
     ``factors[k]`` is block k+1 counted from the right; each block is a
     strictly decreasing tuple of generator indices.  The group element the
-    blocks multiply to is carried along so crystal operators can assert they
-    never change it.
+    blocks multiply to is carried along; the crystal operators never change
+    it.
     """
 
     factors: tuple[Word, ...]
     target: object
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for block in self.factors:
-            if any(block[k] <= block[k + 1] for k in range(len(block) - 1)):
-                raise ValueError(f"block {block} is not strictly decreasing")
+            _check_block(block)
+
+    def __hash__(self) -> int:
+        # Computed on first use: the Schur routes build many factorizations
+        # and hash none of them.
+        h = self._hash
+        if h is None:
+            h = hash((self.factors, self.target))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -124,7 +168,8 @@ class DecreasingFactorization:
     def pairing(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Unpaired letters between blocks i+1 (upper) and i (lower)."""
         self._check_op_index(i)
-        return bracket_unpaired(self.factors[i], self.factors[i - 1])
+        left, right = _bracket(self.factors[i], self.factors[i - 1])
+        return tuple(left[::-1]), tuple(right[::-1])
 
     def e(self, i: int) -> Optional["DecreasingFactorization"]:
         """Raising operator: move a letter from block i+1 down to block i.
@@ -133,17 +178,17 @@ class DecreasingFactorization:
         letter b drops to b-t where t counts the consecutive letters just
         below b present in block i+1.
         """
-        left, _ = self.pairing(i)
+        self._check_op_index(i)
+        upper, lower = self.factors[i], self.factors[i - 1]
+        left, _ = _bracket(upper, lower)
         if not left:
             return None
-        b = left[0]
-        upper = set(self.factors[i])
-        lower = set(self.factors[i - 1])
+        b = left[-1]
+        k = upper.index(b)
         t = 0
-        while b - t - 1 in upper:
+        while k + t + 1 < len(upper) and upper[k + t + 1] == b - t - 1:
             t += 1
-        assert b - t not in lower
-        return self._with_blocks(i, upper - {b}, lower | {b - t})
+        return self._spliced(i, upper[:k] + upper[k + 1:], _inserted(lower, b - t))
 
     def f(self, i: int) -> Optional["DecreasingFactorization"]:
         """Lowering operator, inverse to :meth:`e` on every edge.
@@ -152,23 +197,29 @@ class DecreasingFactorization:
         to a+s where s counts the consecutive letters just above a present in
         block i.  Returns None when every letter of block i is paired.
         """
-        _, right = self.pairing(i)
+        self._check_op_index(i)
+        upper, lower = self.factors[i], self.factors[i - 1]
+        _, right = _bracket(upper, lower)
         if not right:
             return None
-        a = right[-1]
-        upper = set(self.factors[i])
-        lower = set(self.factors[i - 1])
+        a = right[0]
+        k = lower.index(a)
         s = 0
-        while a + s + 1 in lower:
+        while s < k and lower[k - s - 1] == a + s + 1:
             s += 1
-        assert a + s not in upper
-        return self._with_blocks(i, upper | {a + s}, lower - {a})
+        return self._spliced(i, _inserted(upper, a + s), lower[:k] + lower[k + 1:])
 
-    def _with_blocks(self, i: int, upper: set[int], lower: set[int]) -> "DecreasingFactorization":
-        blocks = list(self.factors)
-        blocks[i] = tuple(sorted(upper, reverse=True))
-        blocks[i - 1] = tuple(sorted(lower, reverse=True))
-        return replace(self, factors=tuple(blocks))
+    def _spliced(self, i: int, upper: Word, lower: Word) -> "DecreasingFactorization":
+        """This factorization with blocks i+1 and i replaced.  Only the two
+        new blocks are checked; the others were checked when ``self`` was
+        built."""
+        _check_block(upper)
+        _check_block(lower)
+        out = object.__new__(DecreasingFactorization)
+        object.__setattr__(out, "factors", self.factors[:i - 1] + (lower, upper) + self.factors[i + 1:])
+        object.__setattr__(out, "target", self.target)
+        object.__setattr__(out, "_hash", None)
+        return out
 
     def epsilon(self, i: int) -> int:
         """Number of times :meth:`e` applies at index i."""
@@ -272,7 +323,7 @@ def highest_weight_factorizations(system: CoxeterSystem, w, num_factors: int | N
     condition e_k = None and depends on no later block.
     """
     found = _block_sequences(
-        system, w, num_factors, lambda block, previous: not bracket_unpaired(block, previous)[0]
+        system, w, num_factors, lambda block, previous: not _bracket(block, previous)[0]
     )
     return sorted(
         (DecreasingFactorization(blocks, w) for blocks in found),
@@ -434,7 +485,8 @@ def parse_blocks(text: str) -> list[tuple[int, ...]]:
     """Blocks of digit notation like ``(32)(31)(2)``, listed left to right.
 
     A bare ``1`` or an empty group ``()`` denotes an empty block.  Letters
-    are single digits, or comma separated inside a group, as in ``(10,1)``.
+    are single digits, or comma separated inside a group, as in ``(10,1)``
+    or ``(10,)`` with one trailing comma.
     """
     stripped = text.replace(" ", "")
     blocks: list[tuple[int, ...]] = []
@@ -450,7 +502,8 @@ def parse_blocks(text: str) -> list[tuple[int, ...]]:
             if not inner:
                 blocks.append(())
             elif "," in inner:
-                blocks.append(tuple(int(tok) for tok in inner.split(",")))
+                body = inner[:-1] if inner.endswith(",") else inner
+                blocks.append(tuple(int(tok) for tok in body.split(",")))
             else:
                 blocks.append(tuple(int(ch) for ch in inner))
         pos = match.end()

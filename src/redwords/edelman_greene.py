@@ -141,7 +141,11 @@ def ck_graph(system: CoxeterSystem, w) -> CKGraph:
     for u in words:
         for v, kind in ck_moves(u):
             if u < v:
-                assert v in word_set, "relations must stay inside the reduced words"
+                if v not in word_set:
+                    raise ValueError(
+                        f"Coxeter-Knuth move {format_word(u)} -> {format_word(v)} leaves the "
+                        f"reduced words of {system!r}; the relations are those of type A"
+                    )
                 edges.append((u, v, kind))
     return CKGraph(words, tuple(sorted(set(edges))))
 
@@ -172,8 +176,12 @@ def same_p_tableau_iff_ck_equivalent(system: CoxeterSystem, w) -> CheckReport:
 def crystal_component_correspondence(system: CoxeterSystem, w) -> CheckReport:
     """Coxeter-Knuth classes match crystal components through the embedding
     of words as singleton-block factorizations."""
-    num_factors = max(1, system.length(w))
-    graph = factorization_crystal(system, w, num_factors)
+    return _component_correspondence(system, w, factorization_crystal(system, w, max(1, system.length(w))))
+
+
+def _component_correspondence(system: CoxeterSystem, w, graph: CrystalGraph) -> CheckReport:
+    """:func:`crystal_component_correspondence` on the crystal ``graph`` of
+    ``w`` with one block per letter."""
     comp_of = graph.component_of()
     induced: dict[int, set[Word]] = {}
     for word in system.reduced_words(w):
@@ -238,11 +246,17 @@ def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None)
     For every vertex and every index, applying e or f before or after taking
     the recording tableau gives the same answer, with None matching None.
     """
-    graph, q_of = q_tableaux(system, w, num_factors)
+    return _intertwining(*q_tableaux(system, w, num_factors))
+
+
+def _intertwining(graph: CrystalGraph, q_of: dict) -> CheckReport:
+    """:func:`intertwining_check` on a factorization crystal ``graph`` and the
+    recording tableau ``q_of`` of each vertex.  The f side reads the graph's
+    edges, which hold the operator's own images; the e side applies e."""
     failures = 0
     for v in graph.vertices:
         for i in graph.index_set:
-            down = v.f(i)
+            down = graph.f(v, i)
             q_down = crystal_f(q_of[v], i)
             if (down is None) != (q_down is None):
                 failures += 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
@@ -85,13 +86,26 @@ class TransitionMatrix:
     """Column-stochastic matrix over an ordered state list, stored by columns.
 
     ``columns[b]`` lists the ``(a, p)`` pairs, rows ascending, of the nonzero
-    probabilities p of moving from ``states[b]`` to ``states[a]``;
-    ``labels`` records which choices realize each arrow.
+    probabilities p of moving from ``states[b]`` to ``states[a]``.  The
+    choice ``_choices[g]`` moves ``states[b]`` to ``states[_table[b][g]]``.
     """
 
     states: tuple
     columns: tuple[tuple[tuple[int, Fraction], ...], ...]
-    labels: dict = field(default_factory=dict)
+    _choices: tuple = field(default=(), repr=False)
+    _table: Sequence[Sequence[int]] = field(default=(), repr=False)
+
+    @cached_property
+    def labels(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """``labels[(a, b)]`` lists the choices that move ``states[b]`` to
+        ``states[a]``, zero-probability ones included.  Derived from the
+        move table on first access: at S6 it is over twice the size of
+        ``columns``, and only :meth:`to_dot` reads it."""
+        out: dict[tuple[int, int], tuple[int, ...]] = {}
+        for b, targets in enumerate(self._table):
+            for i, a in zip(self._choices, targets):
+                out[(a, b)] = out.get((a, b), ()) + (i,)
+        return out
 
     @property
     def size(self) -> int:
@@ -179,14 +193,12 @@ def _transition_matrix(states: tuple, measure: ProbabilityMeasure, table) -> Tra
     """The walk that moves ``states[b]`` to ``states[table[b][g]]`` with the
     probability of the g-th weight of ``measure``."""
     columns = []
-    labels: dict[tuple[int, int], tuple[int, ...]] = {}
-    for b, targets in enumerate(table):
+    for targets in table:
         column: dict[int, Fraction] = {}
-        for (i, p), a in zip(measure.weights, targets):
+        for (_, p), a in zip(measure.weights, targets):
             column[a] = column[a] + p if a in column else p
-            labels[(a, b)] = labels.get((a, b), ()) + (i,)
         columns.append(tuple(sorted((a, p) for a, p in column.items() if p)))
-    return TransitionMatrix(states, tuple(columns), labels)
+    return TransitionMatrix(states, tuple(columns), measure.index_set, table)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,15 @@ def test_parse_element_multi_digit_letters():
         parse_element(system, "10,,11")
 
 
+def test_parse_element_lone_two_digit_letter():
+    system = build_system("A", 12)
+    assert parse_element(system, "10,") == system.generator(10)
+    assert parse_element(system, "10,11,") == system.evaluate((10, 11))
+    for text in (",", "10,,", ",10"):
+        with pytest.raises(InputError):
+            parse_element(system, text)
+
+
 def test_parse_probs_exact_only():
     assert parse_probs("1/3,2/3")[0].denominator == 3
     with pytest.raises(InputError):
@@ -96,6 +109,17 @@ def test_red_words_text_reads_back_from_rank_11(capsys):
         assert words and all("," in word for word in words)
         for word in words:
             assert parse_element(s12, word) == target
+
+
+def test_red_words_lone_two_digit_letter_reads_back(capsys):
+    # s_10 prints as "10,": without the comma it would read back as 1, 0
+    code, out, _ = run_cli(capsys, "red-words", "--rank", "12", "--element", "10,")
+    assert code == 0
+    assert out.splitlines() == ["10,"]
+    s12 = build_system("A", 12)
+    assert parse_element(s12, out.strip()) == s12.generator(10)
+    code, again, _ = run_cli(capsys, "red-words", "--rank", "12", "--element", out.strip())
+    assert (code, again) == (0, out)
 
 
 def test_red_words_json_roundtrip(capsys):
@@ -337,3 +361,22 @@ def test_unknown_element_is_input_error(capsys):
     code, _, err = run_cli(capsys, "red-words", "--type", "A", "--rank", "3",
                            "--element", "9")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("suite", ["crystal", "eg"])
+def test_verify_passes_under_python_optimize(suite):
+    # `python -O` strips assert statements; the checks must still run and pass
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys; from redwords.cli import main; "
+        f"sys.exit(main(['verify', '--suite', '{suite}', '--max-rank', '3']))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    *lines, summary = result.stdout.splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines)
+    passed, total = summary.split()[0].split("/")
+    assert passed == total == str(len(lines))

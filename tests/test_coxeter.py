@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redwords import coxeter, markov
+from redwords import coxeter
 from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
 from redwords.partitions import hook_length_count, staircase
 
@@ -187,9 +187,12 @@ def test_evaluate_rejects_letters_outside_index_set(s3):
 
 def test_runtime_invariants_are_not_asserts():
     # `python -O` strips assert statements, so invariants must raise
-    for module in (coxeter, markov):
-        tree = ast.parse(Path(module.__file__).read_text())
-        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    sources = sorted(Path(coxeter.__file__).parent.glob("*.py"))
+    assert len(sources) >= 13
+    for source in sources:
+        tree = ast.parse(source.read_text())
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{source.name} asserts on lines {asserts}"
 
 
 def test_longest_element_is_unique_maximum():

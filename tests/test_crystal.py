@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from redwords.coxeter import SymmetricGroup
 from redwords.crystal import (
     DecreasingFactorization,
+    _bracket,
+    bracket_unpaired,
     decreasing_factorizations,
     factorization_crystal,
     highest_weight_factorizations,
@@ -45,6 +48,8 @@ S3_EDGES = [
 def test_validation_rejects_non_decreasing(s4):
     with pytest.raises(ValueError):
         DecreasingFactorization(((1, 2),), s4.identity)
+    with pytest.raises(ValueError):
+        DecreasingFactorization(((2, 1), (3, 3)), s4.identity)
 
 
 def test_validate_against_system(s4):
@@ -73,6 +78,10 @@ def test_compact_separates_multi_digit_letters():
     x = DecreasingFactorization.from_display(((11, 10), (), (2,)), s12.evaluate((11, 10, 2)))
     assert x.compact() == "(11,10)()(2)"
     assert parse_factorization(s12, x.compact()) == x
+    # a lone two-digit letter keeps a trailing comma, so it reads back
+    y = DecreasingFactorization.from_display(((10,), (2,)), s12.evaluate((10, 2)))
+    assert y.compact() == "(10,)(2)"
+    assert parse_factorization(s12, y.compact()) == y
 
 
 def test_parse_factorization_roundtrip(s4):
@@ -243,3 +252,77 @@ def test_s5_crystal_pinned():
     assert len(graph.f_edges) == 2304
     assert [weight for _, weight in graph.highest_weights()] == [(4, 3, 2, 1, 0)]
     assert len(graph.components()) == 1 == len(ck_components(s5, w0))
+
+
+# ----------------------------------------------------------------------
+# the bracketing kernel and the operators built on it
+
+
+def quadratic_bracket(upper, lower):
+    """The bracketing by its definition: each upper letter, largest first,
+    takes the smallest unused strictly larger lower letter."""
+    lower_set = set(lower)
+    used = set()
+    unpaired_upper = []
+    for b in sorted(upper, reverse=True):
+        candidates = [a for a in lower_set - used if a > b]
+        if candidates:
+            used.add(min(candidates))
+        else:
+            unpaired_upper.append(b)
+    return tuple(sorted(unpaired_upper)), tuple(sorted(lower_set - used))
+
+
+letter_sets = st.sets(st.integers(min_value=1, max_value=14), max_size=9)
+
+
+@given(letter_sets, letter_sets)
+def test_merge_bracket_matches_quadratic_definition(upper, lower):
+    expected = quadratic_bracket(upper, lower)
+    left, right = _bracket(tuple(sorted(upper, reverse=True)), tuple(sorted(lower, reverse=True)))
+    assert (tuple(left[::-1]), tuple(right[::-1])) == expected
+    assert bracket_unpaired(upper, lower) == expected
+
+
+@given(st.lists(st.integers(min_value=1, max_value=8), max_size=8),
+       st.lists(st.integers(min_value=1, max_value=8), max_size=8))
+def test_public_bracket_sorts_and_dedups(upper, lower):
+    # repeated upper letters each take a partner; repeated lower letters count once
+    assert bracket_unpaired(upper, lower) == quadratic_bracket(upper, lower)
+
+
+def _operator_crystals():
+    s4 = SymmetricGroup(4)
+    for g in s4.elements():
+        yield s4, factorization_crystal(s4, g)
+    s5 = SymmetricGroup(5)
+    yield s5, factorization_crystal(s5, s5.longest_element, 5)
+
+
+def test_operator_images_equal_their_public_construction():
+    # e and f build their images without re-checking untouched blocks; each
+    # must equal, and hash like, the same factorization built and checked
+    # through the public constructor
+    images = 0
+    for system, graph in _operator_crystals():
+        for v in graph.vertices:
+            for i in graph.index_set:
+                for image in (v.e(i), v.f(i)):
+                    if image is None:
+                        continue
+                    rebuilt = DecreasingFactorization(image.factors, image.target)
+                    assert image == rebuilt and hash(image) == hash(rebuilt)
+                    assert rebuilt in {image}
+                    image.validate(system)
+                    images += 1
+    assert images > 2 * 2304
+
+
+def test_operators_reject_a_non_reduced_factorization(s3):
+    # (s1)(s1) is not reduced; moving the unpaired letter would repeat a
+    # letter in one block, which is an error, not a silent result
+    bad = DecreasingFactorization(((1,), (1,)), s3.identity)
+    with pytest.raises(ValueError):
+        bad.e(1)
+    with pytest.raises(ValueError):
+        bad.f(1)

@@ -1,3 +1,6 @@
+import pytest
+
+from redwords.coxeter import Dihedral
 from redwords.crystal import factorization_crystal, parse_factorization
 from redwords.edelman_greene import (
     BRAID,
@@ -102,6 +105,14 @@ def test_ck_edge_kinds(s4):
     assert graph.edges == (((1, 2, 1), (2, 1, 2), BRAID),)
     kinds = {kind for _, _, kind in ck_graph(s4, s4.longest_element).edges}
     assert kinds == {BRAID, MIDDLE_FIRST, MIDDLE_LAST}
+
+
+def test_ck_graph_outside_type_a_is_an_error():
+    # the braid move 121 -> 212 leaves the reduced words of the dihedral
+    # group of order 8, whose longest element is 1212 = 2121
+    d4 = Dihedral(4)
+    with pytest.raises(ValueError, match="type A"):
+        ck_graph(d4, d4.longest_element)
 
 
 def test_ck_components_pinned(s3, s4):

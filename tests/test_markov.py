@@ -71,6 +71,8 @@ def test_s3_uniform_chain_pinned(s3):
         (F(1, 2), F(1, 2)),
         (F(1, 2), F(1, 2)),
     )
+    # the labels are derived on first access, then kept
+    assert "labels" not in vars(matrix)
     # exactly four arrows: two self-loops and the two crossings
     assert matrix.labels == {
         (0, 0): (1,),
