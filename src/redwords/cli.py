@@ -316,6 +316,11 @@ def cmd_markov_promote(args) -> int:
     if args.dot:
         print(matrix.to_dot("promotion"), end="")
         return 0
+    if matrix.size > MAX_REPORT_STATES:
+        raise InputError(
+            f"the promotion walk has {matrix.size} states; the exact report "
+            f"stops at {MAX_REPORT_STATES} (--dot draws larger walks)"
+        )
     report = _markov_report(None, measure, matrix, False)
     if args.report or args.json:
         print(json.dumps(report))

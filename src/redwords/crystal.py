@@ -288,22 +288,25 @@ def _block_sequences(
         num_factors = default_num_factors(system, w)
     if num_factors < 1:
         raise ValueError("need at least one block")
-    max_block = len(system.index_set)
+    yield from _block_sequences_of(system, w, system.length(w), num_factors, None, admissible)
 
-    def rec(u, length: int, k: int, previous: Word | None):
-        if k == 0:
-            if length == 0:
-                yield ()
-            return
-        if length > k * max_block:
-            return
-        for block, rest in _peels(system, u):
-            if admissible is not None and previous is not None and not admissible(block, previous):
-                continue
-            for tail in rec(rest, length - len(block), k - 1, block):
-                yield (block,) + tail
 
-    yield from rec(w, system.length(w), num_factors, None)
+def _block_sequences_of(system: CoxeterSystem, u, length: int, k: int, previous: Word | None, admissible):
+    """The recursion of ``_block_sequences``: ``k`` blocks spelling ``u``,
+    the first to be checked against ``previous``.  It is a module-level
+    function, not a closure, so finished walks leave no reference cycle
+    that would keep the system and its memo tables alive."""
+    if k == 0:
+        if length == 0:
+            yield ()
+        return
+    if length > k * len(system.index_set):
+        return
+    for block, rest in _peels(system, u):
+        if admissible is not None and previous is not None and not admissible(block, previous):
+            continue
+        for tail in _block_sequences_of(system, rest, length - len(block), k - 1, block, admissible):
+            yield (block,) + tail
 
 
 def decreasing_factorizations(system: CoxeterSystem, w, num_factors: int | None = None) -> Iterator[DecreasingFactorization]:
@@ -423,13 +426,22 @@ class CrystalGraph:
         weight: Callable[[object], tuple[int, ...]],
     ) -> "CrystalGraph":
         """The graph of the lowering operator ``f(vertex, i)`` on ``vertices``,
-        where None means f_i does not apply."""
+        where None means f_i does not apply.
+
+        Each edge stores the vertex equal to the image, not the image itself,
+        so the graph holds one object per vertex; an image outside
+        ``vertices`` raises ValueError.
+        """
+        canonical = {v: v for v in vertices}
         f_edges = {}
         for v in vertices:
             for i in index_set:
                 image = f(v, i)
                 if image is not None:
-                    f_edges[(v, i)] = image
+                    target = canonical.get(image)
+                    if target is None:
+                        raise ValueError(f"f_{i} maps {v} outside the vertex set")
+                    f_edges[(v, i)] = target
         return cls(vertices, index_set, f_edges, {v: weight(v) for v in vertices})
 
     def components(self) -> tuple[frozenset, ...]:

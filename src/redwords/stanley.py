@@ -6,9 +6,10 @@ independent routes that must agree:
 
 1. counting highest weight factorizations by weight,
 2. counting semistandard tableaux of transposed shape whose column reading
-   word is a reduced word of w,
+   word is a reduced word of w, filled in column reading order so that only
+   reduced prefixes are ever extended,
 3. peeling the exact monomial expansion against the unitriangular Kostka
-   matrix.
+   matrix, whose entries come from the horizontal-strip branching rule.
 
 All coefficients are exact integers; ``num_factors`` defaults to the length
 of w, which suffices because no contributing weight has more parts.
@@ -22,7 +23,7 @@ from .partitions import Partition, conjugate, partitions_of
 from .reports import CheckReport
 from .symfunc import SymFuncExpansion, omega, s1_perp
 from .symfunc import support_interval as expansion_support_interval
-from .tableaux import generate_ssyt, kostka_number
+from .tableaux import fill_ssyt, kostka_number
 
 
 class TruncationError(ValueError):
@@ -72,17 +73,23 @@ def schur_expansion_via_eg(system: CoxeterSystem, w) -> SymFuncExpansion:
 
     The coefficient of a shape counts semistandard tableaux of the
     transposed shape whose column reading word is a reduced word of w.
+    The filler places letters in column reading order, so each prefix is
+    tested as it grows: starting from z = w^-1, a letter v is admitted only
+    when it is a right descent of z, and z becomes z*s_v.  A prefix that is
+    not reduced for w is never extended, and every complete filling spells
+    a reduced word of w.
     """
     max_letter = len(system.index_set)
+
+    def admit(z, v: int):
+        return system.right_multiplied(z, v) if system.is_right_descent(z, v) else None
+
+    start = system.inverse(w)
     terms: dict[Partition, int] = {}
     for lam in partitions_of(system.length(w)):
         if lam and lam[0] > max_letter:
             continue  # the first column of the transpose would be too tall
-        count = 0
-        for tab in generate_ssyt(conjugate(lam), max_letter):
-            word = tab.column_reading_word()
-            if len(word) == system.length(w) and system.evaluate(word) == w:
-                count += 1
+        count = len(fill_ssyt(conjugate(lam), max_letter, admit, start))
         if count:
             terms[lam] = count
     return SymFuncExpansion.from_dict("schur", terms)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from itertools import product
+from typing import Callable, Iterator, Optional
 
 from .crystal import CrystalGraph
-from .partitions import Partition, check_partition, partitions_of
+from .partitions import Partition, check_partition, conjugate, partitions_of
 from .symfunc import SymFuncExpansion
 
 
@@ -106,53 +107,119 @@ def yamanouchi_tableau(shape: Partition) -> Tableau:
 
 
 def generate_ssyt(shape: Partition, max_entry: int) -> list[Tableau]:
-    """All semistandard fillings of ``shape`` with entries at most ``max_entry``."""
+    """All semistandard fillings of ``shape`` with entries at most ``max_entry``,
+    in lexicographic order of their rows."""
     shape = check_partition(shape)
-    return _fill_ssyt(shape, [sum(shape)] * max_entry)
+    return fill_ssyt(shape, max_entry, _admit_any, True)
 
 
 def generate_ssyt_with_content(shape: Partition, content: tuple[int, ...]) -> list[Tableau]:
-    """Semistandard fillings of ``shape`` using entry k exactly content[k-1] times."""
+    """Semistandard fillings of ``shape`` using entry k exactly content[k-1] times,
+    in lexicographic order of their rows."""
     shape = check_partition(shape)
-    if sum(shape) != sum(content):
+    content = tuple(content)
+    if sum(shape) != sum(content) or any(k < 0 for k in content):
         return []
-    return _fill_ssyt(shape, list(content))
+    return fill_ssyt(shape, len(content), _admit_within, content)
 
 
-def _fill_ssyt(shape: Partition, remaining: list[int]) -> list[Tableau]:
-    """All semistandard fillings of ``shape`` with entries 1..len(remaining),
-    cells filled in row order; entry v may be used remaining[v-1] times."""
-    grid = [[0] * shape[r] for r in range(len(shape))]
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
+def _admit_any(state, v: int):
+    return state
+
+
+def _admit_within(remaining: tuple[int, ...], v: int) -> Optional[tuple[int, ...]]:
+    """Spend one v from the remaining content, or None when none is left."""
+    if not remaining[v - 1]:
+        return None
+    return remaining[:v - 1] + (remaining[v - 1] - 1,) + remaining[v:]
+
+
+def fill_ssyt(
+    shape: Partition,
+    max_entry: int,
+    admit: Callable[[object, int], object],
+    state,
+) -> list[Tableau]:
+    """Semistandard fillings of ``shape`` with entries 1..max_entry whose
+    letters, in column reading order, each pass ``admit``; sorted by rows.
+
+    Cells are filled in column reading order: columns left to right, each
+    from the bottom up.  A cell's entry is at least its left neighbour (in
+    the first column, at least its row number plus one) and below the entry
+    under it, so every partial filling extends.  ``admit(state, v)`` returns
+    the state for the next cell, or None to reject v and every filling that
+    continues the prefix.
+    """
+    rows = [[0] * length for length in shape]
+    # (row, column, whether a cell lies below), in column reading order
+    cells = [
+        (r, c, r + 1 < height)
+        for c, height in enumerate(conjugate(shape))
+        for r in range(height - 1, -1, -1)
+    ]
+    if not cells:
+        return [Tableau(())]
+
+    def entries(k: int) -> Iterator[int]:
+        r, c, below = cells[k]
+        lo = rows[r][c - 1] if c else r + 1
+        return iter(range(lo, rows[r + 1][c] if below else max_entry + 1))
+
+    # a depth-first walk with an explicit stack: pending[k] holds the entries
+    # not yet tried at cell k, states[k] the state before cell k
     out: list[Tableau] = []
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            out.append(Tableau(tuple(tuple(row) for row in grid)))
-            return
-        r, c = cells[k]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            grid[r][c] = v
-            fill(k + 1)
-            remaining[v - 1] += 1
-        grid[r][c] = 0
-
-    fill(0)
+    states = [state] * len(cells)
+    pending = [entries(0)]
+    while pending:
+        k = len(pending) - 1
+        for v in pending[k]:
+            after = admit(states[k], v)
+            if after is not None:
+                break
+        else:
+            pending.pop()
+            continue
+        r, c, _ = cells[k]
+        rows[r][c] = v
+        if k + 1 == len(cells):
+            out.append(Tableau(tuple(map(tuple, rows))))
+        else:
+            states[k + 1] = after
+            pending.append(entries(k + 1))
+    out.sort(key=lambda t: t.rows)
     return out
 
 
 @lru_cache(maxsize=None)
 def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
-    """Number of semistandard fillings of ``shape`` with the given content."""
-    return len(generate_ssyt_with_content(shape, content))
+    """Number of semistandard fillings of ``shape`` with the given content.
+
+    The cells holding the last letter form a horizontal strip, so the count
+    sums the counts of ``content[:-1]`` over the shapes nu inside ``shape``
+    that leave a horizontal strip of ``content[-1]`` cells.  Any composition
+    works, zeros included.
+
+    >>> kostka_number((3, 2), (2, 2, 1)), kostka_number((3, 2), (1, 2, 2))
+    (2, 2)
+    """
+    shape = check_partition(shape)
+    if not content:
+        return 0 if shape else 1
+    if sum(shape) != sum(content) or len(shape) > len(content):
+        return 0
+    rest = content[:-1]
+    return sum(kostka_number(nu, rest) for nu in _strip_removals(shape, content[-1]))
+
+
+def _strip_removals(shape: Partition, size: int) -> list[Partition]:
+    """The partitions nu inside ``shape`` with shape/nu a horizontal strip of
+    ``size`` cells: row r gives up at most shape[r] - shape[r+1] cells."""
+    spare = [p - q for p, q in zip(shape, shape[1:] + (0,))]
+    return [
+        tuple(p - t for p, t in zip(shape, taken) if p > t)
+        for taken in product(*(range(k + 1) for k in spare))
+        if sum(taken) == size
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +278,7 @@ def tableau_phi(tableau: Tableau, i: int) -> int:
 
 def tableau_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
     """The crystal graph on all semistandard fillings with bounded entries."""
-    vertices = tuple(sorted(generate_ssyt(shape, max_entry), key=lambda t: t.rows))
+    vertices = tuple(generate_ssyt(shape, max_entry))
     return CrystalGraph.from_lowering(
         vertices, tuple(range(1, max_entry)), crystal_f, lambda t: t.content(max_entry)
     )

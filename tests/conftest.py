@@ -16,7 +16,7 @@ requires_s5 = pytest.mark.skipif(
 
 requires_s6 = pytest.mark.skipif(
     max_rank() < 6,
-    reason="set REDWORDS_MAX_RANK=6 to include the 292,864-state S6 walk",
+    reason="set REDWORDS_MAX_RANK=6 to include the 292,864-state S6 walk and the S6/S7 Schur routes",
 )
 
 

@@ -315,6 +315,20 @@ def test_markov_promote(tmp_path, capsys):
     assert data["checks"]["T_pi_eq_pi"] is True
 
 
+@pytest.mark.parametrize("mode", [[], ["--report"], ["--json"]])
+def test_markov_promote_refuses_large_reports(tmp_path, capsys, mode):
+    # the antichain on 6 labels has 6! = 720 linear extensions, far past the
+    # dense exact report
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(json.dumps({"n": 6, "relations": []}))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "markov", "promote", "--poset", str(poset_file),
+                             "--probs", ",".join(["1/6"] * 6), *mode)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert "720 states" in err and "Traceback" not in err
+
+
 def test_markov_promote_rejects_unnatural(tmp_path, capsys):
     poset_file = tmp_path / "poset.json"
     poset_file.write_text(json.dumps({"n": 3, "relations": [[3, 1]]}))
@@ -363,7 +377,7 @@ def test_unknown_element_is_input_error(capsys):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize("suite", ["crystal", "eg"])
+@pytest.mark.parametrize("suite", ["crystal", "eg", "coxeter", "tableaux", "stanley", "markov"])
 def test_verify_passes_under_python_optimize(suite):
     # `python -O` strips assert statements; the checks must still run and pass
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from redwords.coxeter import SymmetricGroup
 from redwords.crystal import (
+    CrystalGraph,
     DecreasingFactorization,
     _bracket,
     bracket_unpaired,
@@ -13,6 +14,7 @@ from redwords.crystal import (
     stembridge_violations,
 )
 from redwords.edelman_greene import ck_components
+from redwords.tableaux import tableau_crystal
 
 
 def fz(system, *display_blocks):
@@ -326,3 +328,21 @@ def test_operators_reject_a_non_reduced_factorization(s3):
         bad.e(1)
     with pytest.raises(ValueError):
         bad.f(1)
+
+
+# ----------------------------------------------------------------------
+# the graph holds one object per vertex
+
+
+def test_edge_targets_are_the_vertices_themselves():
+    # each f-image is stored as the vertex equal to it, not as a fresh copy
+    s5 = SymmetricGroup(5)
+    for graph in (factorization_crystal(s5, s5.longest_element, 5), tableau_crystal((2, 1, 1), 4)):
+        ids = {id(v) for v in graph.vertices}
+        assert graph.f_edges and all(id(target) in ids for target in graph.f_edges.values())
+        assert all(id(source) in ids for source, _ in graph.f_edges)
+
+
+def test_lowering_outside_the_vertex_set_raises():
+    with pytest.raises(ValueError):
+        CrystalGraph.from_lowering((1, 2), (1,), lambda v, i: v + 1, lambda v: (v,))

@@ -3,9 +3,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redwords.coxeter import SymmetricGroup
+from conftest import requires_s6
+from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
 from redwords.crystal import decreasing_factorizations
-from redwords.partitions import dominates, staircase
+from redwords.partitions import conjugate, dominates, partitions_of, staircase
 from redwords.stanley import (
     TruncationError,
     omega_duality_check,
@@ -18,6 +19,7 @@ from redwords.stanley import (
     support_interval,
 )
 from redwords.symfunc import SymFuncExpansion, omega, s1_perp, support_interval as interval_of
+from redwords.tableaux import generate_ssyt
 
 
 def mono(terms):
@@ -193,3 +195,58 @@ def test_three_way_agreement_sampled_s5(index):
         == schur_expansion_via_eg(s5, g)
         == schur_expansion_via_linear_algebra(s5, g)
     )
+
+
+def eg_expansion_by_enumeration(system, w):
+    """The insertion-tableau definition taken literally: every semistandard
+    tableau of the transposed shape, kept when its column reading word
+    evaluates to w at full length."""
+    max_letter = len(system.index_set)
+    terms = {}
+    for lam in partitions_of(system.length(w)):
+        if lam and lam[0] > max_letter:
+            continue
+        count = sum(
+            1
+            for tab in generate_ssyt(conjugate(lam), max_letter)
+            if system.evaluate(tab.column_reading_word()) == w
+        )
+        if count:
+            terms[lam] = count
+    return schur(terms)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [SymmetricGroup(2), SymmetricGroup(3), SymmetricGroup(4), SymmetricGroup(5),
+     Hypercube(3), Hypercube(4), Dihedral(4), Dihedral(6)],
+    ids=repr,
+)
+def test_pruned_eg_route_matches_enumeration(system):
+    # the route extends only reduced prefixes; it must count exactly the
+    # tableaux the generate-then-evaluate definition keeps
+    for g in system.elements():
+        assert schur_expansion_via_eg(system, g) == eg_expansion_by_enumeration(system, g), g
+
+
+def test_three_routes_at_s6_longest_element():
+    s6 = SymmetricGroup(6)
+    w0 = s6.longest_element
+    expected = schur({staircase(6): 1})
+    assert schur_expansion(s6, w0) == expected
+    assert schur_expansion_via_eg(s6, w0) == expected
+    assert schur_expansion_via_linear_algebra(s6, w0) == expected
+
+
+@requires_s6
+def test_three_way_agreement_exhaustive_s6_and_s7_longest_element():
+    s6 = SymmetricGroup(6)
+    for g in s6.elements():
+        a = schur_expansion(s6, g)
+        assert a == schur_expansion_via_eg(s6, g) == schur_expansion_via_linear_algebra(s6, g), g
+    s7 = SymmetricGroup(7)
+    w0 = s7.longest_element
+    expected = schur({staircase(7): 1})
+    assert schur_expansion_via_eg(s7, w0) == expected
+    assert schur_expansion_via_linear_algebra(s7, w0) == expected
+    assert schur_expansion(s7, w0) == expected

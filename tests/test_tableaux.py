@@ -1,4 +1,8 @@
+import itertools
+
 from hypothesis import given, settings, strategies as st
+
+from redwords.partitions import partitions_of
 
 from redwords.symfunc import SymFuncExpansion
 from redwords.tableaux import (
@@ -137,8 +141,6 @@ def test_schur_polynomial_examples():
 def test_schur_polynomial_is_symmetric(shape, num_vars):
     # orbit-constant coefficients: the count of fillings with a permuted
     # content vector equals the count at the sorted representative
-    import itertools
-
     expansion = schur_polynomial(shape, num_vars).as_dict()
     for mu, coeff in expansion.items():
         padded = tuple(mu) + (0,) * (num_vars - len(mu))
@@ -151,3 +153,49 @@ def test_schur_polynomial_truncates_long_partitions():
     # with fewer variables than rows, fillings with too many distinct
     # entries disappear
     assert schur_polynomial((1, 1, 1), 2) == SymFuncExpansion.from_dict("monomial", {})
+
+
+# ----------------------------------------------------------------------
+# the column-order filler and the horizontal-strip Kostka numbers
+
+
+def all_fillings_by_rows(shape, max_entry):
+    """Every assignment of entries 1..max_entry to the cells, kept when
+    semistandard, in lexicographic order of the rows."""
+    out = []
+    for flat in itertools.product(range(1, max_entry + 1), repeat=sum(shape)):
+        rows, k = [], 0
+        for length in shape:
+            rows.append(flat[k:k + length])
+            k += length
+        t = Tableau.from_rows(rows)
+        if t.is_semistandard():
+            out.append(t)
+    return out
+
+
+def test_generate_ssyt_order_is_by_rows():
+    # cells are filled column by column, but the result keeps row order
+    for shape, entries in [((2, 1), 3), ((3, 2), 3), ((2, 2, 1), 4), ((3, 1, 1), 3), ((4,), 3), ((1, 1, 1), 4)]:
+        assert generate_ssyt(shape, entries) == all_fillings_by_rows(shape, entries)
+    assert [t.rows for t in generate_ssyt((2, 1), 3)][:3] == [((1, 1), (2,)), ((1, 1), (3,)), ((1, 2), (2,))]
+    assert generate_ssyt((2, 1), 1) == [] and generate_ssyt((), 2) == [Tableau(())]
+
+
+def test_kostka_strips_match_enumeration_on_partitions():
+    for size in range(9):
+        for shape in partitions_of(size):
+            for content in partitions_of(size):
+                assert kostka_number(shape, content) == len(generate_ssyt_with_content(shape, content))
+
+
+def test_kostka_strips_match_enumeration_on_compositions():
+    # the branching rule holds for any order of the content, zeros included
+    for size in range(6):
+        for shape in partitions_of(size):
+            for mu in partitions_of(size):
+                for content in set(itertools.permutations(mu + (0, 0))):
+                    expected = len(generate_ssyt_with_content(shape, content))
+                    assert kostka_number(shape, content) == expected, (shape, content)
+    assert kostka_number((2, 1), (3,)) == 0 and kostka_number((2,), (1, 2)) == 0
+    assert generate_ssyt_with_content((2,), (3, -1)) == [] == generate_ssyt_with_content((2,), (1,))
