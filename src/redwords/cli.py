@@ -312,15 +312,17 @@ def cmd_markov_promote(args) -> int:
     except (KeyError, ValueError) as err:
         raise InputError(f"bad poset file: {err}") from None
     measure = measure_for(range(1, poset.n + 1), parse_probs(args.probs))
+    if not args.dot:
+        states = poset.linear_extension_count()
+        if states > MAX_REPORT_STATES:
+            raise InputError(
+                f"the promotion walk has {states} states; the exact report "
+                f"stops at {MAX_REPORT_STATES} (--dot draws larger walks)"
+            )
     matrix = markov.promotion_chain(poset, measure)
     if args.dot:
         print(matrix.to_dot("promotion"), end="")
         return 0
-    if matrix.size > MAX_REPORT_STATES:
-        raise InputError(
-            f"the promotion walk has {matrix.size} states; the exact report "
-            f"stops at {MAX_REPORT_STATES} (--dot draws larger walks)"
-        )
     report = _markov_report(None, measure, matrix, False)
     if args.report or args.json:
         print(json.dumps(report))

@@ -213,14 +213,21 @@ class CoxeterSystem:
             self._w0 = self.parabolic_longest(self.index_set)
         return self._w0
 
+    def _simple_conjugate(self, a, i: int):
+        """The generator g with a s_i a^-1 = s_g, or None when that reflection
+        is not simple.  Then s_g a = a s_i."""
+        reflection = self.multiply(self.right_multiplied(a, i), self.inverse(a))
+        for g in self.index_set:
+            if self.generator(g) == reflection:
+                return g
+        return None
+
     def exchange(self, i: int, word: Word) -> Word:
         """Prepend ``i`` to a reduced word of the longest element and delete
         the unique letter that keeps the result reduced.
 
-        One pass over the word checks that each letter is a generator and an
-        ascent of its prefix, so the word is reduced, and that it spells the
-        longest element.  The same pass carries s_i times the prefix: the
-        deleted letter is the first one that is a right descent of it.
+        The one-word, one-generator case of :meth:`_deletion_walk`, which
+        also checks that the word is a reduced word of the longest element.
 
         >>> SymmetricGroup(4).exchange(2, (1, 2, 3, 1, 2, 1))
         (2, 1, 2, 3, 2, 1)
@@ -229,37 +236,76 @@ class CoxeterSystem:
         """
         self._check_index(i)
         word = tuple(word)
-        prefix = self.identity
-        shifted = self.generator(i)  # s_i * prefix, until the deletion
-        deleted = None
-        for j, letter in enumerate(word):
-            if letter not in self._letters or self.is_right_descent(prefix, letter):
-                raise ValueError(f"{word} is not a reduced word of the longest element")
-            if deleted is None:
-                if self.is_right_descent(shifted, letter):
-                    deleted = j
-                else:
-                    shifted = self.right_multiplied(shifted, letter)
-            prefix = self.right_multiplied(prefix, letter)
-        if prefix != self.longest_element:
-            raise ValueError(f"{word} is not a reduced word of the longest element")
-        if deleted is None:
-            raise ArithmeticError("exchange condition must produce a deletion")
+        deleted = next(self._deletion_walk((word,), (i,)))[i]
         return (i,) + word[:deleted] + word[deleted + 1:]
 
     def exchange_kernel(self) -> ExchangeKernel:
         """The exchange table over the reduced words of the longest element,
-        built with one ``exchange`` per (word, generator) and kept."""
+        built by one :meth:`_deletion_walk` over all of them, and kept."""
         if self._exchange_kernel is None:
             states = tuple(sorted(self.reduced_words(self.longest_element)))
             index = {state: k for k, state in enumerate(states)}
             generators = tuple(sorted(self.index_set))
             table = tuple(
-                tuple(index[self.exchange(i, state)] for i in generators)
-                for state in states
+                tuple(index[(i,) + word[:d] + word[d + 1:]] for i, d in where.items())
+                for word, where in zip(states, self._deletion_walk(states, generators))
             )
             self._exchange_kernel = ExchangeKernel(states, index, generators, table)
         return self._exchange_kernel
+
+    def _deletion_walk(self, words, generators):
+        """For each word of ``words``, lexicographically sorted, yield the
+        dict from each of ``generators`` to the position of the letter that
+        the exchange condition deletes once that generator is prepended.
+
+        The words are walked as paths of their prefix trie, so a prefix that
+        a word shares with the word before it costs nothing.  Each node
+        checks that its letter is a generator and an ascent of the product p
+        of the letters before it, so the word is reduced, and each leaf
+        checks that the product is the longest element.  Prepending g
+        deletes the letter l at which s_g p = p s_l, the one node whose
+        reflection p s_l p^-1 is s_g, so a node costs one step however many
+        generators there are.  The yielded dict is reused for the next word.
+        """
+        letters = self._letters
+        descent = self.is_right_descent
+        times = self.right_multiplied
+        conjugate = self._simple_conjugate
+        w0 = self.longest_element
+        where = dict.fromkeys(generators, -1)  # -1 until the deletion is found
+        missing = len(where)
+        prefixes = [self.identity]  # prefixes[k]: product of the first k letters
+        previous: Word = ()
+        for word in words:
+            shared = 0
+            if previous:
+                for a, b in zip(previous, word):
+                    if a != b:
+                        break
+                    shared += 1
+                del prefixes[shared + 1:]
+                for g, k in where.items():
+                    if k >= shared:
+                        where[g] = -1
+                        missing += 1
+            prefix = prefixes[shared]
+            for k in range(shared, len(word)):
+                letter = word[k]
+                if letter not in letters or descent(prefix, letter):
+                    raise ValueError(f"{word} is not a reduced word of the longest element")
+                if missing:
+                    g = conjugate(prefix, letter)
+                    if g in where:
+                        where[g] = k
+                        missing -= 1
+                prefix = times(prefix, letter)
+                prefixes.append(prefix)
+            if prefix != w0:
+                raise ValueError(f"{word} is not a reduced word of the longest element")
+            if missing:
+                raise ArithmeticError("exchange condition must produce a deletion")
+            yield where
+            previous = word
 
 
 class SymmetricGroup(CoxeterSystem):
@@ -336,6 +382,13 @@ class SymmetricGroup(CoxeterSystem):
     def is_right_descent(self, a, i: int) -> bool:
         return a[i - 1] > a[i]
 
+    def _simple_conjugate(self, a, i: int):
+        # a s_i a^-1 transposes the values a(i) and a(i+1)
+        low, high = a[i - 1], a[i]
+        if low > high:
+            low, high = high, low
+        return low if high - low == 1 else None
+
     def elements(self) -> tuple:
         return tuple(sorted(itertools.permutations(range(1, self.n + 1))))
 
@@ -381,6 +434,9 @@ class Hypercube(CoxeterSystem):
 
     def is_right_descent(self, a, i: int) -> bool:
         return i in a
+
+    def _simple_conjugate(self, a, i: int):
+        return i  # the group is abelian
 
     def elements(self) -> tuple:
         out = []

@@ -17,7 +17,7 @@ from typing import Optional
 from .coxeter import CoxeterSystem, Word, format_word
 from .crystal import CrystalGraph, DecreasingFactorization, connected_components, factorization_crystal
 from .reports import CheckReport
-from .tableaux import Tableau, crystal_e, crystal_f
+from .tableaux import Tableau, _crystal_images
 
 
 @dataclass(frozen=True)
@@ -257,13 +257,12 @@ def _intertwining(graph: CrystalGraph, q_of: dict) -> CheckReport:
     for v in graph.vertices:
         for i in graph.index_set:
             down = graph.f(v, i)
-            q_down = crystal_f(q_of[v], i)
+            q_down, q_up = _crystal_images(q_of[v], i)
             if (down is None) != (q_down is None):
                 failures += 1
             elif down is not None and q_of[down] != q_down:
                 failures += 1
             up = v.e(i)
-            q_up = crystal_e(q_of[v], i)
             if (up is None) != (q_up is None):
                 failures += 1
             elif up is not None and q_of[up] != q_up:

@@ -2,8 +2,10 @@
 
 States are the reduced words of the longest element; picking generator i
 with probability P(i) moves a word to its exchange image.  The transition
-matrix is kept in exact rational arithmetic: entry (to, from) is the
-probability of that transition and columns sum to one.  The spectrum has a
+matrix is kept exactly, as integer numerators over one common denominator
+D: entry (to, from) is the probability of that transition times D, and
+columns sum to D.  The stationary law and total variation are summed in
+integers over a common denominator as well.  The spectrum has a
 closed form indexed by subsets of the generators, and the stationary
 distribution is an explicit product over prefixes; both are checked against
 the matrix exactly.
@@ -21,7 +23,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterSystem, Hypercube, Word, format_word
@@ -83,15 +86,18 @@ class ProbabilityMeasure:
 
 @dataclass(eq=False)
 class TransitionMatrix:
-    """Column-stochastic matrix over an ordered state list, stored by columns.
+    """Column-stochastic matrix over an ordered state list, stored by columns
+    of integer numerators over one common denominator.
 
-    ``columns[b]`` lists the ``(a, p)`` pairs, rows ascending, of the nonzero
-    probabilities p of moving from ``states[b]`` to ``states[a]``.  The
-    choice ``_choices[g]`` moves ``states[b]`` to ``states[_table[b][g]]``.
+    ``numerators[b]`` lists the ``(a, n)`` pairs, rows ascending, of the
+    nonzero numerators n: ``states[b]`` moves to ``states[a]`` with
+    probability n / ``denominator``.  The choice ``_choices[g]`` moves
+    ``states[b]`` to ``states[_table[b][g]]``.
     """
 
     states: tuple
-    columns: tuple[tuple[tuple[int, Fraction], ...], ...]
+    denominator: int
+    numerators: tuple[tuple[tuple[int, int], ...], ...]
     _choices: tuple = field(default=(), repr=False)
     _table: Sequence[Sequence[int]] = field(default=(), repr=False)
 
@@ -100,7 +106,7 @@ class TransitionMatrix:
         """``labels[(a, b)]`` lists the choices that move ``states[b]`` to
         ``states[a]``, zero-probability ones included.  Derived from the
         move table on first access: at S6 it is over twice the size of
-        ``columns``, and only :meth:`to_dot` reads it."""
+        the columns, and only :meth:`to_dot` reads it."""
         out: dict[tuple[int, int], tuple[int, ...]] = {}
         for b, targets in enumerate(self._table):
             for i, a in zip(self._choices, targets):
@@ -111,35 +117,73 @@ class TransitionMatrix:
     def size(self) -> int:
         return len(self.states)
 
+    def _probabilities(self) -> dict[int, Fraction]:
+        """Each numerator that occurs, zero included, as the probability it
+        stands for, so the views share one ``Fraction`` per value."""
+        numerators = {n for column in self.numerators for _, n in column} | {0}
+        return {n: Fraction(n, self.denominator) for n in numerators}
+
+    @property
+    def columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Rational view: ``columns[b]`` lists the ``(a, p)`` pairs, rows
+        ascending, of the nonzero probabilities p of moving from
+        ``states[b]`` to ``states[a]``.  Built on each access."""
+        probability = self._probabilities()
+        return tuple(
+            tuple((a, probability[n]) for a, n in column) for column in self.numerators
+        )
+
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense view: ``entries[a][b]`` is the probability of moving from
         ``states[b]`` to ``states[a]``.  Built on each access, n^2 in size."""
-        rows = [[Fraction(0)] * self.size for _ in self.states]
-        for b, column in enumerate(self.columns):
-            for a, p in column:
-                rows[a][b] = p
+        probability = self._probabilities()
+        rows = [[probability[0]] * self.size for _ in self.states]
+        for b, column in enumerate(self.numerators):
+            for a, n in column:
+                rows[a][b] = probability[n]
         return tuple(tuple(row) for row in rows)
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum((p for _, p in column), Fraction(0)) for column in self.columns)
+        return tuple(
+            Fraction(sum(n for _, n in column), self.denominator) for column in self.numerators
+        )
 
     def is_column_stochastic(self) -> bool:
-        return all(total == 1 for total in self.column_sums())
+        """Every column's numerators sum to the denominator."""
+        d = self.denominator
+        return all(sum(n for _, n in column) == d for column in self.numerators)
+
+    def _scaled(self, vector: Sequence[Fraction]) -> tuple[int, list[int]]:
+        """The lcm L of the denominators of ``vector``, and ``vector`` times L."""
+        if len(vector) != self.size:
+            raise ValueError(f"vector has {len(vector)} entries, the chain {self.size} states")
+        return _over_common_denominator(vector)
+
+    def _product(self, scaled: Sequence[int]) -> list[int]:
+        """The numerator columns applied to an integer vector."""
+        out = [0] * self.size
+        for weight, column in zip(scaled, self.numerators):
+            if weight:
+                for a, n in column:
+                    out[a] += n * weight
+        return out
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.size
-        for b, column in enumerate(self.columns):
-            weight = vector[b]
-            for a, p in column:
-                out[a] += p * weight
-        return tuple(out)
+        common, scaled = self._scaled(vector)
+        scale = self.denominator * common
+        return tuple(Fraction(x, scale) for x in self._product(scaled))
 
     def fixes(self, vector: Sequence[Fraction]) -> bool:
-        return self.apply(vector) == tuple(vector)
+        """T v = v, compared in integers: the numerator columns applied to
+        v scaled by the lcm of its denominators, against the denominator
+        times the scaled v."""
+        _, scaled = self._scaled(vector)
+        d = self.denominator
+        return all(x == d * y for x, y in zip(self._product(scaled), scaled))
 
     def is_strongly_connected(self) -> bool:
-        forward = [[a for a, _ in column] for column in self.columns]
+        forward = [[a for a, _ in column] for column in self.numerators]
         backward: list[list[int]] = [[] for _ in self.states]
         for b, targets in enumerate(forward):
             for a in targets:
@@ -191,14 +235,23 @@ def build_chain(system: CoxeterSystem, measure: ProbabilityMeasure) -> Transitio
 
 def _transition_matrix(states: tuple, measure: ProbabilityMeasure, table) -> TransitionMatrix:
     """The walk that moves ``states[b]`` to ``states[table[b][g]]`` with the
-    probability of the g-th weight of ``measure``."""
+    probability of the g-th weight of ``measure``, kept as integers over the
+    lcm of the measure's denominators."""
+    denominator, numerators = _over_common_denominator(p for _, p in measure.weights)
     columns = []
     for targets in table:
-        column: dict[int, Fraction] = {}
-        for (_, p), a in zip(measure.weights, targets):
-            column[a] = column[a] + p if a in column else p
-        columns.append(tuple(sorted((a, p) for a, p in column.items() if p)))
-    return TransitionMatrix(states, tuple(columns), measure.index_set, table)
+        column: dict[int, int] = {}
+        for n, a in zip(numerators, targets):
+            column[a] = column.get(a, 0) + n
+        columns.append(tuple(sorted((a, n) for a, n in column.items() if n)))
+    return TransitionMatrix(states, denominator, tuple(columns), measure.index_set, table)
+
+
+def _over_common_denominator(values: Iterable) -> tuple[int, list[int]]:
+    """The lcm L of the denominators of ``values``, and each value times L."""
+    values = [x if isinstance(x, Rational) else Fraction(x) for x in values]
+    common = lcm(*{x.denominator for x in values})
+    return common, [x.numerator * (common // x.denominator) for x in values]
 
 
 # ----------------------------------------------------------------------
@@ -221,10 +274,14 @@ def spectrum(system: CoxeterSystem, measure: ProbabilityMeasure) -> tuple[Spectr
     index_set = tuple(sorted(system.index_set))
     w0 = system.longest_element
 
+    counts: dict[tuple[int, ...], int] = {}  # subset -> its count, made once
+
     def count_for(subset: tuple[int, ...]) -> int:
-        return system.reduced_word_count(
-            system.multiply(system.parabolic_longest(subset), w0)
-        )
+        if subset not in counts:
+            counts[subset] = system.reduced_word_count(
+                system.multiply(system.parabolic_longest(subset), w0)
+            )
+        return counts[subset]
 
     lines = []
     for r in range(len(index_set) + 1):
@@ -284,14 +341,13 @@ def charpoly(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
     """Characteristic polynomial of the transition matrix, monic, highest
     degree first, computed exactly over the rationals."""
     n = matrix.size
-    denominator = 1
-    for column in matrix.columns:
-        for _, value in column:
-            denominator = denominator * value.denominator // gcd(denominator, value.denominator)
-    scaled = [[int(value * denominator) for value in row] for row in matrix.entries]
+    scaled = [[0] * n for _ in range(n)]
+    for b, column in enumerate(matrix.numerators):
+        for a, value in column:
+            scaled[a][b] = value
     integer_coeffs = _charpoly_int(scaled)
     return tuple(
-        Fraction(integer_coeffs[k], denominator ** k) for k in range(n + 1)
+        Fraction(integer_coeffs[k], matrix.denominator ** k) for k in range(n + 1)
     )
 
 
@@ -345,37 +401,44 @@ def stationary_distribution(system: CoxeterSystem, measure: ProbabilityMeasure) 
     The weight of a word multiplies, over its prefixes, the probability of
     the next letter divided by one minus the measure of the right descents
     of the prefix so far; full support keeps every denominator positive.
-    The words come in lexicographic order, so each one reuses the partial
-    products of the prefix it shares with the word before it.
+    With the measure as integers a_i over the lcm D of its denominators, a
+    step multiplies the numerator by a_letter and the denominator by D minus
+    the blocked a_i, so each word costs one ``Fraction``.  The words come in
+    lexicographic order, and each one reuses the partial products of the
+    prefix it shares with the word before it.
     """
     if measure.support != frozenset(system.index_set):
         raise ValueError("measure must have full support on the generators")
-    weight = dict(measure.weights)
-    free: dict = {}  # prefix -> one minus the measure of its right descents
+    total, numerators = _over_common_denominator(p for _, p in measure.weights)
+    weight = dict(zip(measure.index_set, numerators))
+    free: dict = {}  # prefix -> D minus the weight of its right descents
 
-    def free_measure(prefix) -> Fraction:
+    def free_weight(prefix) -> int:
         if prefix not in free:
-            blocked = sum((weight[i] for i in system.right_descents(prefix)), Fraction(0))
-            if blocked >= 1:
+            blocked = sum(weight[i] for i in system.right_descents(prefix))
+            if blocked >= total:
                 raise ArithmeticError("descent measure must stay below one off the top")
-            free[prefix] = 1 - blocked
+            free[prefix] = total - blocked
         return free[prefix]
 
     out: dict[Word, Fraction] = {}
     prefixes = [system.identity]  # prefixes[k]: product of the first k letters
-    values = [Fraction(1)]  # values[k]: the partial product over those k letters
+    tops = [1]  # tops[k] / bottoms[k]: the partial product over those k letters
+    bottoms = [1]
     previous: Word = ()
     for word in system.reduced_words(system.longest_element):
         shared = 0
         while shared < len(previous) and previous[shared] == word[shared]:
             shared += 1
-        del prefixes[shared + 1:], values[shared + 1:]
+        del prefixes[shared + 1:], tops[shared + 1:], bottoms[shared + 1:]
         for letter in word[shared:]:
-            values.append(values[-1] * weight[letter] / free_measure(prefixes[-1]))
+            tops.append(tops[-1] * weight[letter])
+            bottoms.append(bottoms[-1] * free_weight(prefixes[-1]))
             prefixes.append(system.right_multiplied(prefixes[-1], letter))
-        out[word] = values[-1]
+        out[word] = Fraction(tops[-1], bottoms[-1])
         previous = word
-    if sum(out.values()) != 1:
+    common, scaled = _over_common_denominator(out.values())
+    if sum(scaled) != common:
         raise ArithmeticError("closed-form stationary weights do not sum to one")
     return out
 
@@ -456,12 +519,13 @@ def simulate(
 
 
 def total_variation(p: Mapping, q: Mapping) -> Fraction:
-    """Half the l1 distance between two distributions."""
-    keys = set(p) | set(q)
-    return sum(
-        (abs(Fraction(p.get(k, 0)) - Fraction(q.get(k, 0))) for k in keys),
-        Fraction(0),
-    ) / 2
+    """Half the l1 distance between two distributions, summed in integers
+    over the lcm of every denominator."""
+    keys = list(set(p) | set(q))
+    common, scaled = _over_common_denominator(
+        [p.get(k, 0) for k in keys] + [q.get(k, 0) for k in keys]
+    )
+    return Fraction(sum(abs(a - b) for a, b in zip(scaled, scaled[len(keys):])), 2 * common)
 
 
 # ----------------------------------------------------------------------
@@ -519,6 +583,29 @@ class NaturalPoset:
 
     def incomparable(self, a: int, b: int) -> bool:
         return a != b and not self.less(a, b) and not self.less(b, a)
+
+    def linear_extension_count(self) -> int:
+        """len(linear_extensions()) without listing them: the number of ways
+        to reach each order ideal, summed over the ideals one label larger,
+        so at most 2^n ideals are visited.
+
+        >>> NaturalPoset.antichain(8).linear_extension_count()
+        40320
+        """
+        below = [
+            sum(1 << (i - 1) for i in range(1, self.n + 1) if self.less(i, j))
+            for j in range(1, self.n + 1)
+        ]
+        ways = {0: 1}  # order ideal (bit j-1 for label j) -> orderings reaching it
+        for _ in range(self.n):
+            larger: dict[int, int] = {}
+            for ideal, count in ways.items():
+                for j, needed in enumerate(below):
+                    bit = 1 << j
+                    if not ideal & bit and needed & ideal == needed:
+                        larger[ideal | bit] = larger.get(ideal | bit, 0) + count
+            ways = larger
+        return sum(ways.values())
 
     def linear_extensions(self) -> tuple[tuple[int, ...], ...]:
         """All orderings compatible with the poset, lexicographically."""

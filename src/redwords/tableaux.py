@@ -250,20 +250,22 @@ def _with_entry(tableau: Tableau, cell: tuple[int, int], value: int) -> Tableau:
     return Tableau(tuple(tuple(row) for row in rows))
 
 
+def _crystal_images(tableau: Tableau, i: int) -> tuple[Optional[Tableau], Optional[Tableau]]:
+    """``(f_i image, e_i image)`` from one signature of the reading word."""
+    closers, opens = _signature(tableau, i)
+    lowered = _with_entry(tableau, closers[-1], i + 1) if closers else None
+    raised = _with_entry(tableau, opens[0], i) if opens else None
+    return lowered, raised
+
+
 def crystal_f(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Change the last unbracketed i of the reading word into i+1."""
-    closers, _ = _signature(tableau, i)
-    if not closers:
-        return None
-    return _with_entry(tableau, closers[-1], i + 1)
+    return _crystal_images(tableau, i)[0]
 
 
 def crystal_e(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Change the first unbracketed i+1 of the reading word into i."""
-    _, opens = _signature(tableau, i)
-    if not opens:
-        return None
-    return _with_entry(tableau, opens[0], i)
+    return _crystal_images(tableau, i)[1]
 
 
 def tableau_epsilon(tableau: Tableau, i: int) -> int:

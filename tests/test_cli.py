@@ -329,6 +329,19 @@ def test_markov_promote_refuses_large_reports(tmp_path, capsys, mode):
     assert "720 states" in err and "Traceback" not in err
 
 
+def test_markov_promote_refuses_before_enumerating(tmp_path, capsys):
+    # 8! = 40,320 linear extensions: counted over the 2^8 order ideals, and
+    # refused before any of them is listed
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(json.dumps({"n": 8, "relations": []}))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "markov", "promote", "--poset", str(poset_file),
+                             "--probs", ",".join(["1/8"] * 8))
+    assert time.perf_counter() - started < 0.5
+    assert code == 2 and out == ""
+    assert "40320 states" in err and "Traceback" not in err
+
+
 def test_markov_promote_rejects_unnatural(tmp_path, capsys):
     poset_file = tmp_path / "poset.json"
     poset_file.write_text(json.dumps({"n": 3, "relations": [[3, 1]]}))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redwords import coxeter
-from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
+from redwords.coxeter import CoxeterSystem, Dihedral, Hypercube, SymmetricGroup
 from redwords.partitions import hook_length_count, staircase
 
 
@@ -172,6 +172,22 @@ def test_exchange_is_a_reduced_word_of_w0_starting_with_i(system, data):
         if system.evaluate((i,) + word[:j] + word[j + 1:]) == w0
     ]
     assert spelled == [image]
+
+
+@pytest.mark.parametrize(
+    "system", [SymmetricGroup(4), Hypercube(3), Dihedral(5)], ids=repr
+)
+def test_simple_conjugate_is_the_reflection_when_simple(system):
+    # the overrides against the definition in the base class: a s_i a^-1 = s_g
+    for a in system.elements():
+        for i in system.index_set:
+            g = system._simple_conjugate(a, i)
+            assert g == CoxeterSystem._simple_conjugate(system, a, i)
+            simple = [
+                h for h in system.index_set
+                if system.left_multiplied(h, a) == system.right_multiplied(a, i)
+            ]
+            assert simple == ([] if g is None else [g])
 
 
 def test_evaluate_rejects_letters_outside_index_set(s3):

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
 from redwords.markov import (
     NaturalPoset,
     ProbabilityMeasure,
+    TransitionMatrix,
     build_chain,
     charpoly,
     charpoly_matches_spectrum,
@@ -217,6 +220,70 @@ def test_stationary_one_state_chain():
     }
 
 
+def _reference_stationary(system, measure):
+    """The closed-form stationary law in Fraction arithmetic, one prefix
+    product per word, as the library computed it before it moved to
+    integer numerators over one denominator."""
+    weight = dict(measure.weights)
+    out = {}
+    previous, prefixes, values = (), [system.identity], [F(1)]
+    for word in system.reduced_words(system.longest_element):
+        shared = 0
+        while shared < len(previous) and previous[shared] == word[shared]:
+            shared += 1
+        del prefixes[shared + 1:], values[shared + 1:]
+        for letter in word[shared:]:
+            blocked = sum((weight[i] for i in system.right_descents(prefixes[-1])), F(0))
+            values.append(values[-1] * weight[letter] / (1 - blocked))
+            prefixes.append(system.right_multiplied(prefixes[-1], letter))
+        out[word] = values[-1]
+        previous = word
+    return out
+
+
+@pytest.mark.parametrize(
+    "system",
+    [SymmetricGroup(3), SymmetricGroup(4), SymmetricGroup(5), Hypercube(3), Dihedral(5)],
+    ids=repr,
+)
+def test_integer_stationary_matches_fraction_reference(system):
+    for seed in (11, 12, 13):
+        measure = ProbabilityMeasure.random_rational(system.index_set, seed)
+        pi = stationary_distribution(system, measure)
+        reference = _reference_stationary(system, measure)
+        assert pi == reference
+        assert list(pi) == list(reference)
+        assert all(type(p) is Fraction for p in pi.values())
+
+
+def test_fixes_rejects_one_unit_moved():
+    for system in (SymmetricGroup(4), Hypercube(3), Dihedral(5)):
+        measure = ProbabilityMeasure.random_rational(system.index_set, 17)
+        matrix = build_chain(system, measure)
+        pi = stationary_distribution(system, measure)
+        vector = [pi[s] for s in matrix.states]
+        assert matrix.fixes(vector)
+        unit = F(1, lcm(*(p.denominator for p in vector)))
+        for a, b in ((0, 1), (1, 0), (matrix.size - 1, 0)):
+            moved = list(vector)
+            moved[a] += unit
+            moved[b] -= unit
+            assert sum(moved) == 1
+            assert not matrix.fixes(moved)
+            assert matrix.apply(moved) != tuple(moved)
+
+
+def test_apply_and_fixes_reject_a_vector_of_the_wrong_length(s3):
+    matrix = build_chain(s3, ProbabilityMeasure.uniform(s3.index_set))
+    assert matrix.size == 2
+    for vector in ([F(1, 2)], [F(1, 2), F(1, 4), F(1, 4)]):
+        with pytest.raises(ValueError):
+            matrix.fixes(vector)
+        with pytest.raises(ValueError):
+            matrix.apply(vector)
+    assert matrix.fixes([F(1, 2), F(1, 2)])
+
+
 @requires_s5
 def test_s5_chain_behind_flag():
     # 768 states: the polynomial factorization is out of reach, but the
@@ -242,7 +309,7 @@ def test_s6_chain_exact():
     measure = ProbabilityMeasure.random_rational(s6.index_set, 11)
     matrix = build_chain(s6, measure)
     assert matrix.size == 292_864
-    assert sum(len(column) for column in matrix.columns) == 1_464_320
+    assert sum(len(column) for column in matrix.numerators) == 1_464_320
     assert matrix.is_column_stochastic()
     assert matrix.is_strongly_connected()
     pi = stationary_distribution(s6, measure)
@@ -276,14 +343,61 @@ def test_sparse_apply_matches_dense_product():
             assert all(p for _, p in column) and list(column) == sorted(column)
 
 
-def test_kernel_table_is_the_exchange_map(s4):
-    kernel = s4.exchange_kernel()
-    assert kernel is s4.exchange_kernel()
-    assert kernel.states == tuple(sorted(s4.reduced_words(s4.longest_element)))
-    for k, state in enumerate(kernel.states):
-        assert kernel.index[state] == k
-        for g, i in enumerate(kernel.generators):
-            assert kernel.states[kernel.next[k][g]] == s4.exchange(i, state)
+def _random_natural_poset(n, rng):
+    return NaturalPoset.from_relations(
+        n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.3]
+    )
+
+
+def test_integer_columns_agree_with_dense_entries_on_promotion_chains():
+    rng = random.Random(5)
+    posets = [NaturalPoset.from_relations(3, [(1, 3), (2, 3)]), NaturalPoset.antichain(4)]
+    posets += [_random_natural_poset(n, rng) for n in (3, 4, 4, 5)]
+    for k, poset in enumerate(posets):
+        labels = range(1, poset.n + 1)
+        matrix = promotion_chain(poset, ProbabilityMeasure.random_rational(labels, k))
+        entries = matrix.entries
+        sums = tuple(sum(column, F(0)) for column in zip(*entries))
+        assert matrix.column_sums() == sums
+        assert matrix.is_column_stochastic() == all(total == 1 for total in sums)
+        assert matrix.is_column_stochastic()
+        assert matrix.columns == tuple(
+            tuple((a, p) for a, p in enumerate(column) if p) for column in zip(*entries)
+        )
+        for column, integers in zip(matrix.columns, matrix.numerators):
+            assert [a for a, _ in column] == [a for a, _ in integers]
+            assert all(p == F(n, matrix.denominator) and n > 0 for (_, p), (_, n) in zip(column, integers))
+
+
+def test_column_stochastic_fails_on_a_short_column(s3):
+    matrix = build_chain(s3, ProbabilityMeasure.uniform(s3.index_set))
+    short = TransitionMatrix(
+        matrix.states, matrix.denominator, ((matrix.numerators[0][0],), matrix.numerators[1])
+    )
+    assert not short.is_column_stochastic()
+    assert short.column_sums() == (F(1, 2), F(1))
+
+
+def test_kernel_table_is_the_exchange_map():
+    systems = (SymmetricGroup(4), SymmetricGroup(5), Hypercube(3), Hypercube(4),
+               Dihedral(5), Dihedral(6))
+    for system in systems:
+        kernel = system.exchange_kernel()
+        assert kernel is system.exchange_kernel()
+        w0 = system.longest_element
+        assert kernel.states == tuple(sorted(system.reduced_words(w0)))
+        for k, state in enumerate(kernel.states):
+            assert kernel.index[state] == k
+            for g, i in enumerate(kernel.generators):
+                image = kernel.states[kernel.next[k][g]]
+                assert image == system.exchange(i, state)
+                # the strong exchange condition: the one deletion that keeps i + word at w0
+                spelled = [
+                    (i,) + state[:j] + state[j + 1:]
+                    for j in range(len(state))
+                    if system.evaluate((i,) + state[:j] + state[j + 1:]) == w0
+                ]
+                assert spelled == [image]
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +449,27 @@ def test_total_variation():
     assert total_variation({1: F(1, 2), 2: F(1, 2)}, {1: F(1, 2), 2: F(1, 2)}) == 0
 
 
+def _fraction_total_variation(p, q):
+    """The Fraction definition the library used before summing in integers."""
+    keys = set(p) | set(q)
+    return sum((abs(F(p.get(k, 0)) - F(q.get(k, 0))) for k in keys), F(0)) / 2
+
+
+_weights = st.dictionaries(
+    st.integers(0, 12),
+    st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=60), st.integers(0, 1)),
+    max_size=10,
+)
+
+
+@given(_weights, _weights)
+@settings(max_examples=100, deadline=None)
+def test_total_variation_matches_fraction_definition(p, q):
+    tv = total_variation(p, q)
+    assert tv == _fraction_total_variation(p, q)
+    assert type(tv) is Fraction
+
+
 # ----------------------------------------------------------------------
 # Tsetlin library
 
@@ -377,6 +512,16 @@ def test_linear_extensions():
     assert v_poset.linear_extensions() == ((1, 2, 3), (2, 1, 3))
     assert NaturalPoset.chain(4).linear_extensions() == ((1, 2, 3, 4),)
     assert len(NaturalPoset.antichain(3).linear_extensions()) == 6
+
+
+def test_linear_extension_count_matches_enumeration():
+    rng = random.Random(23)
+    posets = [NaturalPoset.chain(n) for n in range(0, 6)]
+    posets += [NaturalPoset.antichain(n) for n in range(0, 7)]
+    posets.append(NaturalPoset.from_relations(3, [(1, 3), (2, 3)]))
+    posets += [_random_natural_poset(n, rng) for n in range(1, 7) for _ in range(6)]
+    for poset in posets:
+        assert poset.linear_extension_count() == len(poset.linear_extensions())
 
 
 def test_tau_and_promotion():
