@@ -134,7 +134,7 @@ def cmd_stanley(args) -> int:
     if args.basis == "monomial":
         expansion = stanley.stanley_monomial(system, element, args.factors)
     else:
-        expansion = stanley.schur_expansion(system, element)
+        expansion = stanley.schur_expansion(system, element, args.factors)
     if args.json:
         print(json.dumps(expansion.to_json_dict()))
     else:
@@ -309,7 +309,7 @@ def cmd_markov_promote(args) -> int:
         data = json.load(handle)
     try:
         poset = markov.NaturalPoset.from_relations(int(data["n"]), data.get("relations", []))
-    except (KeyError, ValueError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad poset file: {err}") from None
     measure = measure_for(range(1, poset.n + 1), parse_probs(args.probs))
     if not args.dot:
@@ -332,6 +332,8 @@ def cmd_markov_promote(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_rank < 2:
+        raise InputError(f"--max-rank must be at least 2, got {args.max_rank}")
     reports = checks.run_suite(args.suite, args.max_rank)
     if args.json:
         print(json.dumps([

@@ -94,9 +94,6 @@ class CoxeterSystem:
     def length(self, a) -> int:
         raise NotImplementedError
 
-    def validate_element(self, a) -> None:
-        raise NotImplementedError
-
     def elements(self) -> tuple:
         """All group elements in a deterministic order."""
         raise NotImplementedError
@@ -330,10 +327,6 @@ class SymmetricGroup(CoxeterSystem):
         out[i - 1], out[i] = out[i], out[i - 1]
         return tuple(out)
 
-    def validate_element(self, a) -> None:
-        if not (isinstance(a, tuple) and sorted(a) == list(self.identity)):
-            raise ValueError(f"{a!r} is not a one-line permutation of 1..{self.n}")
-
     def multiply(self, a, b):
         """
         >>> S = SymmetricGroup(3)
@@ -414,10 +407,6 @@ class Hypercube(CoxeterSystem):
         self._check_index(i)
         return frozenset((i,))
 
-    def validate_element(self, a) -> None:
-        if not (isinstance(a, frozenset) and a <= self._universe):
-            raise ValueError(f"{a!r} is not a subset of 1..{self.n}")
-
     def multiply(self, a, b):
         if not (a <= self._universe and b <= self._universe):
             raise ValueError("elements from mismatched systems")
@@ -492,10 +481,6 @@ class Dihedral(CoxeterSystem):
     def generator(self, i: int):
         self._check_index(i)
         return (i,)
-
-    def validate_element(self, a) -> None:
-        if a not in self._pair_of:
-            raise ValueError(f"{a!r} is not a canonical dihedral element")
 
     def multiply(self, a, b):
         try:

@@ -1,14 +1,14 @@
 """The exchange walk on reduced words of the longest element.
 
 States are the reduced words of the longest element; picking generator i
-with probability P(i) moves a word to its exchange image.  The transition
-matrix is kept exactly, as integer numerators over one common denominator
-D: entry (to, from) is the probability of that transition times D, and
-columns sum to D.  The stationary law and total variation are summed in
-integers over a common denominator as well.  The spectrum has a
-closed form indexed by subsets of the generators, and the stationary
-distribution is an explicit product over prefixes; both are checked against
-the matrix exactly.
+with probability P(i) moves a word to its exchange image.  A walk is stored
+once, as its move table and the measure's integer weights over one common
+denominator D: entry (to, from) of the matrix, times D, sums the weights
+of the moves between them, and the checks and the sampler read the table.
+The stationary law and total variation are summed in integers over a
+common denominator as well.  The spectrum has a closed form indexed by
+subsets of the generators, and the stationary distribution is an explicit
+product over prefixes; both are checked against the matrix exactly.
 
 Specializations: on the hypercube the walk is move-to-front on linear
 orderings (the Tsetlin library); on the linear extensions of a naturally
@@ -86,30 +86,30 @@ class ProbabilityMeasure:
 
 @dataclass(eq=False)
 class TransitionMatrix:
-    """Column-stochastic matrix over an ordered state list, stored by columns
-    of integer numerators over one common denominator.
+    """Column-stochastic matrix over an ordered state list, stored as the
+    walk's move table: choice ``choices[g]`` has probability ``weights[g]``
+    / ``denominator`` and moves ``states[b]`` to ``states[table[b][g]]``.
 
-    ``numerators[b]`` lists the ``(a, n)`` pairs, rows ascending, of the
-    nonzero numerators n: ``states[b]`` moves to ``states[a]`` with
-    probability n / ``denominator``.  The choice ``_choices[g]`` moves
-    ``states[b]`` to ``states[_table[b][g]]``.
+    Entry (a, b) is the summed probability of the choices that move
+    ``states[b]`` to ``states[a]``.  The views ``numerators``, ``columns``
+    and ``entries`` are derived from the table on each access.
     """
 
     states: tuple
+    choices: tuple
     denominator: int
-    numerators: tuple[tuple[tuple[int, int], ...], ...]
-    _choices: tuple = field(default=(), repr=False)
-    _table: Sequence[Sequence[int]] = field(default=(), repr=False)
+    weights: tuple[int, ...]
+    table: Sequence[Sequence[int]] = field(repr=False)
 
     @cached_property
     def labels(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """``labels[(a, b)]`` lists the choices that move ``states[b]`` to
-        ``states[a]``, zero-probability ones included.  Derived from the
-        move table on first access: at S6 it is over twice the size of
-        the columns, and only :meth:`to_dot` reads it."""
+        ``states[a]``, zero-probability ones included.  Derived on first
+        access: it is about eight times the size of the table, and only
+        :meth:`to_dot` reads it."""
         out: dict[tuple[int, int], tuple[int, ...]] = {}
-        for b, targets in enumerate(self._table):
-            for i, a in zip(self._choices, targets):
+        for b, targets in enumerate(self.table):
+            for i, a in zip(self.choices, targets):
                 out[(a, b)] = out.get((a, b), ()) + (i,)
         return out
 
@@ -117,73 +117,84 @@ class TransitionMatrix:
     def size(self) -> int:
         return len(self.states)
 
-    def _probabilities(self) -> dict[int, Fraction]:
-        """Each numerator that occurs, zero included, as the probability it
-        stands for, so the views share one ``Fraction`` per value."""
-        numerators = {n for column in self.numerators for _, n in column} | {0}
-        return {n: Fraction(n, self.denominator) for n in numerators}
+    @property
+    def numerators(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``numerators[b]`` lists the ``(a, n)`` pairs, rows ascending, of
+        the nonzero numerators n: ``states[b]`` moves to ``states[a]`` with
+        probability n / ``denominator``."""
+        columns = []
+        for targets in self.table:
+            column: dict[int, int] = {}
+            for n, a in zip(self.weights, targets):
+                column[a] = column.get(a, 0) + n
+            columns.append(tuple(sorted((a, n) for a, n in column.items() if n)))
+        return tuple(columns)
 
     @property
     def columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Rational view: ``columns[b]`` lists the ``(a, p)`` pairs, rows
-        ascending, of the nonzero probabilities p of moving from
-        ``states[b]`` to ``states[a]``.  Built on each access."""
-        probability = self._probabilities()
-        return tuple(
-            tuple((a, probability[n]) for a, n in column) for column in self.numerators
-        )
+        """``columns[b]`` lists the ``(a, p)`` pairs, rows ascending, of the
+        nonzero probabilities p of moving from ``states[b]`` to
+        ``states[a]``; equal probabilities share one ``Fraction``."""
+        numerators = self.numerators
+        values = {n for column in numerators for _, n in column}
+        probability = {n: Fraction(n, self.denominator) for n in values}
+        return tuple(tuple((a, probability[n]) for a, n in column) for column in numerators)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense view: ``entries[a][b]`` is the probability of moving from
-        ``states[b]`` to ``states[a]``.  Built on each access, n^2 in size."""
-        probability = self._probabilities()
-        rows = [[probability[0]] * self.size for _ in self.states]
-        for b, column in enumerate(self.numerators):
-            for a, n in column:
-                rows[a][b] = probability[n]
+        """Dense view, n^2 in size: ``entries[a][b]`` is the probability of
+        moving from ``states[b]`` to ``states[a]``."""
+        zero = Fraction(0)
+        rows = [[zero] * self.size for _ in self.states]
+        for b, column in enumerate(self.columns):
+            for a, p in column:
+                rows[a][b] = p
         return tuple(tuple(row) for row in rows)
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(sum(n for _, n in column), self.denominator) for column in self.numerators
-        )
+        """Each column's numerators summed, over the denominator.  A row of
+        the table holds the moves of the first ``len(row)`` choices."""
+        weights, d = self.weights, self.denominator
+        return tuple(Fraction(sum(weights[:len(targets)]), d) for targets in self.table)
 
     def is_column_stochastic(self) -> bool:
         """Every column's numerators sum to the denominator."""
-        d = self.denominator
-        return all(sum(n for _, n in column) == d for column in self.numerators)
+        weights, d = self.weights, self.denominator
+        return all(sum(weights[:len(targets)]) == d for targets in self.table)
 
-    def _scaled(self, vector: Sequence[Fraction]) -> tuple[int, list[int]]:
-        """The lcm L of the denominators of ``vector``, and ``vector`` times L."""
+    def _product(self, vector: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
+        """The lcm L of the denominators of ``vector``, ``vector`` times L,
+        and the integer matrix applied to the latter, one choice at a time."""
         if len(vector) != self.size:
             raise ValueError(f"vector has {len(vector)} entries, the chain {self.size} states")
-        return _over_common_denominator(vector)
-
-    def _product(self, scaled: Sequence[int]) -> list[int]:
-        """The numerator columns applied to an integer vector."""
+        common, scaled = _over_common_denominator(vector)
         out = [0] * self.size
-        for weight, column in zip(scaled, self.numerators):
-            if weight:
-                for a, n in column:
-                    out[a] += n * weight
-        return out
+        for g, n in enumerate(self.weights):
+            for x, targets in zip(scaled, self.table):
+                out[targets[g]] += n * x
+        return common, scaled, out
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        common, scaled = self._scaled(vector)
+        common, _, out = self._product(vector)
         scale = self.denominator * common
-        return tuple(Fraction(x, scale) for x in self._product(scaled))
+        return tuple(Fraction(x, scale) for x in out)
 
     def fixes(self, vector: Sequence[Fraction]) -> bool:
-        """T v = v, compared in integers: the numerator columns applied to
-        v scaled by the lcm of its denominators, against the denominator
+        """T v = v, compared in integers: the integer matrix applied to v
+        scaled by the lcm of its denominators, against the denominator
         times the scaled v."""
-        _, scaled = self._scaled(vector)
+        _, scaled, out = self._product(vector)
         d = self.denominator
-        return all(x == d * y for x, y in zip(self._product(scaled), scaled))
+        return all(x == d * y for x, y in zip(out, scaled))
 
     def is_strongly_connected(self) -> bool:
-        forward = [[a for a, _ in column] for column in self.numerators]
+        """State 0 reaches every state and every state reaches it.  Only
+        choices of positive weight are arcs; when every weight is positive
+        the forward arcs are the table rows themselves."""
+        live = [g for g, n in enumerate(self.weights) if n]
+        forward = self.table
+        if len(live) < len(self.weights):
+            forward = [[targets[g] for g in live] for targets in forward]
         backward: list[list[int]] = [[] for _ in self.states]
         for b, targets in enumerate(forward):
             for a in targets:
@@ -206,17 +217,11 @@ class TransitionMatrix:
     def to_dot(self, name: str = "chain", label=format_word) -> str:
         from .dot import digraph
 
-        ids = {k: f"n{k}" for k in range(self.size)}
-        nodes = [(ids[k], label(self.states[k])) for k in range(self.size)]
-        edges = []
-        for (to_idx, from_idx), choices in sorted(self.labels.items()):
-            edges.append(
-                (
-                    ids[from_idx],
-                    ids[to_idx],
-                    {"label": ",".join(str(i) for i in choices)},
-                )
-            )
+        nodes = [(f"n{k}", label(state)) for k, state in enumerate(self.states)]
+        edges = [
+            (f"n{b}", f"n{a}", {"label": ",".join(str(i) for i in choices)})
+            for (a, b), choices in sorted(self.labels.items())
+        ]
         return digraph(name, nodes, edges)
 
 
@@ -237,14 +242,8 @@ def _transition_matrix(states: tuple, measure: ProbabilityMeasure, table) -> Tra
     """The walk that moves ``states[b]`` to ``states[table[b][g]]`` with the
     probability of the g-th weight of ``measure``, kept as integers over the
     lcm of the measure's denominators."""
-    denominator, numerators = _over_common_denominator(p for _, p in measure.weights)
-    columns = []
-    for targets in table:
-        column: dict[int, int] = {}
-        for n, a in zip(numerators, targets):
-            column[a] = column.get(a, 0) + n
-        columns.append(tuple(sorted((a, n) for a, n in column.items() if n)))
-    return TransitionMatrix(states, denominator, tuple(columns), measure.index_set, table)
+    denominator, weights = _over_common_denominator(p for _, p in measure.weights)
+    return TransitionMatrix(states, measure.index_set, denominator, tuple(weights), table)
 
 
 def _over_common_denominator(values: Iterable) -> tuple[int, list[int]]:
@@ -342,9 +341,9 @@ def charpoly(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
     degree first, computed exactly over the rationals."""
     n = matrix.size
     scaled = [[0] * n for _ in range(n)]
-    for b, column in enumerate(matrix.numerators):
-        for a, value in column:
-            scaled[a][b] = value
+    for b, targets in enumerate(matrix.table):
+        for value, a in zip(matrix.weights, targets):
+            scaled[a][b] += value
     integer_coeffs = _charpoly_int(scaled)
     return tuple(
         Fraction(integer_coeffs[k], matrix.denominator ** k) for k in range(n + 1)

@@ -23,7 +23,7 @@ def check_partition(parts) -> Partition:
     """Coerce to a tuple and raise ValueError unless it is a partition."""
     shape = tuple(parts)
     if not is_partition(shape):
-        raise ValueError(f"not a partition: {parts!r}")
+        raise ValueError(f"not a partition: {shape!r}")
     return shape
 
 

@@ -63,7 +63,7 @@ def schur_expansion(system: CoxeterSystem, w, num_factors: int | None = None) ->
         weight = fz.weight()
         shape = tuple(p for p in weight if p)
         if list(weight[:len(shape)]) != sorted(shape, reverse=True) or any(weight[len(shape):]):
-            raise AssertionError(f"highest weight {weight} is not a partition")
+            raise ArithmeticError(f"highest weight {weight} is not a partition")
         terms[shape] = terms.get(shape, 0) + 1
     return SymFuncExpansion.from_dict("schur", terms)
 

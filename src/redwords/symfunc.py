@@ -37,10 +37,6 @@ class SymFuncExpansion:
         return cls(basis, tuple(sorted(cleaned.items())))
 
     @classmethod
-    def one(cls, basis: str) -> "SymFuncExpansion":
-        return cls.from_dict(basis, {(): 1})
-
-    @classmethod
     def zero(cls, basis: str) -> "SymFuncExpansion":
         return cls(basis, ())
 

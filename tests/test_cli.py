@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from redwords.cli import main, parse_element, parse_probs, build_system
 from redwords.cli import InputError
@@ -145,6 +148,18 @@ def test_stanley_monomial_pinned(capsys):
     assert out.strip() == "2*m[1,1,1] + m[2,1]"
 
 
+def test_stanley_schur_honours_factors(capsys):
+    w0 = ("stanley", "--type", "A", "--rank", "3", "--element", "w0")
+    for basis in ("schur", "monomial"):
+        for factors in ("0", "1", "2"):
+            code, out, err = run_cli(capsys, *w0, "--basis", basis, "--factors", factors)
+            assert code == 2 and out == ""
+            assert f"{factors} blocks truncate an element of length 3" in err
+    for factors in ("3", "5"):
+        code, out, _ = run_cli(capsys, *w0, "--basis", "schur", "--factors", factors)
+        assert code == 0 and out.strip() == "s[2,1]"
+
+
 def test_stanley_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "stanley", "--type", "A", "--rank", "4",
                            "--element", "1232", "--basis", "schur", "--json")
@@ -178,6 +193,13 @@ def test_tableaux_count(capsys):
     assert code == 0 and out.strip() == "16"
     code, out, _ = run_cli(capsys, "tableaux", "count", "--shape", "4,3,2,1", "--json")
     assert json.loads(out) == {"shape": [4, 3, 2, 1], "count": 768}
+
+
+def test_tableaux_count_names_the_rejected_shape(capsys):
+    for text, shape in (("0", "(0,)"), ("1,2", "(1, 2)"), ("-1", "(-1,)")):
+        code, out, err = run_cli(capsys, "tableaux", "count", "--shape", text)
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: not a partition: {shape}"
 
 
 def test_tableaux_crystal_dot(capsys):
@@ -350,6 +372,24 @@ def test_markov_promote_rejects_unnatural(tmp_path, capsys):
     assert code == 2 and "natural" in err
 
 
+@pytest.mark.parametrize("payload", [[1, 2], {"n": 2, "relations": 5}])
+def test_markov_promote_rejects_malformed_poset_files(tmp_path, capsys, payload):
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(json.dumps(payload))
+    for mode in ([], ["--dot"]):
+        code, out, err = run_cli(capsys, "markov", "promote", "--poset", str(poset_file),
+                                 "--probs", "1/2,1/2", *mode)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad poset file")
+
+
+@pytest.mark.parametrize("rank", ["1", "0", "-3"])
+def test_verify_rejects_max_rank_below_2(capsys, rank):
+    code, out, err = run_cli(capsys, "verify", "--max-rank", rank)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: --max-rank must be at least 2, got {rank}"
+
+
 def test_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "coxeter", "--max-rank", "3")
     assert code == 0
@@ -407,3 +447,111 @@ def test_verify_passes_under_python_optimize(suite):
     assert lines and all(line.startswith("PASS ") for line in lines)
     passed, total = summary.split()[0].split("/")
     assert passed == total == str(len(lines))
+
+
+
+# ----------------------------------------------------------------------
+# every subcommand answers, exits 2 on bad input or 1 on a failed check
+
+
+def _option(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def _flags(*names):
+    return st.lists(st.sampled_from(names), unique=True, max_size=2)
+
+
+def _argv(*parts):
+    """Concatenate literal argument lists and strategies for them."""
+    return st.tuples(*(st.just(p) if isinstance(p, list) else p for p in parts)).map(
+        lambda pieces: [arg for piece in pieces for arg in piece]
+    )
+
+
+# small inputs, mostly well formed, with the malformed ones mixed in
+_RANKS = st.sampled_from(["2", "3", "3", "4", "4", "-1", "0", "1"])
+_SYSTEM = _argv(
+    _option("--type", st.sampled_from(["A", "A", "A", "hypercube", "dihedral", "B"])),
+    _option("--rank", _RANKS),
+)
+_ELEMENT = _option("--element", st.one_of(
+    st.sampled_from(["w0", "w0", "w0", "121", "1,2", "213", "10,", ",", "0", "9"]),
+    st.text("0123,w ", max_size=5),
+))
+_FACTORS = st.one_of(st.just([]), _option("--factors", st.integers(-1, 5).map(str)))
+_PROBS = _option("--probs", st.one_of(
+    st.sampled_from(["1/2,1/2", "1/3,2/3", "1/3,1/3,1/3", "1/6,1/3,1/2",
+                     "1/4,1/4,1/4,1/4", "1,0", "0,1,0", "0.5,0.5", "2,-1", ""]),
+    st.lists(st.fractions(0, 1, max_denominator=4), max_size=5).map(
+        lambda ps: ",".join(str(p) for p in ps)
+    ),
+))
+_SHAPE = _option("--shape", st.one_of(
+    st.lists(st.integers(-1, 4), min_size=1, max_size=4).map(
+        lambda parts: ",".join(map(str, sorted(parts, reverse=True)))
+    ),
+    st.lists(st.integers(-1, 4), max_size=4).map(lambda parts: ",".join(map(str, parts))),
+    st.sampled_from(["", ",", "a", "3,,1"]),
+))
+_BLOCKS = _option("--factors", st.one_of(
+    st.sampled_from(["(1)(2)(32)", "(21)(1)", "(3)(21)"]), st.text("()0123", max_size=8)
+))
+_POSETS = st.one_of(
+    st.sampled_from([[1, 2], {"n": 2, "relations": 5}, {"n": 3, "relations": [[3, 1]]},
+                     "x", None, {"n": None}, {"relations": []}]),
+    st.fixed_dictionaries({
+        "n": st.integers(-1, 4),
+        "relations": st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=3), max_size=4),
+    }),
+)
+_CASES = st.one_of(
+    st.tuples(_argv(["red-words"], _SYSTEM, _ELEMENT, _flags("--json")), st.none()),
+    st.tuples(_argv(["stanley"], _SYSTEM, _ELEMENT, _FACTORS, _flags("--json"),
+                    _option("--basis", st.sampled_from(["schur", "monomial"]))), st.none()),
+    st.tuples(_argv(["crystal", "graph"], _SYSTEM, _ELEMENT, _FACTORS,
+                    _flags("--json", "--dot")), st.none()),
+    st.tuples(_argv(["tableaux", "count"], _SHAPE, _flags("--json")), st.none()),
+    st.tuples(_argv(["tableaux", "crystal"], _SHAPE,
+                    _option("--entries", st.integers(-1, 4).map(str)),
+                    _flags("--json", "--dot")), st.none()),
+    st.tuples(_argv(["eg", "insert"], _BLOCKS, st.one_of(st.just([]), _option("--rank", _RANKS)),
+                    _flags("--json")), st.none()),
+    st.tuples(_argv(["eg", "ck-graph"], _SYSTEM, _ELEMENT, _flags("--json", "--dot")), st.none()),
+    st.tuples(_argv(["markov", "exchange"], _SYSTEM, _PROBS,
+                    _flags("--report", "--json", "--dot")), st.none()),
+    st.tuples(_argv(["markov", "promote", "--poset", "POSET"], _PROBS,
+                    _flags("--report", "--json", "--dot")), _POSETS),
+    st.tuples(_argv(["verify"], _option("--suite", st.sampled_from(["all", "coxeter", "nope"])),
+                    _option("--max-rank", st.integers(-1, 3).map(str)), _flags("--json")),
+              st.none()),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(case=(["markov", "promote", "--poset", "POSET", "--probs", "1/2,1/2"], [1, 2]))
+@example(case=(["markov", "promote", "--poset", "POSET", "--probs", "1/2,1/2"],
+               {"n": 2, "relations": 5}))
+@example(case=(["stanley", "--rank", "3", "--element", "w0", "--basis", "schur",
+                "--factors", "0"], None))
+@example(case=(["tableaux", "count", "--shape", "0"], None))
+@example(case=(["verify", "--max-rank", "0"], None))
+@example(case=(["verify", "--max-rank", "1"], None))
+@given(case=_CASES)
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(tmp_path, case):
+    argv, poset = case
+    if "POSET" in argv:
+        poset_file = tmp_path / "poset.json"
+        poset_file.write_text(json.dumps(poset))
+        argv = [str(poset_file) if arg == "POSET" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse usage errors
+            code = exit_.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), (argv, err.getvalue())

@@ -209,6 +209,13 @@ def test_runtime_invariants_are_not_asserts():
         tree = ast.parse(source.read_text())
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, f"{source.name} asserts on lines {asserts}"
+        # an invariant raises ArithmeticError, which the CLI reports with exit 2
+        raised = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and any(isinstance(n, ast.Name) and n.id == "AssertionError" for n in ast.walk(node.exc))
+        ]
+        assert not raised, f"{source.name} raises AssertionError on lines {raised}"
 
 
 def test_longest_element_is_unique_maximum():

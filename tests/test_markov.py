@@ -11,6 +11,7 @@ from redwords.markov import (
     NaturalPoset,
     ProbabilityMeasure,
     TransitionMatrix,
+    _charpoly_int,
     build_chain,
     charpoly,
     charpoly_matches_spectrum,
@@ -18,6 +19,7 @@ from redwords.markov import (
     eigenvalues_by_value,
     poly_from_eigenvalues,
     promotion,
+    promotion_by_label,
     promotion_chain,
     simulate,
     solve_stationary,
@@ -304,7 +306,7 @@ def test_s5_chain_behind_flag():
 
 @requires_s6
 def test_s6_chain_exact():
-    # 292,864 states and 1,464,320 arrows: every check walks the sparse columns
+    # 292,864 states and 1,464,320 arrows: every check walks the move table
     s6 = SymmetricGroup(6)
     measure = ProbabilityMeasure.random_rational(s6.index_set, 11)
     matrix = build_chain(s6, measure)
@@ -369,10 +371,119 @@ def test_integer_columns_agree_with_dense_entries_on_promotion_chains():
             assert all(p == F(n, matrix.denominator) and n > 0 for (_, p), (_, n) in zip(column, integers))
 
 
+def _reference_chain(states, measure, move):
+    """The denominator, sparse integer columns and arrow labels of a walk,
+    built column by column from ``move(choice, state)`` the way the matrix
+    stored its columns before it kept only the move table: the weights of
+    the choices landing on the same state added up, zeros dropped."""
+    denominator = lcm(*(p.denominator for _, p in measure.weights))
+    index = {state: k for k, state in enumerate(states)}
+    columns, labels = [], {}
+    for b, state in enumerate(states):
+        column = {}
+        for i, p in measure.weights:
+            a = index[move(i, state)]
+            column[a] = column.get(a, 0) + int(p * denominator)
+            labels[(a, b)] = labels.get((a, b), ()) + (i,)
+        columns.append(tuple(sorted((a, n) for a, n in column.items() if n)))
+    return denominator, tuple(columns), labels
+
+
+def _reference_strongly_connected(columns):
+    forward = [[a for a, _ in column] for column in columns]
+    backward = [[] for _ in columns]
+    for b, targets in enumerate(forward):
+        for a in targets:
+            backward[a].append(b)
+    for adjacency in (forward, backward):
+        seen, queue = {0}, [0]
+        while queue:
+            for nxt in adjacency[queue.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        if len(seen) != len(columns):
+            return False
+    return True
+
+
+def _table_chains():
+    """(matrix, reference, stationary vector) over exchange and promotion walks."""
+    out = []
+    for system in (SymmetricGroup(3), SymmetricGroup(4), SymmetricGroup(5), Hypercube(3),
+                   Hypercube(4), Dihedral(4), Dihedral(6)):
+        measure = ProbabilityMeasure.random_rational(system.index_set, 7)
+        matrix = build_chain(system, measure)
+        assert matrix.table is system.exchange_kernel().next
+        pi = stationary_distribution(system, measure)
+        reference = _reference_chain(matrix.states, measure, system.exchange)
+        out.append((matrix, reference, [pi[state] for state in matrix.states]))
+    for poset, weights in (
+        (NaturalPoset.chain(3), {1: F(1, 2), 2: F(1, 3), 3: F(1, 6)}),  # three labels, one move
+        (NaturalPoset.from_relations(3, [(1, 3), (2, 3)]), {1: F(1, 5), 2: F(3, 5), 3: F(1, 5)}),
+        (NaturalPoset.antichain(2), {1: F(1), 2: F(0)}),  # a zero-weight choice is no arc
+    ):
+        measure = ProbabilityMeasure.from_mapping(weights)
+        matrix = promotion_chain(poset, measure)
+        reference = _reference_chain(
+            matrix.states, measure, lambda label, state: promotion_by_label(poset, state, label)
+        )
+        out.append((matrix, reference, list(solve_stationary(matrix))))
+    return out
+
+
+def test_views_checks_and_products_match_the_reference_columns():
+    chains = _table_chains()
+    assert [matrix.size for matrix, _, _ in chains] == [2, 16, 768, 6, 24, 2, 2, 1, 2, 2]
+    for matrix, (denominator, columns, labels), pi in chains:
+        size = matrix.size
+        assert matrix.denominator == denominator
+        assert matrix.numerators == columns
+        assert matrix.columns == tuple(
+            tuple((a, F(n, denominator)) for a, n in column) for column in columns
+        )
+        dense = [[F(0)] * size for _ in range(size)]
+        for b, column in enumerate(columns):
+            for a, n in column:
+                dense[a][b] = F(n, denominator)
+        assert matrix.entries == tuple(map(tuple, dense))
+        assert matrix.labels == labels
+        sums = tuple(F(sum(n for _, n in column), denominator) for column in columns)
+        assert matrix.column_sums() == sums
+        assert matrix.is_column_stochastic() == all(total == 1 for total in sums)
+        assert matrix.is_strongly_connected() == _reference_strongly_connected(columns)
+
+        def product(vector):
+            out = [F(0)] * size
+            for b, column in enumerate(columns):
+                for a, n in column:
+                    out[a] += F(n, denominator) * vector[b]
+            return tuple(out)
+
+        moved = [p + (F(1, 7) if k == 0 else 0) - (F(1, 7) if k == size - 1 else 0)
+                 for k, p in enumerate(pi)]
+        generic = [F(k + 1, 2 * k + 3) for k in range(size)]
+        for vector in (pi, moved, generic):
+            assert matrix.apply(vector) == product(vector)
+            assert matrix.fixes(vector) == (product(vector) == tuple(vector))
+        assert matrix.fixes(pi)
+        if size <= 24:
+            scaled = [[int(p * denominator) for p in row] for row in dense]
+            assert charpoly(matrix) == tuple(
+                F(c, denominator ** k) for k, c in enumerate(_charpoly_int(scaled))
+            )
+    # the antichain walk that never picks label 2 cannot leave the front of 1
+    antichain, _, _ = chains[-1]
+    assert antichain.numerators == (((0, 1),), ((0, 1),))
+    assert not antichain.is_strongly_connected()
+    assert antichain.labels == {(0, 0): (1,), (1, 0): (2,), (0, 1): (1,), (1, 1): (2,)}
+
+
 def test_column_stochastic_fails_on_a_short_column(s3):
     matrix = build_chain(s3, ProbabilityMeasure.uniform(s3.index_set))
     short = TransitionMatrix(
-        matrix.states, matrix.denominator, ((matrix.numerators[0][0],), matrix.numerators[1])
+        matrix.states, matrix.choices, matrix.denominator, matrix.weights,
+        (matrix.table[0][:1], matrix.table[1]),
     )
     assert not short.is_column_stochastic()
     assert short.column_sums() == (F(1, 2), F(1))
