@@ -14,10 +14,10 @@ import sys
 from fractions import Fraction
 
 from . import checks, markov, stanley
-from .coxeter import CoxeterSystem, Dihedral, Hypercube, SymmetricGroup, format_word
+from .coxeter import CoxeterSystem, Dihedral, Hypercube, SymmetricGroup, format_word, parse_word
 from .crystal import factorization_crystal, parse_blocks, parse_factorization
 from .edelman_greene import ck_graph, eg_insert, p_transpose_reading_word
-from .partitions import check_partition, hook_length_count
+from .partitions import check_partition, hook_content_count, hook_length_count
 from .tableaux import tableau_crystal
 
 _FRACTION = re.compile(r"^-?\d+(/\d+)?$")
@@ -25,6 +25,10 @@ _FRACTION = re.compile(r"^-?\d+(/\d+)?$")
 # Largest exchange walk that `markov exchange` reports on: the report holds
 # the dense matrix and its exact characteristic polynomial, which is O(n^4).
 MAX_REPORT_STATES = 64
+
+# Largest tableau crystal that `tableaux crystal` builds, in any mode: every
+# mode lists each semistandard tableau, at a few KB apiece.
+MAX_CRYSTAL_VERTICES = 20_000
 
 
 class InputError(ValueError):
@@ -53,22 +57,21 @@ def type_a_system(kind: str, rank: int) -> SymmetricGroup:
 
 
 def parse_element(system: CoxeterSystem, text: str):
-    """'w0', comma-separated letters such as ``10,11`` (one trailing comma
-    allowed, as in the lone letter ``10,``), or single digits such as ``121``."""
+    """'w0', or a nonempty word in the letter syntax of
+    :func:`~redwords.coxeter.parse_word` (spaces ignored), such as ``121``,
+    ``10,11`` or the lone letter ``10,``."""
     if text == "w0":
         return system.longest_element
-    if "," in text:
-        body = text[:-1] if text.endswith(",") else text
-        tokens = [tok.strip() for tok in body.split(",")]
-    else:
-        tokens = list(text.replace(" ", ""))
-    if not tokens or not all(tok.isdigit() for tok in tokens):
+    try:
+        word = parse_word(text.replace(" ", ""))
+    except ValueError:
+        word = ()
+    if not word:
         raise InputError(f"element must be 'w0' or a word of letters, got {text!r}")
-    word = tuple(int(tok) for tok in tokens)
-    for i in word:
-        if i not in system.index_set:
-            raise InputError(f"letter {i} is not a generator of {system!r}")
-    return system.evaluate(word)
+    try:
+        return system.evaluate(word)
+    except ValueError as err:  # a letter that is no generator
+        raise InputError(str(err)) from None
 
 
 def parse_probs(text: str) -> list[Fraction]:
@@ -183,6 +186,11 @@ def cmd_tableaux_count(args) -> int:
 
 def cmd_tableaux_crystal(args) -> int:
     shape = parse_shape(args.shape)
+    _refuse_above(
+        hook_content_count(shape, args.entries), MAX_CRYSTAL_VERTICES,
+        f"the crystal of shape {args.shape} on entries 1..{args.entries}", "vertices",
+        "tableaux crystal",
+    )
     graph = tableau_crystal(shape, args.entries)
     if args.dot:
         print(graph.to_dot("tableaux", label=str), end="")
@@ -246,7 +254,16 @@ def cmd_eg_ck_graph(args) -> int:
     return 0
 
 
-def _markov_report(system, measure, matrix, with_spectrum: bool) -> dict:
+def _refuse_above(count: int, limit: int, what: str, unit: str, scope: str, hint: str = "") -> None:
+    """Exit 2 on input whose ``count`` is above ``limit``, before building it."""
+    if count > limit:
+        raise InputError(f"{what} has {count} {unit}; {scope} stops at {limit}{hint}")
+
+
+def _markov_report(matrix, measure, system=None) -> dict:
+    """The exact report on a walk.  The exchange walk, which has a
+    ``system``, gets the closed-form spectrum and stationary law checked
+    against the matrix; any other walk gets its stationary law solved."""
     report: dict = {
         "states": [list(s) for s in matrix.states],
         "matrix": [[str(x) for x in row] for row in matrix.entries],
@@ -254,7 +271,9 @@ def _markov_report(system, measure, matrix, with_spectrum: bool) -> dict:
             "stochastic": matrix.is_column_stochastic(),
         },
     }
-    if with_spectrum:
+    if system is None:
+        vector = markov.solve_stationary(matrix)
+    else:
         lines = markov.spectrum(system, measure)
         coeffs = markov.charpoly(matrix)
         collapsed = markov.eigenvalues_by_value(lines)
@@ -270,65 +289,55 @@ def _markov_report(system, measure, matrix, with_spectrum: bool) -> dict:
         ]
         pi = markov.stationary_distribution(system, measure)
         vector = [pi[s] for s in matrix.states]
-        report["stationary"] = [str(x) for x in vector]
-        report["checks"]["T_pi_eq_pi"] = matrix.fixes(vector)
+    report["stationary"] = [str(x) for x in vector]
+    report["checks"]["T_pi_eq_pi"] = matrix.fixes(vector)
+    if system is not None:
         report["checks"]["charpoly_match"] = coeffs == markov.poly_from_eigenvalues(collapsed)
-    else:
-        vector = markov.solve_stationary(matrix)
-        report["stationary"] = [str(x) for x in vector]
-        report["checks"]["T_pi_eq_pi"] = matrix.fixes(vector)
     return report
+
+
+def _walk_command(args, name: str, what: str, count, build, measure, system=None) -> int:
+    """The rest of `markov exchange` and `markov promote`: unless drawing,
+    refuse a walk of more than MAX_REPORT_STATES states by ``count()``
+    before ``build()`` lists it; then print the DOT digraph ``name``, the
+    JSON report or its summary line, and exit 1 when a check fails."""
+    if not args.dot:
+        _refuse_above(count(), MAX_REPORT_STATES, what, "states", "the exact report",
+                      " (--dot draws larger walks)")
+    matrix = build()
+    if args.dot:
+        print(matrix.to_dot(name), end="")
+        return 0
+    report = _markov_report(matrix, measure, system)
+    if args.json:
+        print(json.dumps(report))
+    else:
+        print(f"{matrix.size} states; checks: {report['checks']}")
+    return 0 if all(report["checks"].values()) else 1
 
 
 def cmd_markov_exchange(args) -> int:
     system = build_system(args.type, args.rank)
     measure = measure_for(system, parse_probs(args.probs))
-    if not args.dot:
-        states = system.reduced_word_count(system.longest_element)
-        if states > MAX_REPORT_STATES:
-            raise InputError(
-                f"the walk of {system!r} has {states} states; the exact report "
-                f"stops at {MAX_REPORT_STATES} (--dot draws larger walks)"
-            )
-    matrix = markov.build_chain(system, measure)
-    if args.dot:
-        print(matrix.to_dot("exchange"), end="")
-        return 0
-    report = _markov_report(system, measure, matrix, True)
-    if args.report or args.json:
-        print(json.dumps(report))
-    else:
-        print(f"{matrix.size} states; checks: {report['checks']}")
-    if not all(report["checks"].values()):
-        return 1
-    return 0
+    return _walk_command(
+        args, "exchange", f"the walk of {system!r}",
+        lambda: system.reduced_word_count(system.longest_element),
+        lambda: markov.build_chain(system, measure), measure, system,
+    )
 
 
 def cmd_markov_promote(args) -> int:
     with open(args.poset) as handle:
         data = json.load(handle)
     try:
-        poset = markov.NaturalPoset.from_relations(int(data["n"]), data.get("relations", []))
+        poset = markov.NaturalPoset.from_relations(data["n"], data.get("relations", []))
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad poset file: {err}") from None
     measure = measure_for(range(1, poset.n + 1), parse_probs(args.probs))
-    if not args.dot:
-        states = poset.linear_extension_count()
-        if states > MAX_REPORT_STATES:
-            raise InputError(
-                f"the promotion walk has {states} states; the exact report "
-                f"stops at {MAX_REPORT_STATES} (--dot draws larger walks)"
-            )
-    matrix = markov.promotion_chain(poset, measure)
-    if args.dot:
-        print(matrix.to_dot("promotion"), end="")
-        return 0
-    report = _markov_report(None, measure, matrix, False)
-    if args.report or args.json:
-        print(json.dumps(report))
-    else:
-        print(f"{matrix.size} states; checks: {report['checks']}")
-    return 0 if all(report["checks"].values()) else 1
+    return _walk_command(
+        args, "promotion", "the promotion walk", poset.linear_extension_count,
+        lambda: markov.promotion_chain(poset, measure), measure,
+    )
 
 
 def cmd_verify(args) -> int:
@@ -432,15 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     e = markov_sub.add_parser("exchange", help="exchange walk on reduced words")
     _add_system_args(e)
     e.add_argument("--probs", required=True, help="exact fractions, e.g. 1/2,1/2")
-    e.add_argument("--report", action="store_true")
-    e.add_argument("--json", action="store_true")
+    e.add_argument("--json", "--report", action="store_true")
     e.add_argument("--dot", action="store_true")
     e.set_defaults(func=cmd_markov_exchange)
     r = markov_sub.add_parser("promote", help="promotion walk on linear extensions")
     r.add_argument("--poset", required=True, help='JSON file {"n":..,"relations":[[i,j],..]}')
     r.add_argument("--probs", required=True)
-    r.add_argument("--report", action="store_true")
-    r.add_argument("--json", action="store_true")
+    r.add_argument("--json", "--report", action="store_true")
     r.add_argument("--dot", action="store_true")
     r.set_defaults(func=cmd_markov_promote)
 

@@ -44,6 +44,22 @@ def format_word(word: Iterable[int]) -> str:
     return text + "," if len(letters) == 1 else text
 
 
+def parse_word(text: str) -> Word:
+    """The word that :func:`format_word` prints as ``text``: comma separated
+    letters, with at most one trailing comma, or else one digit per letter.
+
+    >>> parse_word("121"), parse_word("9,10,9"), parse_word("10,"), parse_word("")
+    ((1, 2, 1), (9, 10, 9), (10,), ())
+    """
+    if "," in text:
+        tokens = (text[:-1] if text.endswith(",") else text).split(",")
+    else:
+        tokens = list(text)
+    if not all(token.isdecimal() for token in tokens):
+        raise ValueError(f"not a word of letters: {text!r}")
+    return tuple(int(token) for token in tokens)
+
+
 @dataclass(frozen=True, eq=False)
 class ExchangeKernel:
     """The exchange walk's moves, tabulated once per system.
@@ -103,7 +119,7 @@ class CoxeterSystem:
 
     def _check_index(self, i: int) -> None:
         if i not in self._letters:
-            raise ValueError(f"generator index {i} not in {self.index_set}")
+            raise ValueError(f"letter {i} is not a generator of {self!r}")
 
     def left_multiplied(self, i: int, a):
         """s_i * a."""
@@ -131,10 +147,9 @@ class CoxeterSystem:
         return self.length(self.evaluate(word)) == len(word)
 
     def left_descents(self, a) -> frozenset:
-        return frozenset(
-            i for i in self.index_set
-            if self.length(self.left_multiplied(i, a)) < self.length(a)
-        )
+        """Generators that shorten ``a`` on the left: s_i a is shorter than a
+        exactly when a^-1 s_i is shorter than a^-1."""
+        return self.right_descents(self.inverse(a))
 
     def is_right_descent(self, a, i: int) -> bool:
         """True when ``a * s_i`` is shorter than ``a``."""
@@ -366,12 +381,6 @@ class SymmetricGroup(CoxeterSystem):
         out[i - 1], out[i] = out[i], out[i - 1]
         return tuple(out)
 
-    def left_descents(self, a) -> frozenset:
-        pos = [0] * (self.n + 1)
-        for p, v in enumerate(a):
-            pos[v] = p
-        return frozenset(i for i in self.index_set if pos[i] > pos[i + 1])
-
     def is_right_descent(self, a, i: int) -> bool:
         return a[i - 1] > a[i]
 
@@ -417,9 +426,6 @@ class Hypercube(CoxeterSystem):
 
     def length(self, a) -> int:
         return len(a)
-
-    def left_descents(self, a) -> frozenset:
-        return frozenset(a)
 
     def is_right_descent(self, a, i: int) -> bool:
         return i in a

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
-from .coxeter import CoxeterSystem, Word, format_word
+from .coxeter import CoxeterSystem, Word, format_word, parse_word
 
 
 def _bracket(upper: Word, lower: Word) -> tuple[list[int], list[int]]:
@@ -490,15 +490,15 @@ def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = No
 # parsing
 
 
-_FACTOR_TOKEN = re.compile(r"\(([^()]*)\)|1")
+_FACTOR_TOKEN = re.compile(r"\(([\d,]*)\)|1")
 
 
 def parse_blocks(text: str) -> list[tuple[int, ...]]:
     """Blocks of digit notation like ``(32)(31)(2)``, listed left to right.
 
-    A bare ``1`` or an empty group ``()`` denotes an empty block.  Letters
-    are single digits, or comma separated inside a group, as in ``(10,1)``
-    or ``(10,)`` with one trailing comma.
+    A bare ``1`` or an empty group ``()`` denotes an empty block.  A group
+    holds a word in the letter syntax of :func:`~redwords.coxeter.parse_word`:
+    single digits, or comma separated, as in ``(10,1)`` or ``(10,)``.
     """
     stripped = text.replace(" ", "")
     blocks: list[tuple[int, ...]] = []
@@ -507,17 +507,7 @@ def parse_blocks(text: str) -> list[tuple[int, ...]]:
         match = _FACTOR_TOKEN.match(stripped, pos)
         if match is None:
             raise ValueError(f"cannot parse factorization {text!r} at {stripped[pos:]!r}")
-        if match.group(0) == "1":
-            blocks.append(())
-        else:
-            inner = match.group(1)
-            if not inner:
-                blocks.append(())
-            elif "," in inner:
-                body = inner[:-1] if inner.endswith(",") else inner
-                blocks.append(tuple(int(tok) for tok in body.split(",")))
-            else:
-                blocks.append(tuple(int(ch) for ch in inner))
+        blocks.append(parse_word(match.group(1) or ""))
         pos = match.end()
     return blocks
 
@@ -526,13 +516,7 @@ def parse_factorization(system: CoxeterSystem, text: str) -> DecreasingFactoriza
     """Parse digit notation (see :func:`parse_blocks`) into a factorization
     of the element it spells; every letter must be a generator of ``system``."""
     blocks = parse_blocks(text)
-    word: list[int] = []
-    for b in blocks:
-        word.extend(b)
-    for letter in word:
-        if letter not in system.index_set:
-            raise ValueError(f"letter {letter} is not a generator of {system!r}")
-    target = system.evaluate(word)
+    target = system.evaluate(letter for block in blocks for letter in block)
     fz = DecreasingFactorization.from_display(blocks, target)
     fz.validate(system)
     return fz

@@ -176,7 +176,7 @@ def same_p_tableau_iff_ck_equivalent(system: CoxeterSystem, w) -> CheckReport:
 def crystal_component_correspondence(system: CoxeterSystem, w) -> CheckReport:
     """Coxeter-Knuth classes match crystal components through the embedding
     of words as singleton-block factorizations."""
-    return _component_correspondence(system, w, factorization_crystal(system, w, max(1, system.length(w))))
+    return _component_correspondence(system, w, factorization_crystal(system, w))
 
 
 def _component_correspondence(system: CoxeterSystem, w, graph: CrystalGraph) -> CheckReport:
@@ -192,11 +192,9 @@ def _component_correspondence(system: CoxeterSystem, w, graph: CrystalGraph) -> 
         induced.setdefault(comp_of[vertex], set()).add(word)
     word_classes = {frozenset(g) for g in induced.values()}
     ck_classes = set(ck_components(system, w))
-    counts_match = len(graph.components()) == len(ck_classes)
-    passed = counts_match and word_classes == ck_classes
-    detail = (
-        f"{len(graph.components())} crystal components, {len(ck_classes)} word classes"
-    )
+    components = len(set(comp_of.values()))
+    passed = components == len(ck_classes) and word_classes == ck_classes
+    detail = f"{components} crystal components, {len(ck_classes)} word classes"
     return CheckReport("CK-vs-crystal-components", passed, detail)
 
 

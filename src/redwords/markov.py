@@ -540,34 +540,33 @@ def tsetlin_chain(n: int, measure: ProbabilityMeasure) -> TransitionMatrix:
 class NaturalPoset:
     """Poset on {1..n} whose order respects the integer labels.
 
-    Relations are (smaller, larger) pairs; the transitive closure is taken.
-    A generating pair (i, j) with i >= j is rejected: the labelling must be
-    natural.
+    Relations are (smaller, larger) pairs; a pair (i, j) with i >= j is
+    rejected, as the labelling must be natural.  The order is kept as one
+    table of bitmasks, ``below[j - 1]`` holding bit i - 1 for every label i
+    below j, and a set of labels is an order ideal when it holds the mask
+    of each of its labels.  One pass over the relations in label order
+    closes them transitively, since every label below i is smaller than i.
     """
 
     n: int
     relations: frozenset[tuple[int, int]]
+    below: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for i, j in self.relations:
+        if any(type(x) is not int for x in (self.n, *itertools.chain(*self.relations))):
+            raise ValueError("the size and every relation entry must be integers")
+        below = [0] * self.n
+        for i, j in sorted(self.relations):
             if not (1 <= i < j <= self.n):
                 raise ValueError(
                     f"relation ({i}, {j}) violates the natural labelling on 1..{self.n}"
                 )
-        closure = {pair for pair in self.relations}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closure):
-                for c, d in list(closure):
-                    if b == c and (a, d) not in closure:
-                        closure.add((a, d))
-                        changed = True
-        object.__setattr__(self, "_closure", frozenset(closure))
+            below[j - 1] |= below[i - 1] | 1 << (i - 1)
+        object.__setattr__(self, "below", tuple(below))
 
     @classmethod
     def from_relations(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "NaturalPoset":
-        return cls(n, frozenset((int(a), int(b)) for a, b in pairs))
+        return cls(n, frozenset((a, b) for a, b in pairs))
 
     @classmethod
     def antichain(cls, n: int) -> "NaturalPoset":
@@ -578,7 +577,7 @@ class NaturalPoset:
         return cls(n, frozenset((i, i + 1) for i in range(1, n)))
 
     def less(self, a: int, b: int) -> bool:
-        return (a, b) in self._closure
+        return 1 <= a and 1 <= b <= self.n and bool(self.below[b - 1] >> (a - 1) & 1)
 
     def incomparable(self, a: int, b: int) -> bool:
         return a != b and not self.less(a, b) and not self.less(b, a)
@@ -591,15 +590,11 @@ class NaturalPoset:
         >>> NaturalPoset.antichain(8).linear_extension_count()
         40320
         """
-        below = [
-            sum(1 << (i - 1) for i in range(1, self.n + 1) if self.less(i, j))
-            for j in range(1, self.n + 1)
-        ]
-        ways = {0: 1}  # order ideal (bit j-1 for label j) -> orderings reaching it
+        ways = {0: 1}  # order ideal -> orderings reaching it
         for _ in range(self.n):
             larger: dict[int, int] = {}
             for ideal, count in ways.items():
-                for j, needed in enumerate(below):
+                for j, needed in enumerate(self.below):
                     bit = 1 << j
                     if not ideal & bit and needed & ideal == needed:
                         larger[ideal | bit] = larger.get(ideal | bit, 0) + count
@@ -609,20 +604,16 @@ class NaturalPoset:
     def linear_extensions(self) -> tuple[tuple[int, ...], ...]:
         """All orderings compatible with the poset, lexicographically."""
         out: list[tuple[int, ...]] = []
-        below = {
-            j: {i for i in range(1, self.n + 1) if self.less(i, j)}
-            for j in range(1, self.n + 1)
-        }
 
-        def extend(prefix: tuple[int, ...], placed: set[int]) -> None:
+        def extend(prefix: tuple[int, ...], ideal: int) -> None:
             if len(prefix) == self.n:
                 out.append(prefix)
                 return
-            for j in range(1, self.n + 1):
-                if j not in placed and below[j] <= placed:
-                    extend(prefix + (j,), placed | {j})
+            for j, needed in enumerate(self.below):
+                if not ideal >> j & 1 and needed & ideal == needed:
+                    extend(prefix + (j + 1,), ideal | 1 << j)
 
-        extend((), set())
+        extend((), 0)
         return tuple(out)
 
 
@@ -653,7 +644,7 @@ def promotion_chain(poset: NaturalPoset, measure: ProbabilityMeasure) -> Transit
     labels = tuple(range(1, poset.n + 1))
     if measure.index_set != labels:
         raise ValueError(f"measure must be on the labels {labels}")
-    states = tuple(sorted(poset.linear_extensions()))
+    states = poset.linear_extensions()
     position = {state: k for k, state in enumerate(states)}
     table = [
         [position[promotion_by_label(poset, state, label)] for label in labels]

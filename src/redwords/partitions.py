@@ -7,7 +7,7 @@ tuple is the partition of 0.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 
@@ -121,9 +121,23 @@ def hook_length_count(shape: Partition) -> int:
     768
     """
     shape = check_partition(shape)
-    n = sum(shape)
-    product = 1
-    for row in hook_lengths(shape):
-        for h in row:
-            product *= h
-    return factorial(n) // product
+    return factorial(sum(shape)) // _hook_product(shape)
+
+
+def hook_content_count(shape: Partition, m: int) -> int:
+    """Number of semistandard fillings of ``shape`` with entries 1..m, by the
+    hook-content formula: the product over cells (row r, column c) of
+    (m + c - r) / hook.
+
+    >>> hook_content_count((2, 1), 3), hook_content_count((120,), 4)
+    (8, 302621)
+    """
+    shape = check_partition(shape)
+    if m < len(shape):  # a column longer than the alphabet
+        return 0 if shape else 1
+    contents = prod(m + c - r for r, part in enumerate(shape) for c in range(part))
+    return contents // _hook_product(shape)
+
+
+def _hook_product(shape: Partition) -> int:
+    return prod(h for row in hook_lengths(shape) for h in row)

@@ -18,7 +18,7 @@ of w, which suffices because no contributing weight has more parts.
 from __future__ import annotations
 
 from .coxeter import CoxeterSystem
-from .crystal import highest_weight_factorizations, weight_vector_count
+from .crystal import default_num_factors, highest_weight_factorizations, weight_vector_count
 from .partitions import Partition, conjugate, partitions_of
 from .reports import CheckReport
 from .symfunc import SymFuncExpansion, omega, s1_perp
@@ -31,12 +31,12 @@ class TruncationError(ValueError):
 
 
 def _resolve_num_factors(system: CoxeterSystem, w, num_factors: int | None) -> int:
-    length = system.length(w)
+    least = default_num_factors(system, w)
     if num_factors is None:
-        return max(1, length)
-    if num_factors < max(1, length):
+        return least
+    if num_factors < least:
         raise TruncationError(
-            f"{num_factors} blocks truncate an element of length {length}"
+            f"{num_factors} blocks truncate an element of length {system.length(w)}"
         )
     return num_factors
 

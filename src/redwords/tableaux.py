@@ -57,16 +57,10 @@ class Tableau:
         return True
 
     def is_standard(self) -> bool:
-        """Entries are exactly 1..n with rows and columns strictly increasing."""
+        """Entries are exactly 1..n and the filling is semistandard; distinct
+        entries make its rows strictly increasing."""
         entries = sorted(v for _, _, v in self.cells())
-        if entries != list(range(1, self.size + 1)):
-            return False
-        for r, row in enumerate(self.rows):
-            if any(row[c] >= row[c + 1] for c in range(len(row) - 1)):
-                return False
-            if r > 0 and any(self.rows[r - 1][c] >= row[c] for c in range(len(row))):
-                return False
-        return True
+        return entries == list(range(1, self.size + 1)) and self.is_semistandard()
 
     def transpose(self) -> "Tableau":
         if not self.rows:

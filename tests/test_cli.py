@@ -210,6 +210,18 @@ def test_tableaux_crystal_dot(capsys):
     assert out.count("->") == 8
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--dot"]])
+def test_tableaux_crystal_refuses_before_listing(capsys, mode):
+    # C(123, 3) = 302,621 tableaux of one row of 120 cells in entries 1..4,
+    # counted by the hook-content formula and refused in every mode
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "tableaux", "crystal", "--shape", "120", "--entries", "4",
+                             *mode)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert "302621 vertices" in err and "Traceback" not in err
+
+
 def test_eg_insert_pinned(capsys):
     code, out, _ = run_cli(capsys, "eg", "insert", "--factors", "(1)(2)(32)")
     assert code == 0
@@ -222,6 +234,13 @@ def test_eg_insert_json(capsys):
     assert data["P"] == [[1, 3], [2], [3]]
     assert data["Q"] == [[1, 1], [2], [3]]
     assert data["reading_word"] == [3, 1, 2, 3]
+
+
+@pytest.mark.parametrize("blocks", ["(a)", "(-1)", "(-1,)", "(1a)"])
+def test_eg_insert_rejects_malformed_blocks(capsys, blocks):
+    code, out, err = run_cli(capsys, "eg", "insert", "--factors", blocks)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot parse factorization {blocks!r} at {blocks!r}\n"
 
 
 def test_eg_insert_multi_digit_letters(capsys):
@@ -298,6 +317,20 @@ def test_markov_exchange_report(capsys):
     assert parsed == expected.entries
 
 
+@pytest.mark.parametrize("argv", [
+    ("markov", "exchange", "--rank", "4", "--probs", "1/6,1/3,1/2"),
+    ("markov", "exchange", "--type", "hypercube", "--rank", "3", "--probs", "1/6,1/3,1/2"),
+    ("markov", "promote", "--poset", "POSET", "--probs", "1/6,1/3,1/2"),
+])
+def test_markov_report_is_a_second_spelling_of_json(tmp_path, capsys, argv):
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(json.dumps({"n": 3, "relations": [[1, 3]]}))
+    argv = [str(poset_file) if arg == "POSET" else arg for arg in argv]
+    report = run_cli(capsys, *argv, "--report")
+    assert report == run_cli(capsys, *argv, "--json")
+    assert report[0] == 0 and json.loads(report[1])["checks"]["T_pi_eq_pi"]
+
+
 def test_markov_exchange_dot(capsys):
     code, out, _ = run_cli(capsys, "markov", "exchange", "--type", "A", "--rank", "3",
                            "--probs", "1/2,1/2", "--dot")
@@ -372,7 +405,15 @@ def test_markov_promote_rejects_unnatural(tmp_path, capsys):
     assert code == 2 and "natural" in err
 
 
-@pytest.mark.parametrize("payload", [[1, 2], {"n": 2, "relations": 5}])
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"n": 2, "relations": 5},
+    {"n": 2, "relations": [[1, 2.5]]},
+    {"n": 2.7, "relations": []},
+    {"n": "2", "relations": []},
+    {"n": 2, "relations": [[True, 2]]},
+    {"n": 2, "relations": [["1", 2]]},
+])
 def test_markov_promote_rejects_malformed_poset_files(tmp_path, capsys, payload):
     poset_file = tmp_path / "poset.json"
     poset_file.write_text(json.dumps(payload))
@@ -488,10 +529,10 @@ _PROBS = _option("--probs", st.one_of(
     ),
 ))
 _SHAPE = _option("--shape", st.one_of(
-    st.lists(st.integers(-1, 4), min_size=1, max_size=4).map(
+    st.lists(st.integers(-1, 150), min_size=1, max_size=4).map(
         lambda parts: ",".join(map(str, sorted(parts, reverse=True)))
     ),
-    st.lists(st.integers(-1, 4), max_size=4).map(lambda parts: ",".join(map(str, parts))),
+    st.lists(st.integers(-1, 150), max_size=4).map(lambda parts: ",".join(map(str, parts))),
     st.sampled_from(["", ",", "a", "3,,1"]),
 ))
 _BLOCKS = _option("--factors", st.one_of(
@@ -536,6 +577,7 @@ _CASES = st.one_of(
 @example(case=(["stanley", "--rank", "3", "--element", "w0", "--basis", "schur",
                 "--factors", "0"], None))
 @example(case=(["tableaux", "count", "--shape", "0"], None))
+@example(case=(["tableaux", "crystal", "--shape", "150,150", "--entries", "4", "--dot"], None))
 @example(case=(["verify", "--max-rank", "0"], None))
 @example(case=(["verify", "--max-rank", "1"], None))
 @given(case=_CASES)

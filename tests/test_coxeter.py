@@ -93,6 +93,29 @@ def test_right_descents(s3):
     assert s3.right_descents(s3.evaluate((1, 2))) == frozenset({2})
 
 
+@pytest.mark.parametrize("system", [SymmetricGroup(4), SymmetricGroup(5), Hypercube(3), Dihedral(5)])
+def test_left_descents_match_the_length_definition(system):
+    # reference: s_i shortens a on the left
+    for a in system.elements():
+        expected = frozenset(
+            i for i in system.index_set
+            if system.length(system.left_multiplied(i, a)) < system.length(a)
+        )
+        assert system.left_descents(a) == expected
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.integers(1, 30), max_size=6).map(tuple))
+def test_parse_word_inverts_format_word(word):
+    assert coxeter.parse_word(coxeter.format_word(word)) == word
+
+
+@pytest.mark.parametrize("text", [",", "1,,2", ",1", "1,2,,", "a", "-1", "1 2", "1,-2"])
+def test_parse_word_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        coxeter.parse_word(text)
+
+
 def test_weak_order_covers(s3):
     assert s3.weak_order_covers(s3.identity) == frozenset()
     assert s3.weak_order_covers(s3.generator(1)) == frozenset({s3.identity})
@@ -193,7 +216,7 @@ def test_simple_conjugate_is_the_reflection_when_simple(system):
 def test_evaluate_rejects_letters_outside_index_set(s3):
     with pytest.raises(ValueError):
         s3.evaluate((0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^letter 3 is not a generator of SymmetricGroup\(3\)$"):
         s3.evaluate((1, 3))
     with pytest.raises(ValueError):
         Hypercube(2).evaluate((3,))

@@ -616,6 +616,10 @@ def test_natural_poset_validation():
         NaturalPoset.from_relations(3, [(3, 1)])
     with pytest.raises(ValueError):
         NaturalPoset.from_relations(2, [(1, 5)])
+    for n, pairs in [(2.7, []), ("2", []), (True, []), (2, [(1, 2.5)]), (2, [(True, 2)]),
+                     (2, [("1", 2)])]:
+        with pytest.raises(ValueError, match="integers"):
+            NaturalPoset.from_relations(n, pairs)
 
 
 def test_linear_extensions():
@@ -623,6 +627,64 @@ def test_linear_extensions():
     assert v_poset.linear_extensions() == ((1, 2, 3), (2, 1, 3))
     assert NaturalPoset.chain(4).linear_extensions() == ((1, 2, 3, 4),)
     assert len(NaturalPoset.antichain(3).linear_extensions()) == 6
+
+
+def _closure_by_fixpoint(poset):
+    """Reference: the transitive closure of the relations, grown to a fixpoint."""
+    closure = set(poset.relations)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(closure):
+            for c, d in list(closure):
+                if b == c and (a, d) not in closure:
+                    closure.add((a, d))
+                    changed = True
+    return closure
+
+
+def _extensions_by_sets(poset):
+    """Reference: depth-first extension with a set of labels below each label."""
+    n, closure = poset.n, _closure_by_fixpoint(poset)
+    below = {j: {i for i in range(1, n + 1) if (i, j) in closure} for j in range(1, n + 1)}
+    out = []
+
+    def extend(prefix, placed):
+        if len(prefix) == n:
+            out.append(prefix)
+            return
+        for j in range(1, n + 1):
+            if j not in placed and below[j] <= placed:
+                extend(prefix + (j,), placed | {j})
+
+    extend((), set())
+    return tuple(out)
+
+
+def _poset_zoo():
+    rng = random.Random(41)
+    posets = [NaturalPoset.chain(n) for n in range(0, 6)]
+    posets += [NaturalPoset.antichain(n) for n in range(0, 6)]
+    posets.append(NaturalPoset.from_relations(3, [(1, 3), (2, 3)]))
+    posets += [_random_natural_poset(n, rng) for n in range(1, 7) for _ in range(6)]
+    return posets
+
+
+def test_poset_masks_are_the_transitive_closure():
+    for poset in _poset_zoo():
+        closure = _closure_by_fixpoint(poset)
+        labels = range(1, poset.n + 1)
+        assert poset.below == tuple(
+            sum(1 << (i - 1) for i in labels if (i, j) in closure) for j in labels
+        )
+        for a in labels:
+            for b in labels:
+                assert poset.less(a, b) == ((a, b) in closure)
+
+
+def test_linear_extensions_match_the_set_based_search_in_order():
+    for poset in _poset_zoo():
+        assert poset.linear_extensions() == _extensions_by_sets(poset)
 
 
 def test_linear_extension_count_matches_enumeration():

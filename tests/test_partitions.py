@@ -7,13 +7,14 @@ from redwords.partitions import (
     check_partition,
     conjugate,
     dominates,
+    hook_content_count,
     hook_length_count,
     is_partition,
     partitions_of,
     removable_corners,
     staircase,
 )
-from redwords.tableaux import generate_ssyt_with_content
+from redwords.tableaux import generate_ssyt, generate_ssyt_with_content
 
 
 @st.composite
@@ -80,6 +81,20 @@ def test_hook_length_known_values():
     assert hook_length_count((4, 3, 2, 1)) == 768
     assert hook_length_count((5, 4, 1)) == 288
     assert hook_length_count((4,)) == 1
+
+
+def test_hook_content_count_matches_enumeration():
+    for n in range(8):
+        for shape in partitions_of(n):
+            for m in range(-1, 5):
+                assert hook_content_count(shape, m) == len(generate_ssyt(shape, m)), (shape, m)
+
+
+def test_hook_content_count_known_values():
+    assert hook_content_count((120,), 4) == 302621  # C(123, 3)
+    assert hook_content_count((2, 1), 3) == 8
+    assert hook_content_count((1, 1, 1), 2) == 0
+    assert hook_content_count((), 0) == 1
 
 
 @given(partition_strategy(max_n=8))

@@ -54,6 +54,8 @@ def test_standard_detection():
     assert not tab((1, 1), (2,)).is_standard()
     assert not tab((2, 3), (1,)).is_standard()
     assert tab((1, 3), (2,)).is_standard()
+    # a lower row longer than the row above is no tableau shape
+    assert not tab((1,), (2, 3)).is_standard()
 
 
 def test_yamanouchi():
