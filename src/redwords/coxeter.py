@@ -91,9 +91,30 @@ class CoxeterSystem:
         # peel table, and (element, block lengths) -> factorization count
         self._peel_table: dict = {}
         self._weight_count_cache: dict = {}
+        # (element, block count) -> its Schur expansion by highest weights
+        # (see stanley.schur_expansion)
+        self._schur_cache: dict = {}
         # the exchange walk's move table (see exchange_kernel)
         self._exchange_kernel: ExchangeKernel | None = None
         self._w0 = None
+
+    def memo_sizes(self) -> dict[str, int]:
+        """Entry count of each memo table the system keeps.
+
+        >>> S = SymmetricGroup(3)
+        >>> _ = S.reduced_words(S.longest_element)
+        >>> S.memo_sizes()
+        {'reduced_words': 6, 'reduced_word_counts': 0, 'peel_tables': 0, 'weight_counts': 0, 'schur_expansions': 0, 'exchange_states': 0}
+        """
+        kernel = self._exchange_kernel
+        return {
+            "reduced_words": len(self._red_words_cache),
+            "reduced_word_counts": len(self._red_count_cache),
+            "peel_tables": len(self._peel_table),
+            "weight_counts": len(self._weight_count_cache),
+            "schur_expansions": len(self._schur_cache),
+            "exchange_states": 0 if kernel is None else len(kernel.states),
+        }
 
     # ------------------------------------------------------------------
     # primitives supplied by the concrete systems

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .coxeter import CoxeterSystem, Word, format_word, parse_word
@@ -74,6 +75,57 @@ def _inserted(block: Word, letter: int) -> Word:
     while k < len(block) and block[k] > letter:
         k += 1
     return block[:k] + (letter,) + block[k:]
+
+
+# The crystal operators and the highest-weight test read only the two blocks
+# they act on, so each is tabulated once per pair of blocks: at most 4^r
+# pairs of decreasing blocks on r letters, each result an immutable tuple.
+# The new blocks are checked when their pair is first met, so every block an
+# operator hands out has been checked.
+
+
+@lru_cache(maxsize=None)
+def _raised(upper: Word, lower: Word) -> tuple[Word, Word] | None:
+    """The blocks (upper, lower) after e moves the smallest unpaired upper
+    letter b down to b-t, t counting the letters b-1, b-2, ... in ``upper``;
+    None when every upper letter is paired."""
+    left, _ = _bracket(upper, lower)
+    if not left:
+        return None
+    b = left[-1]
+    k = upper.index(b)
+    t = 0
+    while k + t + 1 < len(upper) and upper[k + t + 1] == b - t - 1:
+        t += 1
+    return _checked(upper[:k] + upper[k + 1:], _inserted(lower, b - t))
+
+
+@lru_cache(maxsize=None)
+def _lowered(upper: Word, lower: Word) -> tuple[Word, Word] | None:
+    """The blocks (upper, lower) after f moves the largest unpaired lower
+    letter a up to a+s, s counting the letters a+1, a+2, ... in ``lower``;
+    None when every lower letter is paired."""
+    _, right = _bracket(upper, lower)
+    if not right:
+        return None
+    a = right[0]
+    k = lower.index(a)
+    s = 0
+    while s < k and lower[k - s - 1] == a + s + 1:
+        s += 1
+    return _checked(_inserted(upper, a + s), lower[:k] + lower[k + 1:])
+
+
+@lru_cache(maxsize=None)
+def _all_upper_paired(upper: Word, lower: Word) -> bool:
+    """True when e cannot act on the two blocks: no upper letter is unpaired."""
+    return not _bracket(upper, lower)[0]
+
+
+def _checked(upper: Word, lower: Word) -> tuple[Word, Word]:
+    _check_block(upper)
+    _check_block(lower)
+    return upper, lower
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,16 +231,8 @@ class DecreasingFactorization:
         below b present in block i+1.
         """
         self._check_op_index(i)
-        upper, lower = self.factors[i], self.factors[i - 1]
-        left, _ = _bracket(upper, lower)
-        if not left:
-            return None
-        b = left[-1]
-        k = upper.index(b)
-        t = 0
-        while k + t + 1 < len(upper) and upper[k + t + 1] == b - t - 1:
-            t += 1
-        return self._spliced(i, upper[:k] + upper[k + 1:], _inserted(lower, b - t))
+        blocks = _raised(self.factors[i], self.factors[i - 1])
+        return None if blocks is None else self._spliced(i, *blocks)
 
     def f(self, i: int) -> Optional["DecreasingFactorization"]:
         """Lowering operator, inverse to :meth:`e` on every edge.
@@ -198,23 +242,13 @@ class DecreasingFactorization:
         block i.  Returns None when every letter of block i is paired.
         """
         self._check_op_index(i)
-        upper, lower = self.factors[i], self.factors[i - 1]
-        _, right = _bracket(upper, lower)
-        if not right:
-            return None
-        a = right[0]
-        k = lower.index(a)
-        s = 0
-        while s < k and lower[k - s - 1] == a + s + 1:
-            s += 1
-        return self._spliced(i, _inserted(upper, a + s), lower[:k] + lower[k + 1:])
+        blocks = _lowered(self.factors[i], self.factors[i - 1])
+        return None if blocks is None else self._spliced(i, *blocks)
 
     def _spliced(self, i: int, upper: Word, lower: Word) -> "DecreasingFactorization":
-        """This factorization with blocks i+1 and i replaced.  Only the two
-        new blocks are checked; the others were checked when ``self`` was
-        built."""
-        _check_block(upper)
-        _check_block(lower)
+        """This factorization with blocks i+1 and i replaced by blocks that
+        :func:`_raised` or :func:`_lowered` produced and checked; the others
+        were checked when ``self`` was built."""
         out = object.__new__(DecreasingFactorization)
         object.__setattr__(out, "factors", self.factors[:i - 1] + (lower, upper) + self.factors[i + 1:])
         object.__setattr__(out, "target", self.target)
@@ -325,9 +359,7 @@ def highest_weight_factorizations(system: CoxeterSystem, w, num_factors: int | N
     against block k leaves no unpaired upper letter, which is exactly the
     condition e_k = None and depends on no later block.
     """
-    found = _block_sequences(
-        system, w, num_factors, lambda block, previous: not _bracket(block, previous)[0]
-    )
+    found = _block_sequences(system, w, num_factors, _all_upper_paired)
     return sorted(
         (DecreasingFactorization(blocks, w) for blocks in found),
         key=lambda fz: fz.factors,

@@ -7,7 +7,7 @@ tuple is the partition of 0.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 Partition = tuple[int, ...]
 
@@ -135,9 +135,21 @@ def hook_content_count(shape: Partition, m: int) -> int:
     shape = check_partition(shape)
     if m < len(shape):  # a column longer than the alphabet
         return 0 if shape else 1
-    contents = prod(m + c - r for r, part in enumerate(shape) for c in range(part))
+    contents = _tree_product([m + c - r for r, part in enumerate(shape) for c in range(part)])
     return contents // _hook_product(shape)
 
 
 def _hook_product(shape: Partition) -> int:
-    return prod(h for row in hook_lengths(shape) for h in row)
+    return _tree_product([h for row in hook_lengths(shape) for h in row])
+
+
+def _tree_product(factors: list[int]) -> int:
+    """Product of ``factors`` multiplied in adjacent pairs, level by level,
+    so that the large products are few and of balanced size; one factor at
+    a time would be quadratic in the factor count."""
+    while len(factors) > 1:
+        paired = [factors[k] * factors[k + 1] for k in range(0, len(factors) - 1, 2)]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1

@@ -222,6 +222,16 @@ def test_tableaux_crystal_refuses_before_listing(capsys, mode):
     assert "302621 vertices" in err and "Traceback" not in err
 
 
+def test_tableaux_crystal_refuses_a_long_row_quickly(capsys):
+    # 100,000 cells: the hook-content count multiplies its factors in a
+    # product tree, so the refusal stays well under quadratic time
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "tableaux", "crystal", "--shape", "100000", "--entries", "4")
+    assert time.perf_counter() - started < 3
+    assert code == 2 and out == ""
+    assert "166676666850001 vertices" in err  # C(100003, 3)
+
+
 def test_eg_insert_pinned(capsys):
     code, out, _ = run_cli(capsys, "eg", "insert", "--factors", "(1)(2)(32)")
     assert code == 0

@@ -116,6 +116,26 @@ def test_parse_word_rejects_malformed_text(text):
         coxeter.parse_word(text)
 
 
+def test_memo_sizes_count_each_table():
+    from redwords.stanley import schur_expansion, stanley_monomial
+
+    system = SymmetricGroup(4)
+    assert set(system.memo_sizes().values()) == {0}
+    w0 = system.longest_element
+    system.reduced_word_count(w0)
+    schur_expansion(system, w0)
+    schur_expansion(system, w0, 8)
+    stanley_monomial(system, w0)
+    sizes = system.memo_sizes()
+    assert sizes["reduced_word_counts"] == 24  # every element lies below w0
+    assert sizes["schur_expansions"] == 2
+    assert sizes["peel_tables"] > 0 and sizes["weight_counts"] > 0
+    assert sizes["reduced_words"] == sizes["exchange_states"] == 0
+    system.exchange_kernel()
+    sizes = system.memo_sizes()
+    assert sizes["reduced_words"] == 24 and sizes["exchange_states"] == 16
+
+
 def test_weak_order_covers(s3):
     assert s3.weak_order_covers(s3.identity) == frozenset()
     assert s3.weak_order_covers(s3.generator(1)) == frozenset({s3.identity})

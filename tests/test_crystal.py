@@ -5,7 +5,10 @@ from redwords.coxeter import SymmetricGroup
 from redwords.crystal import (
     CrystalGraph,
     DecreasingFactorization,
+    _block_sequences,
     _bracket,
+    _check_block,
+    _inserted,
     bracket_unpaired,
     decreasing_factorizations,
     factorization_crystal,
@@ -328,6 +331,106 @@ def test_operators_reject_a_non_reduced_factorization(s3):
         bad.e(1)
     with pytest.raises(ValueError):
         bad.f(1)
+
+
+# ----------------------------------------------------------------------
+# the block-pair tables against the operators that bracket on every call
+
+
+def bracketing_e(fz, i):
+    # e_i as it was before the pair table: bracket, move, check, splice
+    upper, lower = fz.factors[i], fz.factors[i - 1]
+    left, _ = _bracket(upper, lower)
+    if not left:
+        return None
+    b = left[-1]
+    k = upper.index(b)
+    t = 0
+    while k + t + 1 < len(upper) and upper[k + t + 1] == b - t - 1:
+        t += 1
+    return _bracketing_spliced(fz, i, upper[:k] + upper[k + 1:], _inserted(lower, b - t))
+
+
+def bracketing_f(fz, i):
+    upper, lower = fz.factors[i], fz.factors[i - 1]
+    _, right = _bracket(upper, lower)
+    if not right:
+        return None
+    a = right[0]
+    k = lower.index(a)
+    s = 0
+    while s < k and lower[k - s - 1] == a + s + 1:
+        s += 1
+    return _bracketing_spliced(fz, i, _inserted(upper, a + s), lower[:k] + lower[k + 1:])
+
+
+def _bracketing_spliced(fz, i, upper, lower):
+    _check_block(upper)
+    _check_block(lower)
+    return DecreasingFactorization(fz.factors[:i - 1] + (lower, upper) + fz.factors[i + 1:], fz.target)
+
+
+def bracketing_highest_weights(system, w, num_factors):
+    found = _block_sequences(
+        system, w, num_factors, lambda block, previous: not _bracket(block, previous)[0]
+    )
+    return sorted((DecreasingFactorization(blocks, w) for blocks in found), key=lambda fz: fz.factors)
+
+
+def _outcome(operator, fz, i):
+    try:
+        return operator(fz, i)
+    except ValueError as error:
+        return ("ValueError", str(error))
+
+
+def _table_cases():
+    s4 = SymmetricGroup(4)
+    for num_factors in (4, 5, 6):
+        for g in s4.elements():
+            yield s4, g, num_factors
+    s5 = SymmetricGroup(5)
+    for g in s5.elements():
+        yield s5, g, 5
+
+
+def test_pair_tables_match_the_bracketing_operators():
+    # e, f and the pruned highest-weight enumeration read the tables of
+    # _raised, _lowered and _all_upper_paired; each must give what
+    # bracketing the two blocks afresh gives, on every factorization of
+    # every S4 element with 4-6 blocks and every S5 element with 5 blocks
+    images = 0
+    for system, g, num_factors in _table_cases():
+        assert highest_weight_factorizations(system, g, num_factors) == \
+            bracketing_highest_weights(system, g, num_factors)
+        for x in decreasing_factorizations(system, g, num_factors):
+            for i in range(1, num_factors):
+                for ours, reference in ((x.e(i), bracketing_e(x, i)), (x.f(i), bracketing_f(x, i))):
+                    assert ours == reference
+                    images += ours is not None
+    assert images > 100_000
+
+
+def test_pair_tables_match_on_every_pair_of_blocks():
+    # all 256 pairs of strictly decreasing blocks on the letters 1..4,
+    # reduced or not: the same image, or the same ValueError when the move
+    # would repeat a letter in a block
+    blocks = [()]
+    for letter in range(1, 5):
+        blocks += [(letter,) + block for block in blocks]
+    assert len(blocks) == 16
+    errors = 0
+    for upper in blocks:
+        for lower in blocks:
+            x = DecreasingFactorization((lower, upper), None)
+            for ours, reference in (
+                (DecreasingFactorization.e, bracketing_e),
+                (DecreasingFactorization.f, bracketing_f),
+            ):
+                expected = _outcome(reference, x, 1)
+                assert _outcome(ours, x, 1) == expected, (upper, lower)
+                errors += isinstance(expected, tuple)
+    assert errors > 0
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from collections import Counter
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from redwords.partitions import (
     dominates,
     hook_content_count,
     hook_length_count,
+    hook_lengths,
     is_partition,
     partitions_of,
     removable_corners,
@@ -95,6 +97,19 @@ def test_hook_content_count_known_values():
     assert hook_content_count((2, 1), 3) == 8
     assert hook_content_count((1, 1, 1), 2) == 0
     assert hook_content_count((), 0) == 1
+
+
+def test_hook_products_match_the_one_at_a_time_products():
+    # the balanced product tree against math.prod, factor by factor
+    for n in range(9):
+        for shape in partitions_of(n):
+            hooks = prod(h for row in hook_lengths(shape) for h in row)
+            assert hook_length_count(shape) == factorial(n) // hooks, shape
+            for m in range(5):
+                if m < len(shape):
+                    continue  # a column longer than the alphabet: no fillings
+                contents = prod(m + c - r for r, part in enumerate(shape) for c in range(part))
+                assert hook_content_count(shape, m) == contents // hooks, (shape, m)
 
 
 @given(partition_strategy(max_n=8))

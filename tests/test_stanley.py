@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import requires_s6
 from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
-from redwords.crystal import decreasing_factorizations
+from redwords import stanley
+from redwords.crystal import decreasing_factorizations, default_num_factors, highest_weight_factorizations
 from redwords.partitions import conjugate, dominates, partitions_of, staircase
 from redwords.stanley import (
     TruncationError,
@@ -250,3 +251,57 @@ def test_three_way_agreement_exhaustive_s6_and_s7_longest_element():
     assert schur_expansion_via_eg(s7, w0) == expected
     assert schur_expansion_via_linear_algebra(s7, w0) == expected
     assert schur_expansion(s7, w0) == expected
+
+
+# ----------------------------------------------------------------------
+# route 1 is memoised per system; routes 2 and 3 are not
+
+
+def uncached_schur_expansion(system, w, num_factors):
+    # the highest-weight count as it was before the per-system table
+    terms = {}
+    for fz in highest_weight_factorizations(system, w, num_factors):
+        weight = fz.weight()
+        shape = tuple(p for p in weight if p)
+        if list(weight[:len(shape)]) != sorted(shape, reverse=True) or any(weight[len(shape):]):
+            raise ArithmeticError(f"highest weight {weight} is not a partition")
+        terms[shape] = terms.get(shape, 0) + 1
+    return SymFuncExpansion.from_dict("schur", terms)
+
+
+def test_schur_table_matches_fresh_systems_and_the_uncached_count():
+    warm = SymmetricGroup(5)
+    elements = warm.elements()
+    for g in elements:  # the identities fill the table at every element
+        if warm.length(g) >= 1:
+            assert omega_duality_check(warm, g).passed and skew_by_s1_check(warm, g).passed
+    assert warm.memo_sizes()["schur_expansions"] == len(elements)
+    reference = SymmetricGroup(5)
+    for g in elements:
+        least = default_num_factors(warm, g)
+        for num_factors in (None, least + 2):
+            blocks = least if num_factors is None else num_factors
+            expected = uncached_schur_expansion(reference, g, blocks)
+            assert schur_expansion(warm, g, num_factors) == expected, (g, num_factors)
+            assert schur_expansion(SymmetricGroup(5), g, num_factors) == expected, (g, num_factors)
+        if warm.length(g) >= 2:
+            with pytest.raises(TruncationError):
+                schur_expansion(warm, g, warm.length(g) - 1)
+    # one entry per (element, block count) pair asked for
+    assert warm.memo_sizes()["schur_expansions"] == 2 * len(elements)
+
+
+def test_routes_two_and_three_neither_fill_nor_read_the_table(monkeypatch):
+    # a fresh system whose route 1 has been made wrong: it counts no
+    # highest weights, so its table holds zero at every element
+    system = SymmetricGroup(4)
+    monkeypatch.setattr(stanley, "highest_weight_factorizations", lambda *args: [])
+    for g in system.elements():
+        assert schur_expansion(system, g) == SymFuncExpansion.zero("schur")
+    filled = system.memo_sizes()["schur_expansions"]
+    reference = SymmetricGroup(4)
+    for g in system.elements():
+        expected = uncached_schur_expansion(reference, g, default_num_factors(reference, g))
+        assert schur_expansion_via_eg(system, g) == expected
+        assert schur_expansion_via_linear_algebra(system, g) == expected
+    assert system.memo_sizes()["schur_expansions"] == filled == 24
