@@ -135,9 +135,9 @@ def cmd_stanley(args) -> int:
     system = type_a_system(args.type, args.rank)
     element = parse_element(system, args.element)
     if args.basis == "monomial":
-        expansion = stanley.stanley_monomial(system, element, args.factors)
+        expansion = stanley.stanley_monomial(system, element)
     else:
-        expansion = stanley.schur_expansion(system, element, args.factors)
+        expansion = stanley.schur_expansion(system, element)
     if args.json:
         print(json.dumps(expansion.to_json_dict()))
     else:
@@ -211,11 +211,10 @@ def cmd_tableaux_crystal(args) -> int:
 
 
 def cmd_eg_insert(args) -> int:
-    rank = args.rank
-    if rank is None:
-        letters = [a for block in parse_blocks(args.factors) for a in block]
-        rank = max(letters) + 1 if letters else 2
-    system = type_a_system(args.type, rank)
+    # P, Q and the reading word do not depend on the group, so take the
+    # smallest symmetric group holding every letter, and at least S2
+    letters = [a for block in parse_blocks(args.factors) for a in block]
+    system = SymmetricGroup(max([1, *letters]) + 1)
     fz = parse_factorization(system, args.factors)
     pair = eg_insert(fz)
     word = p_transpose_reading_word(pair.p)
@@ -296,13 +295,14 @@ def _markov_report(matrix, measure, system=None) -> dict:
     return report
 
 
-def _walk_command(args, name: str, what: str, count, build, measure, system=None) -> int:
+def _walk_command(args, name: str, what: str, count, build, measure, system=None,
+                  unit: str = "states") -> int:
     """The rest of `markov exchange` and `markov promote`: unless drawing,
     refuse a walk of more than MAX_REPORT_STATES states by ``count()``
     before ``build()`` lists it; then print the DOT digraph ``name``, the
     JSON report or its summary line, and exit 1 when a check fails."""
     if not args.dot:
-        _refuse_above(count(), MAX_REPORT_STATES, what, "states", "the exact report",
+        _refuse_above(count(), MAX_REPORT_STATES, what, unit, "the exact report",
                       " (--dot draws larger walks)")
     matrix = build()
     if args.dot:
@@ -334,9 +334,12 @@ def cmd_markov_promote(args) -> int:
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad poset file: {err}") from None
     measure = measure_for(range(1, poset.n + 1), parse_probs(args.probs))
+    # the first prefix count past the limit, a lower bound on the states,
+    # found before the layers of order ideals grow towards 2^n
     return _walk_command(
-        args, "promotion", "the promotion walk", poset.linear_extension_count,
-        lambda: markov.promotion_chain(poset, measure), measure,
+        args, "promotion", "the promotion walk",
+        lambda: next((c for c in poset.prefix_counts() if c > MAX_REPORT_STATES), 0),
+        lambda: markov.promotion_chain(poset, measure), measure, unit="or more states",
     )
 
 
@@ -361,13 +364,12 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def _add_system_args(parser, rank_required=True):
+def _add_system_args(parser):
     parser.add_argument("--type", default="A", help="A | hypercube | dihedral")
     parser.add_argument(
         "--rank",
         type=int,
-        required=rank_required,
-        default=None,
+        required=True,
         help="n of S_n for type A; coordinate count for hypercube; m for dihedral",
     )
 
@@ -394,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--element", required=True)
     p.add_argument("--basis", choices=("monomial", "schur"), default="schur")
-    p.add_argument("--factors", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stanley)
 
@@ -425,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     eg_sub = p.add_subparsers(dest="subcommand", required=True)
     i = eg_sub.add_parser("insert", help="insert a decreasing factorization")
     i.add_argument("--factors", required=True, help='e.g. "(1)(2)(32)"')
-    i.add_argument("--type", default="A")
-    i.add_argument("--rank", type=int, default=None)
     i.add_argument("--json", action="store_true")
     i.set_defaults(func=cmd_eg_insert)
     k = eg_sub.add_parser("ck-graph", help="Coxeter-Knuth graph of an element")

@@ -91,7 +91,7 @@ class CoxeterSystem:
         # peel table, and (element, block lengths) -> factorization count
         self._peel_table: dict = {}
         self._weight_count_cache: dict = {}
-        # (element, block count) -> its Schur expansion by highest weights
+        # element -> its Schur expansion by highest weights
         # (see stanley.schur_expansion)
         self._schur_cache: dict = {}
         # the exchange walk's move table (see exchange_kernel)

@@ -25,7 +25,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coxeter import CoxeterSystem, Hypercube, Word, format_word
 
@@ -582,15 +582,17 @@ class NaturalPoset:
     def incomparable(self, a: int, b: int) -> bool:
         return a != b and not self.less(a, b) and not self.less(b, a)
 
-    def linear_extension_count(self) -> int:
-        """len(linear_extensions()) without listing them: the number of ways
-        to reach each order ideal, summed over the ideals one label larger,
-        so at most 2^n ideals are visited.
+    def prefix_counts(self) -> Iterator[int]:
+        """For k = 0..n, the orderings of k labels that begin a linear
+        extension: the ways to reach each order ideal of size k, summed one
+        layer of ideals at a time.  Every prefix extends, so the counts
+        never decrease and end at the number of linear extensions.
 
-        >>> NaturalPoset.antichain(8).linear_extension_count()
-        40320
+        >>> list(NaturalPoset.antichain(4).prefix_counts())
+        [1, 4, 12, 24, 24]
         """
         ways = {0: 1}  # order ideal -> orderings reaching it
+        yield 1
         for _ in range(self.n):
             larger: dict[int, int] = {}
             for ideal, count in ways.items():
@@ -599,7 +601,16 @@ class NaturalPoset:
                     if not ideal & bit and needed & ideal == needed:
                         larger[ideal | bit] = larger.get(ideal | bit, 0) + count
             ways = larger
-        return sum(ways.values())
+            yield sum(ways.values())
+
+    def linear_extension_count(self) -> int:
+        """len(linear_extensions()) without listing them.
+
+        >>> NaturalPoset.antichain(8).linear_extension_count()
+        40320
+        """
+        *_, count = self.prefix_counts()
+        return count
 
     def linear_extensions(self) -> tuple[tuple[int, ...], ...]:
         """All orderings compatible with the poset, lexicographically."""

@@ -11,10 +11,11 @@ independent routes that must agree:
 3. peeling the exact monomial expansion against the unitriangular Kostka
    matrix, whose entries come from the horizontal-strip branching rule.
 
-All coefficients are exact integers; ``num_factors`` defaults to the length
-of w, which suffices because no contributing weight has more parts.
+All coefficients are exact integers.  F_w depends on w alone: routes 1 and
+3 use the crystal's default of as many blocks as w has letters, and more
+blocks add no term, as no partition of the length has more parts.
 
-Route 1 is memoised on the system, so the identities below, which read the
+Route 1 is memoised per element, so the identities below, which read the
 expansion at w, its inverse, its conjugate by w0 and its weak-order covers,
 compute each element's expansion once.  Routes 2 and 3 are not memoised:
 comparing the three routes then compares three computations.
@@ -23,7 +24,7 @@ comparing the three routes then compares three computations.
 from __future__ import annotations
 
 from .coxeter import CoxeterSystem
-from .crystal import default_num_factors, highest_weight_factorizations, weight_vector_count
+from .crystal import highest_weight_factorizations, weight_vector_count
 from .partitions import Partition, conjugate, partitions_of
 from .reports import CheckReport
 from .symfunc import SymFuncExpansion, omega, s1_perp
@@ -31,50 +32,30 @@ from .symfunc import support_interval as expansion_support_interval
 from .tableaux import fill_ssyt, kostka_number
 
 
-class TruncationError(ValueError):
-    """Raised when too few blocks are requested for a faithful expansion."""
-
-
-def _resolve_num_factors(system: CoxeterSystem, w, num_factors: int | None) -> int:
-    least = default_num_factors(system, w)
-    if num_factors is None:
-        return least
-    if num_factors < least:
-        raise TruncationError(
-            f"{num_factors} blocks truncate an element of length {system.length(w)}"
-        )
-    return num_factors
-
-
-def stanley_monomial(system: CoxeterSystem, w, num_factors: int | None = None) -> SymFuncExpansion:
+def stanley_monomial(system: CoxeterSystem, w) -> SymFuncExpansion:
     """Monomial expansion: each coefficient counts factorizations whose block
     lengths spell that partition, rightmost block first."""
-    num_factors = _resolve_num_factors(system, w, num_factors)
     terms: dict[Partition, int] = {}
     for mu in partitions_of(system.length(w)):
-        if len(mu) > num_factors:
-            continue
         count = weight_vector_count(system, w, mu)
         if count:
             terms[mu] = count
     return SymFuncExpansion.from_dict("monomial", terms)
 
 
-def schur_expansion(system: CoxeterSystem, w, num_factors: int | None = None) -> SymFuncExpansion:
+def schur_expansion(system: CoxeterSystem, w) -> SymFuncExpansion:
     """Schur expansion by counting highest weight factorizations by weight;
-    memoised on the system per (w, num_factors)."""
-    num_factors = _resolve_num_factors(system, w, num_factors)
-    key = (w, num_factors)
-    expansion = system._schur_cache.get(key)
+    memoised on the system per element."""
+    expansion = system._schur_cache.get(w)
     if expansion is None:
         terms: dict[Partition, int] = {}
-        for fz in highest_weight_factorizations(system, w, num_factors):
+        for fz in highest_weight_factorizations(system, w):
             weight = fz.weight()
             shape = tuple(p for p in weight if p)
             if list(weight[:len(shape)]) != sorted(shape, reverse=True) or any(weight[len(shape):]):
                 raise ArithmeticError(f"highest weight {weight} is not a partition")
             terms[shape] = terms.get(shape, 0) + 1
-        expansion = system._schur_cache[key] = SymFuncExpansion.from_dict("schur", terms)
+        expansion = system._schur_cache[w] = SymFuncExpansion.from_dict("schur", terms)
     return expansion
 
 
@@ -105,14 +86,14 @@ def schur_expansion_via_eg(system: CoxeterSystem, w) -> SymFuncExpansion:
     return SymFuncExpansion.from_dict("schur", terms)
 
 
-def schur_expansion_via_linear_algebra(system: CoxeterSystem, w, num_factors: int | None = None) -> SymFuncExpansion:
+def schur_expansion_via_linear_algebra(system: CoxeterSystem, w) -> SymFuncExpansion:
     """Schur expansion by exact back substitution in the monomial basis.
 
     The Kostka matrix is unitriangular against lexicographic order, so
     repeatedly stripping the lexicographically greatest remaining monomial
     solves the linear system exactly over the integers.
     """
-    mono = stanley_monomial(system, w, num_factors)
+    mono = stanley_monomial(system, w)
     residual = mono.as_dict()
     result: dict[Partition, int] = {}
     while residual:
@@ -181,6 +162,4 @@ def support_interval(system: CoxeterSystem, w) -> tuple[Partition, Partition]:
 
 def reduced_word_count_from_squarefree(system: CoxeterSystem, w) -> int:
     """Coefficient of the all-ones monomial, which counts reduced words."""
-    length = system.length(w)
-    mono = stanley_monomial(system, w)
-    return mono.coefficient((1,) * length) if length else mono.coefficient(())
+    return weight_vector_count(system, w, (1,) * system.length(w))

@@ -148,16 +148,20 @@ def test_stanley_monomial_pinned(capsys):
     assert out.strip() == "2*m[1,1,1] + m[2,1]"
 
 
-def test_stanley_schur_honours_factors(capsys):
-    w0 = ("stanley", "--type", "A", "--rank", "3", "--element", "w0")
-    for basis in ("schur", "monomial"):
-        for factors in ("0", "1", "2"):
-            code, out, err = run_cli(capsys, *w0, "--basis", basis, "--factors", factors)
-            assert code == 2 and out == ""
-            assert f"{factors} blocks truncate an element of length 3" in err
-    for factors in ("3", "5"):
-        code, out, _ = run_cli(capsys, *w0, "--basis", "schur", "--factors", factors)
-        assert code == 0 and out.strip() == "s[2,1]"
+@pytest.mark.parametrize("argv", [
+    ("stanley", "--rank", "3", "--element", "w0", "--factors", "3"),
+    ("eg", "insert", "--factors", "(1)(2)(32)", "--rank", "3"),
+    ("eg", "insert", "--factors", "(1)(2)(32)", "--type", "A"),
+])
+def test_stanley_and_eg_insert_take_no_block_count_rank_or_type(argv):
+    # F_w depends on w alone, and insertion on the letters alone, so these
+    # options are gone: argparse rejects them as usage errors
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+    assert exit_.value.code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("usage: ") and "Traceback" not in err.getvalue()
 
 
 def test_stanley_json_roundtrip(capsys):
@@ -263,9 +267,9 @@ def test_eg_insert_multi_digit_letters(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("eg", "insert", "--rank", "3", "--factors", "(10,1)"),
-    ("eg", "insert", "--rank", "3", "--factors", "(0)"),
+    ("eg", "insert", "--factors", "(0)"),
     ("eg", "insert", "--factors", "(2)(0)"),
+    ("red-words", "--rank", "3", "--element", "13"),
 ])
 def test_out_of_range_letters_are_input_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -278,7 +282,7 @@ def test_out_of_range_letters_are_input_errors(capsys, argv):
     ("crystal", "graph", "--type", "dihedral", "--rank", "4", "--element", "w0"),
     ("crystal", "graph", "--type", "hypercube", "--rank", "3", "--element", "w0"),
     ("eg", "ck-graph", "--type", "dihedral", "--rank", "4", "--element", "w0"),
-    ("eg", "insert", "--type", "hypercube", "--factors", "(1)(2)"),
+    ("eg", "ck-graph", "--type", "hypercube", "--rank", "3", "--element", "w0"),
 ])
 def test_type_a_only_commands_reject_other_types(capsys, argv):
     # main() runs in-process, so an uncaught exception would fail the test
@@ -383,7 +387,8 @@ def test_markov_promote(tmp_path, capsys):
 @pytest.mark.parametrize("mode", [[], ["--report"], ["--json"]])
 def test_markov_promote_refuses_large_reports(tmp_path, capsys, mode):
     # the antichain on 6 labels has 6! = 720 linear extensions, far past the
-    # dense exact report
+    # dense exact report; the count stops at the first layer of order ideals
+    # past 64, the 6 * 5 * 4 = 120 orderings of three labels
     poset_file = tmp_path / "poset.json"
     poset_file.write_text(json.dumps({"n": 6, "relations": []}))
     started = time.perf_counter()
@@ -391,12 +396,12 @@ def test_markov_promote_refuses_large_reports(tmp_path, capsys, mode):
                              "--probs", ",".join(["1/6"] * 6), *mode)
     assert time.perf_counter() - started < 1
     assert code == 2 and out == ""
-    assert "720 states" in err and "Traceback" not in err
+    assert "120 or more states" in err and "Traceback" not in err
 
 
 def test_markov_promote_refuses_before_enumerating(tmp_path, capsys):
-    # 8! = 40,320 linear extensions: counted over the 2^8 order ideals, and
-    # refused before any of them is listed
+    # 8! = 40,320 linear extensions: refused once the 8 * 7 * 6 = 336
+    # orderings of three labels pass the limit, before any is listed
     poset_file = tmp_path / "poset.json"
     poset_file.write_text(json.dumps({"n": 8, "relations": []}))
     started = time.perf_counter()
@@ -404,7 +409,30 @@ def test_markov_promote_refuses_before_enumerating(tmp_path, capsys):
                              "--probs", ",".join(["1/8"] * 8))
     assert time.perf_counter() - started < 0.5
     assert code == 2 and out == ""
-    assert "40320 states" in err and "Traceback" not in err
+    assert "336 or more states" in err and "Traceback" not in err
+
+
+def test_markov_promote_refuses_thirty_unrelated_labels_quickly(tmp_path, capsys):
+    # 30! linear extensions over 2^30 order ideals: the count stops at the
+    # 30 * 29 = 870 orderings of two labels
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(json.dumps({"n": 30, "relations": []}))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "markov", "promote", "--poset", str(poset_file),
+                             "--probs", ",".join(["1/30"] * 30))
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert "870 or more states" in err and "Traceback" not in err
+
+
+def test_markov_promote_reports_on_a_thirty_label_chain(tmp_path, capsys):
+    # one linear extension, however many labels: every layer counts one
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(json.dumps({"n": 30, "relations": [[i, i + 1] for i in range(1, 30)]}))
+    code, out, _ = run_cli(capsys, "markov", "promote", "--poset", str(poset_file),
+                           "--probs", ",".join(["1/30"] * 30))
+    assert code == 0
+    assert out == "1 states; checks: {'stochastic': True, 'T_pi_eq_pi': True}\n"
 
 
 def test_markov_promote_rejects_unnatural(tmp_path, capsys):
@@ -558,7 +586,7 @@ _POSETS = st.one_of(
 )
 _CASES = st.one_of(
     st.tuples(_argv(["red-words"], _SYSTEM, _ELEMENT, _flags("--json")), st.none()),
-    st.tuples(_argv(["stanley"], _SYSTEM, _ELEMENT, _FACTORS, _flags("--json"),
+    st.tuples(_argv(["stanley"], _SYSTEM, _ELEMENT, _flags("--json"),
                     _option("--basis", st.sampled_from(["schur", "monomial"]))), st.none()),
     st.tuples(_argv(["crystal", "graph"], _SYSTEM, _ELEMENT, _FACTORS,
                     _flags("--json", "--dot")), st.none()),
@@ -566,8 +594,7 @@ _CASES = st.one_of(
     st.tuples(_argv(["tableaux", "crystal"], _SHAPE,
                     _option("--entries", st.integers(-1, 4).map(str)),
                     _flags("--json", "--dot")), st.none()),
-    st.tuples(_argv(["eg", "insert"], _BLOCKS, st.one_of(st.just([]), _option("--rank", _RANKS)),
-                    _flags("--json")), st.none()),
+    st.tuples(_argv(["eg", "insert"], _BLOCKS, _flags("--json")), st.none()),
     st.tuples(_argv(["eg", "ck-graph"], _SYSTEM, _ELEMENT, _flags("--json", "--dot")), st.none()),
     st.tuples(_argv(["markov", "exchange"], _SYSTEM, _PROBS,
                     _flags("--report", "--json", "--dot")), st.none()),
@@ -584,8 +611,7 @@ _CASES = st.one_of(
 @example(case=(["markov", "promote", "--poset", "POSET", "--probs", "1/2,1/2"], [1, 2]))
 @example(case=(["markov", "promote", "--poset", "POSET", "--probs", "1/2,1/2"],
                {"n": 2, "relations": 5}))
-@example(case=(["stanley", "--rank", "3", "--element", "w0", "--basis", "schur",
-                "--factors", "0"], None))
+@example(case=(["crystal", "graph", "--rank", "3", "--element", "w0", "--factors", "0"], None))
 @example(case=(["tableaux", "count", "--shape", "0"], None))
 @example(case=(["tableaux", "crystal", "--shape", "150,150", "--entries", "4", "--dot"], None))
 @example(case=(["verify", "--max-rank", "0"], None))

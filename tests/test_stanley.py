@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import requires_s6
 from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
 from redwords import stanley
-from redwords.crystal import decreasing_factorizations, default_num_factors, highest_weight_factorizations
+from redwords.crystal import decreasing_factorizations, highest_weight_factorizations
 from redwords.partitions import conjugate, dominates, partitions_of, staircase
 from redwords.stanley import (
-    TruncationError,
     omega_duality_check,
     reduced_word_count_from_squarefree,
     schur_expansion,
@@ -95,11 +94,6 @@ def test_monomial_brute_force_oracle(s4):
             for mu in set(stanley_monomial(s4, g).support())
         }
         assert stanley_monomial(s4, g).as_dict() == expected
-
-
-def test_monomial_truncation_rejected(s4):
-    with pytest.raises(TruncationError):
-        stanley_monomial(s4, s4.longest_element, 5)
 
 
 def test_squarefree_coefficient_counts_reduced_words(s4):
@@ -257,7 +251,7 @@ def test_three_way_agreement_exhaustive_s6_and_s7_longest_element():
 # route 1 is memoised per system; routes 2 and 3 are not
 
 
-def uncached_schur_expansion(system, w, num_factors):
+def uncached_schur_expansion(system, w, num_factors=None):
     # the highest-weight count as it was before the per-system table
     terms = {}
     for fz in highest_weight_factorizations(system, w, num_factors):
@@ -278,17 +272,21 @@ def test_schur_table_matches_fresh_systems_and_the_uncached_count():
     assert warm.memo_sizes()["schur_expansions"] == len(elements)
     reference = SymmetricGroup(5)
     for g in elements:
-        least = default_num_factors(warm, g)
-        for num_factors in (None, least + 2):
-            blocks = least if num_factors is None else num_factors
-            expected = uncached_schur_expansion(reference, g, blocks)
-            assert schur_expansion(warm, g, num_factors) == expected, (g, num_factors)
-            assert schur_expansion(SymmetricGroup(5), g, num_factors) == expected, (g, num_factors)
-        if warm.length(g) >= 2:
-            with pytest.raises(TruncationError):
-                schur_expansion(warm, g, warm.length(g) - 1)
-    # one entry per (element, block count) pair asked for
-    assert warm.memo_sizes()["schur_expansions"] == 2 * len(elements)
+        expected = uncached_schur_expansion(reference, g)
+        assert schur_expansion(warm, g) == expected, g
+        assert schur_expansion(SymmetricGroup(5), g) == expected, g
+    # one entry per element, however often it was asked for
+    assert warm.memo_sizes()["schur_expansions"] == len(elements) == 120
+
+
+def test_more_blocks_than_the_length_add_no_term():
+    # why no route takes a block count: the crystal on more blocks has the
+    # same highest weights, padded with empty blocks
+    system = SymmetricGroup(5)
+    for g in system.elements():
+        length = max(1, system.length(g))
+        for num_factors in (length + 1, length + 3):
+            assert uncached_schur_expansion(system, g, num_factors) == schur_expansion(system, g), g
 
 
 def test_routes_two_and_three_neither_fill_nor_read_the_table(monkeypatch):
@@ -301,7 +299,7 @@ def test_routes_two_and_three_neither_fill_nor_read_the_table(monkeypatch):
     filled = system.memo_sizes()["schur_expansions"]
     reference = SymmetricGroup(4)
     for g in system.elements():
-        expected = uncached_schur_expansion(reference, g, default_num_factors(reference, g))
+        expected = uncached_schur_expansion(reference, g)
         assert schur_expansion_via_eg(system, g) == expected
         assert schur_expansion_via_linear_algebra(system, g) == expected
     assert system.memo_sizes()["schur_expansions"] == filled == 24
