@@ -150,7 +150,7 @@ def cmd_crystal_graph(args) -> int:
     element = parse_element(system, args.element)
     graph = factorization_crystal(system, element, args.factors)
     if args.dot:
-        print(graph.to_dot("crystal", label=str), end="")
+        print(graph.to_dot("crystal"), end="")
         return 0
     order = {v: k for k, v in enumerate(graph.vertices)}
     payload = {
@@ -193,7 +193,7 @@ def cmd_tableaux_crystal(args) -> int:
     )
     graph = tableau_crystal(shape, args.entries)
     if args.dot:
-        print(graph.to_dot("tableaux", label=str), end="")
+        print(graph.to_dot("tableaux"), end="")
         return 0
     order = {v: k for k, v in enumerate(graph.vertices)}
     payload = {

@@ -164,8 +164,15 @@ class CoxeterSystem:
         return out
 
     def is_reduced(self, word: Word) -> bool:
-        """True when the word has minimal length for the element it spells."""
-        return self.length(self.evaluate(word)) == len(word)
+        """True when the word has minimal length for the element it spells:
+        each letter is an ascent of the product of the letters before it."""
+        prefix = self.identity
+        for i in word:
+            self._check_index(i)
+            if self.is_right_descent(prefix, i):
+                return False
+            prefix = self.right_multiplied(prefix, i)
+        return True
 
     def left_descents(self, a) -> frozenset:
         """Generators that shorten ``a`` on the left: s_i a is shorter than a

@@ -197,7 +197,7 @@ class DecreasingFactorization:
         w = self.word()
         if system.evaluate(w) != self.target:
             raise ValueError(f"{self} does not multiply to {self.target}")
-        if system.length(self.target) != len(w):
+        if not system.is_reduced(w):
             raise ValueError(f"{self} is not reduced")
 
     def __str__(self) -> str:
@@ -488,16 +488,12 @@ class CrystalGraph:
                 out[v] = k
         return out
 
-    def to_dot(self, name: str = "crystal", label: Callable[[object], str] = str) -> str:
+    def to_dot(self, name: str = "crystal") -> str:
         from .dot import digraph
 
-        ids = {v: f"n{k}" for k, v in enumerate(self.vertices)}
-        nodes = [(ids[v], label(v)) for v in self.vertices]
-        edges = [
-            (ids[u], ids[v], {"label": str(i)})
-            for u, i, v in self.edges()
-        ]
-        return digraph(name, nodes, edges)
+        order = {v: k for k, v in enumerate(self.vertices)}
+        edges = [(order[u], order[v], {"label": str(i)}) for u, i, v in self.edges()]
+        return digraph(name, map(str, self.vertices), edges)
 
 
 def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = None) -> CrystalGraph:

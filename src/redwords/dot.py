@@ -11,18 +11,16 @@ def _quote(text: str) -> str:
 
 def digraph(
     name: str,
-    nodes: Iterable[tuple[str, str]],
-    edges: Iterable[tuple[str, str, Mapping[str, str] | None]],
+    labels: Iterable[str],
+    edges: Iterable[tuple[int, int, Mapping[str, str]]],
 ) -> str:
-    """Render a digraph; nodes are (id, label), edges (src, dst, attrs)."""
+    """Render a digraph whose k-th vertex, with the k-th of ``labels``, is
+    the node ``n<k>``; edges are (source index, target index, attrs)."""
     lines = [f"digraph {_quote(name)} {{"]
-    for node_id, label in nodes:
-        lines.append(f"  {_quote(node_id)} [label={_quote(label)}];")
+    for k, label in enumerate(labels):
+        lines.append(f'  "n{k}" [label={_quote(label)}];')
     for src, dst, attrs in edges:
-        if attrs:
-            body = ", ".join(f"{key}={_quote(str(val))}" for key, val in attrs.items())
-            lines.append(f"  {_quote(src)} -> {_quote(dst)} [{body}];")
-        else:
-            lines.append(f"  {_quote(src)} -> {_quote(dst)};")
+        body = ", ".join(f"{key}={_quote(str(val))}" for key, val in attrs.items())
+        lines.append(f'  "n{src}" -> "n{dst}" [{body}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

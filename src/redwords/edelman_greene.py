@@ -125,13 +125,9 @@ class CKGraph:
     def to_dot(self, name: str = "ck") -> str:
         from .dot import digraph
 
-        ids = {v: f"n{k}" for k, v in enumerate(self.vertices)}
-        nodes = [(ids[v], format_word(v)) for v in self.vertices]
-        edges = [
-            (ids[u], ids[v], {"label": kind, "dir": "none"})
-            for u, v, kind in self.edges
-        ]
-        return digraph(name, nodes, edges)
+        order = {v: k for k, v in enumerate(self.vertices)}
+        edges = [(order[u], order[v], {"label": kind, "dir": "none"}) for u, v, kind in self.edges]
+        return digraph(name, map(format_word, self.vertices), edges)
 
 
 def ck_graph(system: CoxeterSystem, w) -> CKGraph:

@@ -1,14 +1,15 @@
 """The exchange walk on reduced words of the longest element.
 
 States are the reduced words of the longest element; picking generator i
-with probability P(i) moves a word to its exchange image.  A walk is stored
-once, as its move table and the measure's integer weights over one common
-denominator D: entry (to, from) of the matrix, times D, sums the weights
-of the moves between them, and the checks and the sampler read the table.
-The stationary law and total variation are summed in integers over a
-common denominator as well.  The spectrum has a closed form indexed by
-subsets of the generators, and the stationary distribution is an explicit
-product over prefixes; both are checked against the matrix exactly.
+with probability P(i) moves a word to its exchange image.  A measure
+carries its integer form, numerators over the lcm D of its denominators,
+and a walk is stored once, as its move table and its measure: entry
+(to, from) of the matrix, times D, sums the numerators of the moves
+between them, and the checks and the sampler read the table.  The
+spectrum has a closed form indexed by subsets of the generators, and the
+stationary distribution is an explicit product along each word, carried
+down the maximal chains of the right weak order; both are checked against
+the matrix exactly, in integers over a common denominator.
 
 Specializations: on the hypercube the walk is move-to-front on linear
 orderings (the Tsetlin library); on the linear extensions of a naturally
@@ -32,12 +33,14 @@ from .coxeter import CoxeterSystem, Hypercube, Word, format_word
 
 @dataclass(frozen=True)
 class ProbabilityMeasure:
-    """Exact rational weights on an index set, summing to one."""
+    """Exact rational weights on an index set, summing to one, and their
+    ``numerators`` over ``denominator``, the lcm of their denominators."""
 
     weights: tuple[tuple[int, Fraction], ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        total = Fraction(0)
         seen = set()
         for i, p in self.weights:
             if not isinstance(p, Fraction):
@@ -47,9 +50,11 @@ class ProbabilityMeasure:
             if i in seen:
                 raise ValueError(f"duplicate index {i}")
             seen.add(i)
-            total += p
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+        denominator, numerators = _over_common_denominator(p for _, p in self.weights)
+        if sum(numerators) != denominator:
+            raise ValueError(f"weights sum to {Fraction(sum(numerators), denominator)}, not 1")
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "numerators", tuple(numerators))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, Fraction | int]) -> "ProbabilityMeasure":
@@ -87,18 +92,17 @@ class ProbabilityMeasure:
 @dataclass(eq=False)
 class TransitionMatrix:
     """Column-stochastic matrix over an ordered state list, stored as the
-    walk's move table: choice ``choices[g]`` has probability ``weights[g]``
-    / ``denominator`` and moves ``states[b]`` to ``states[table[b][g]]``.
+    walk's move table and its measure: the g-th choice of ``measure`` has
+    probability ``measure.numerators[g]`` / ``measure.denominator`` and
+    moves ``states[b]`` to ``states[table[b][g]]``.
 
     Entry (a, b) is the summed probability of the choices that move
-    ``states[b]`` to ``states[a]``.  The views ``numerators``, ``columns``
-    and ``entries`` are derived from the table on each access.
+    ``states[b]`` to ``states[a]``.  The views ``numerators`` and
+    ``entries`` are derived from the table on each access.
     """
 
     states: tuple
-    choices: tuple
-    denominator: int
-    weights: tuple[int, ...]
+    measure: ProbabilityMeasure
     table: Sequence[Sequence[int]] = field(repr=False)
 
     @cached_property
@@ -108,8 +112,9 @@ class TransitionMatrix:
         access: it is about eight times the size of the table, and only
         :meth:`to_dot` reads it."""
         out: dict[tuple[int, int], tuple[int, ...]] = {}
+        choices = self.measure.index_set
         for b, targets in enumerate(self.table):
-            for i, a in zip(self.choices, targets):
+            for i, a in zip(choices, targets):
                 out[(a, b)] = out.get((a, b), ()) + (i,)
         return out
 
@@ -121,45 +126,30 @@ class TransitionMatrix:
     def numerators(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """``numerators[b]`` lists the ``(a, n)`` pairs, rows ascending, of
         the nonzero numerators n: ``states[b]`` moves to ``states[a]`` with
-        probability n / ``denominator``."""
+        probability n / ``measure.denominator``."""
         columns = []
         for targets in self.table:
             column: dict[int, int] = {}
-            for n, a in zip(self.weights, targets):
+            for n, a in zip(self.measure.numerators, targets):
                 column[a] = column.get(a, 0) + n
             columns.append(tuple(sorted((a, n) for a, n in column.items() if n)))
         return tuple(columns)
 
     @property
-    def columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """``columns[b]`` lists the ``(a, p)`` pairs, rows ascending, of the
-        nonzero probabilities p of moving from ``states[b]`` to
-        ``states[a]``; equal probabilities share one ``Fraction``."""
-        numerators = self.numerators
-        values = {n for column in numerators for _, n in column}
-        probability = {n: Fraction(n, self.denominator) for n in values}
-        return tuple(tuple((a, probability[n]) for a, n in column) for column in numerators)
-
-    @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense view, n^2 in size: ``entries[a][b]`` is the probability of
         moving from ``states[b]`` to ``states[a]``."""
-        zero = Fraction(0)
+        zero, d = Fraction(0), self.measure.denominator
         rows = [[zero] * self.size for _ in self.states]
-        for b, column in enumerate(self.columns):
-            for a, p in column:
-                rows[a][b] = p
+        for b, column in enumerate(self.numerators):
+            for a, n in column:
+                rows[a][b] = Fraction(n, d)
         return tuple(tuple(row) for row in rows)
 
-    def column_sums(self) -> tuple[Fraction, ...]:
-        """Each column's numerators summed, over the denominator.  A row of
-        the table holds the moves of the first ``len(row)`` choices."""
-        weights, d = self.weights, self.denominator
-        return tuple(Fraction(sum(weights[:len(targets)]), d) for targets in self.table)
-
     def is_column_stochastic(self) -> bool:
-        """Every column's numerators sum to the denominator."""
-        weights, d = self.weights, self.denominator
+        """Every column's numerators sum to the denominator.  A row of the
+        table holds the moves of the first ``len(row)`` choices."""
+        weights, d = self.measure.numerators, self.measure.denominator
         return all(sum(weights[:len(targets)]) == d for targets in self.table)
 
     def _product(self, vector: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
@@ -169,14 +159,14 @@ class TransitionMatrix:
             raise ValueError(f"vector has {len(vector)} entries, the chain {self.size} states")
         common, scaled = _over_common_denominator(vector)
         out = [0] * self.size
-        for g, n in enumerate(self.weights):
+        for g, n in enumerate(self.measure.numerators):
             for x, targets in zip(scaled, self.table):
                 out[targets[g]] += n * x
         return common, scaled, out
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         common, _, out = self._product(vector)
-        scale = self.denominator * common
+        scale = self.measure.denominator * common
         return tuple(Fraction(x, scale) for x in out)
 
     def fixes(self, vector: Sequence[Fraction]) -> bool:
@@ -184,16 +174,16 @@ class TransitionMatrix:
         scaled by the lcm of its denominators, against the denominator
         times the scaled v."""
         _, scaled, out = self._product(vector)
-        d = self.denominator
+        d = self.measure.denominator
         return all(x == d * y for x, y in zip(out, scaled))
 
     def is_strongly_connected(self) -> bool:
         """State 0 reaches every state and every state reaches it.  Only
         choices of positive weight are arcs; when every weight is positive
         the forward arcs are the table rows themselves."""
-        live = [g for g, n in enumerate(self.weights) if n]
+        live = [g for g, n in enumerate(self.measure.numerators) if n]
         forward = self.table
-        if len(live) < len(self.weights):
+        if len(live) < len(self.measure.numerators):
             forward = [[targets[g] for g in live] for targets in forward]
         backward: list[list[int]] = [[] for _ in self.states]
         for b, targets in enumerate(forward):
@@ -214,15 +204,14 @@ class TransitionMatrix:
                 return False
         return True
 
-    def to_dot(self, name: str = "chain", label=format_word) -> str:
+    def to_dot(self, name: str = "chain") -> str:
         from .dot import digraph
 
-        nodes = [(f"n{k}", label(state)) for k, state in enumerate(self.states)]
         edges = [
-            (f"n{b}", f"n{a}", {"label": ",".join(str(i) for i in choices)})
+            (b, a, {"label": ",".join(str(i) for i in choices)})
             for (a, b), choices in sorted(self.labels.items())
         ]
-        return digraph(name, nodes, edges)
+        return digraph(name, map(format_word, self.states), edges)
 
 
 def build_chain(system: CoxeterSystem, measure: ProbabilityMeasure) -> TransitionMatrix:
@@ -235,15 +224,7 @@ def build_chain(system: CoxeterSystem, measure: ProbabilityMeasure) -> Transitio
         )
     if measure.support != frozenset(kernel.generators):
         raise ValueError("measure must have full support on the generators")
-    return _transition_matrix(kernel.states, measure, kernel.next)
-
-
-def _transition_matrix(states: tuple, measure: ProbabilityMeasure, table) -> TransitionMatrix:
-    """The walk that moves ``states[b]`` to ``states[table[b][g]]`` with the
-    probability of the g-th weight of ``measure``, kept as integers over the
-    lcm of the measure's denominators."""
-    denominator, weights = _over_common_denominator(p for _, p in measure.weights)
-    return TransitionMatrix(states, measure.index_set, denominator, tuple(weights), table)
+    return TransitionMatrix(kernel.states, measure, kernel.next)
 
 
 def _over_common_denominator(values: Iterable) -> tuple[int, list[int]]:
@@ -341,13 +322,12 @@ def charpoly(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
     degree first, computed exactly over the rationals."""
     n = matrix.size
     scaled = [[0] * n for _ in range(n)]
-    for b, targets in enumerate(matrix.table):
-        for value, a in zip(matrix.weights, targets):
-            scaled[a][b] += value
+    for b, column in enumerate(matrix.numerators):
+        for a, value in column:
+            scaled[a][b] = value
     integer_coeffs = _charpoly_int(scaled)
-    return tuple(
-        Fraction(integer_coeffs[k], matrix.denominator ** k) for k in range(n + 1)
-    )
+    d = matrix.measure.denominator
+    return tuple(Fraction(integer_coeffs[k], d ** k) for k in range(n + 1))
 
 
 def poly_from_eigenvalues(value_mult: Mapping[Fraction, int]) -> tuple[Fraction, ...]:
@@ -402,40 +382,34 @@ def stationary_distribution(system: CoxeterSystem, measure: ProbabilityMeasure) 
     of the prefix so far; full support keeps every denominator positive.
     With the measure as integers a_i over the lcm D of its denominators, a
     step multiplies the numerator by a_letter and the denominator by D minus
-    the blocked a_i, so each word costs one ``Fraction``.  The words come in
-    lexicographic order, and each one reuses the partial products of the
-    prefix it shares with the word before it.
+    the blocked a_i, so each word costs one ``Fraction``.  The words are
+    the maximal chains of the right weak order, walked from the identity
+    on a stack that takes each element's ascents in decreasing order, so
+    they come out in lexicographic order.
     """
     if measure.support != frozenset(system.index_set):
         raise ValueError("measure must have full support on the generators")
-    total, numerators = _over_common_denominator(p for _, p in measure.weights)
-    weight = dict(zip(measure.index_set, numerators))
-    free: dict = {}  # prefix -> D minus the weight of its right descents
-
-    def free_weight(prefix) -> int:
-        if prefix not in free:
-            blocked = sum(weight[i] for i in system.right_descents(prefix))
-            if blocked >= total:
-                raise ArithmeticError("descent measure must stay below one off the top")
-            free[prefix] = total - blocked
-        return free[prefix]
-
+    weight = dict(zip(measure.index_set, measure.numerators))
+    generators = sorted(system.index_set, reverse=True)
+    steps: dict = {}  # element -> (D minus its descents' weight, its (i, element s_i))
     out: dict[Word, Fraction] = {}
-    prefixes = [system.identity]  # prefixes[k]: product of the first k letters
-    tops = [1]  # tops[k] / bottoms[k]: the partial product over those k letters
-    bottoms = [1]
-    previous: Word = ()
-    for word in system.reduced_words(system.longest_element):
-        shared = 0
-        while shared < len(previous) and previous[shared] == word[shared]:
-            shared += 1
-        del prefixes[shared + 1:], tops[shared + 1:], bottoms[shared + 1:]
-        for letter in word[shared:]:
-            tops.append(tops[-1] * weight[letter])
-            bottoms.append(bottoms[-1] * free_weight(prefixes[-1]))
-            prefixes.append(system.right_multiplied(prefixes[-1], letter))
-        out[word] = Fraction(tops[-1], bottoms[-1])
-        previous = word
+    stack = [(system.identity, (), 1, 1)]  # (element, word, numerator, denominator)
+    while stack:
+        element, word, top, bottom = stack.pop()
+        step = steps.get(element)
+        if step is None:
+            descents = system.right_descents(element)
+            blocked = sum(weight[i] for i in descents)
+            ascents = tuple((i, system.right_multiplied(element, i)) for i in generators if i not in descents)
+            if ascents and blocked >= measure.denominator:
+                raise ArithmeticError("descent measure must stay below one off the top")
+            step = steps[element] = (measure.denominator - blocked, ascents)
+        free, ascents = step
+        if not ascents:
+            out[word] = Fraction(top, bottom)
+        bottom *= free
+        for i, above in ascents:
+            stack.append((above, word + (i,), top * weight[i], bottom))
     common, scaled = _over_common_denominator(out.values())
     if sum(scaled) != common:
         raise ArithmeticError("closed-form stationary weights do not sum to one")
@@ -661,4 +635,4 @@ def promotion_chain(poset: NaturalPoset, measure: ProbabilityMeasure) -> Transit
         [position[promotion_by_label(poset, state, label)] for label in labels]
         for state in states
     ]
-    return _transition_matrix(states, measure, table)
+    return TransitionMatrix(states, measure, table)

@@ -250,6 +250,15 @@ def test_eg_insert_json(capsys):
     assert data["reading_word"] == [3, 1, 2, 3]
 
 
+def test_eg_insert_one_large_letter_is_linear(capsys):
+    # S_20001: reducedness is read off the word, not from an inversion count
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "eg", "insert", "--factors", "(20000,)")
+    assert time.perf_counter() - started < 2
+    assert code == 0
+    assert out.splitlines()[0] == "P: 20000"
+
+
 @pytest.mark.parametrize("blocks", ["(a)", "(-1)", "(-1,)", "(1a)"])
 def test_eg_insert_rejects_malformed_blocks(capsys, blocks):
     code, out, err = run_cli(capsys, "eg", "insert", "--factors", blocks)
@@ -480,6 +489,52 @@ def test_verify_full_suite_rank_4(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+# Every check `verify --suite all --max-rank 4` runs, in order: a renamed,
+# dropped or added check changes this list on purpose.
+VERIFY_RANK_4_CHECKS = [
+    "S2-generator-relations", "S2-reduced-words-vs-hooks", "S2-reduced-words-evaluate",
+    "S2-exchange-totality", "S2-parabolic-involutions", "S3-generator-relations",
+    "S3-reduced-words-vs-hooks", "S3-reduced-words-evaluate", "S3-exchange-totality",
+    "S3-parabolic-involutions", "S4-generator-relations", "S4-reduced-words-vs-hooks",
+    "S4-reduced-words-evaluate", "S4-exchange-totality", "S4-parabolic-involutions",
+    "hypercube-commutation", "dihedral-relation", "S2-crystal-e-f-inverse",
+    "S2-crystal-weight-steps", "S2-crystal-string-lengths", "S2-crystal-targets-preserved",
+    "S2-highest-weights-are-partitions", "S3-crystal-e-f-inverse",
+    "S3-crystal-weight-steps", "S3-crystal-string-lengths", "S3-crystal-targets-preserved",
+    "S3-highest-weights-are-partitions", "S4-crystal-e-f-inverse",
+    "S4-crystal-weight-steps", "S4-crystal-string-lengths", "S4-crystal-targets-preserved",
+    "S4-highest-weights-are-partitions", "S4-stembridge-local-axioms",
+    "hook-formula-vs-enumeration", "tableau-crystal-closure-is-all-ssyt",
+    "tableau-crystal-axioms", "S4-schur-three-way-agreement",
+    "S4-squarefree-counts-reduced-words", "S4-schur-positivity",
+    "S4-dominance-interval-support", "S4-omega-duality", "S4-skew-by-s1",
+    "S4-EG-intertwining", "S4-CK-crystal-component-bijection", "S4-same-P-iff-CK",
+    "S4-CK-edge-operator-identity", "S4-P-Q-shapes-agree", "S4-highest-weight-Q-yamanouchi",
+    "SymmetricGroup(3)-column-stochastic", "SymmetricGroup(3)-strongly-connected",
+    "SymmetricGroup(3)-charpoly-factorization", "SymmetricGroup(3)-stationary-closed-form",
+    "SymmetricGroup(3)-multiplicities-account", "SymmetricGroup(4)-column-stochastic",
+    "SymmetricGroup(4)-strongly-connected", "SymmetricGroup(4)-charpoly-factorization",
+    "SymmetricGroup(4)-stationary-closed-form", "SymmetricGroup(4)-multiplicities-account",
+    "Hypercube(3)-column-stochastic", "Hypercube(3)-strongly-connected",
+    "Hypercube(3)-charpoly-factorization", "Hypercube(3)-stationary-closed-form",
+    "Hypercube(3)-multiplicities-account", "Dihedral(4)-column-stochastic",
+    "Dihedral(4)-strongly-connected", "Dihedral(4)-charpoly-factorization",
+    "Dihedral(4)-stationary-closed-form", "Dihedral(4)-multiplicities-account",
+    "promotion-on-antichain-is-tsetlin", "promotion-v-poset-stationary",
+    "monte-carlo-tv-below-0.02",
+]
+
+
+def test_verify_rank_4_runs_the_pinned_checks(capsys, monkeypatch):
+    monkeypatch.delenv("REDWORDS_MAX_RANK", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-rank", "4", "--json")
+    assert code == 0
+    reports = json.loads(out)
+    assert len(VERIFY_RANK_4_CHECKS) == 71
+    assert [r["name"] for r in reports] == VERIFY_RANK_4_CHECKS
+    assert all(r["passed"] is True for r in reports)
 
 
 def test_verify_env_var_caps_rank(capsys, monkeypatch):

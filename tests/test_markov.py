@@ -60,6 +60,21 @@ def test_measure_validation():
     assert uniform.support == frozenset({1, 2, 3})
 
 
+def test_measure_integer_form_is_the_lcm_and_the_scaled_weights():
+    measure = ProbabilityMeasure.from_mapping({1: F(1, 4), 2: F(1, 6), 3: F(7, 12)})
+    assert measure.denominator == 12
+    assert measure.numerators == (3, 2, 7)
+    assert ProbabilityMeasure.from_mapping({1: F(1), 2: F(0)}).numerators == (1, 0)
+    # the integer form is derived, so equality, hashing and repr ignore it
+    same = ProbabilityMeasure(measure.weights)
+    assert same == measure and hash(same) == hash(measure)
+    assert repr(measure) == f"ProbabilityMeasure(weights={measure.weights!r})"
+    with pytest.raises(ValueError, match=r"^weights sum to 5/6, not 1$"):
+        ProbabilityMeasure.from_mapping({1: F(1, 2), 2: F(1, 3)})
+    with pytest.raises(ValueError, match=r"^weights sum to 0, not 1$"):
+        ProbabilityMeasure(())
+
+
 def test_measure_support_detects_zeros():
     m = ProbabilityMeasure.from_mapping({1: F(1), 2: F(0)})
     assert m.support == frozenset({1})
@@ -222,6 +237,13 @@ def test_stationary_one_state_chain():
     }
 
 
+def test_stationary_leaves_the_reduced_word_memo_empty():
+    for system in (SymmetricGroup(4), Hypercube(3), Dihedral(5)):
+        pi = stationary_distribution(system, ProbabilityMeasure.random_rational(system.index_set, 3))
+        assert len(pi) == system.reduced_word_count(system.longest_element)
+        assert system.memo_sizes()["reduced_words"] == 0
+
+
 def _reference_stationary(system, measure):
     """The closed-form stationary law in Fraction arithmetic, one prefix
     product per word, as the library computed it before it moved to
@@ -340,9 +362,8 @@ def test_sparse_apply_matches_dense_product():
             sum((row[b] * vector[b] for b in range(matrix.size)), F(0)) for row in entries
         )
         assert matrix.apply(vector) == dense
-        assert matrix.column_sums() == tuple(sum(column, F(0)) for column in zip(*entries))
-        for column in matrix.columns:
-            assert all(p for _, p in column) and list(column) == sorted(column)
+        for column in matrix.numerators:
+            assert all(n for _, n in column) and list(column) == sorted(column)
 
 
 def _random_natural_poset(n, rng):
@@ -357,18 +378,20 @@ def test_integer_columns_agree_with_dense_entries_on_promotion_chains():
     posets += [_random_natural_poset(n, rng) for n in (3, 4, 4, 5)]
     for k, poset in enumerate(posets):
         labels = range(1, poset.n + 1)
-        matrix = promotion_chain(poset, ProbabilityMeasure.random_rational(labels, k))
+        measure = ProbabilityMeasure.random_rational(labels, k)
+        matrix = promotion_chain(poset, measure)
         entries = matrix.entries
         sums = tuple(sum(column, F(0)) for column in zip(*entries))
-        assert matrix.column_sums() == sums
         assert matrix.is_column_stochastic() == all(total == 1 for total in sums)
         assert matrix.is_column_stochastic()
-        assert matrix.columns == tuple(
-            tuple((a, p) for a, p in enumerate(column) if p) for column in zip(*entries)
+        d = measure.denominator
+        assert matrix.numerators == tuple(
+            tuple((a, p * d) for a, p in enumerate(column) if p) for column in zip(*entries)
         )
-        for column, integers in zip(matrix.columns, matrix.numerators):
-            assert [a for a, _ in column] == [a for a, _ in integers]
-            assert all(p == F(n, matrix.denominator) and n > 0 for (_, p), (_, n) in zip(column, integers))
+        _, columns, _ = _reference_chain(
+            matrix.states, measure, lambda label, state: promotion_by_label(poset, state, label)
+        )
+        assert matrix.numerators == columns
 
 
 def _reference_chain(states, measure, move):
@@ -437,11 +460,8 @@ def test_views_checks_and_products_match_the_reference_columns():
     assert [matrix.size for matrix, _, _ in chains] == [2, 16, 768, 6, 24, 2, 2, 1, 2, 2]
     for matrix, (denominator, columns, labels), pi in chains:
         size = matrix.size
-        assert matrix.denominator == denominator
+        assert matrix.measure.denominator == denominator
         assert matrix.numerators == columns
-        assert matrix.columns == tuple(
-            tuple((a, F(n, denominator)) for a, n in column) for column in columns
-        )
         dense = [[F(0)] * size for _ in range(size)]
         for b, column in enumerate(columns):
             for a, n in column:
@@ -449,7 +469,6 @@ def test_views_checks_and_products_match_the_reference_columns():
         assert matrix.entries == tuple(map(tuple, dense))
         assert matrix.labels == labels
         sums = tuple(F(sum(n for _, n in column), denominator) for column in columns)
-        assert matrix.column_sums() == sums
         assert matrix.is_column_stochastic() == all(total == 1 for total in sums)
         assert matrix.is_strongly_connected() == _reference_strongly_connected(columns)
 
@@ -481,12 +500,9 @@ def test_views_checks_and_products_match_the_reference_columns():
 
 def test_column_stochastic_fails_on_a_short_column(s3):
     matrix = build_chain(s3, ProbabilityMeasure.uniform(s3.index_set))
-    short = TransitionMatrix(
-        matrix.states, matrix.choices, matrix.denominator, matrix.weights,
-        (matrix.table[0][:1], matrix.table[1]),
-    )
+    short = TransitionMatrix(matrix.states, matrix.measure, (matrix.table[0][:1], matrix.table[1]))
     assert not short.is_column_stochastic()
-    assert short.column_sums() == (F(1, 2), F(1))
+    assert short.numerators == (((0, 1),), ((0, 1), (1, 1)))
 
 
 def test_kernel_table_is_the_exchange_map():
