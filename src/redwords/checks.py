@@ -3,13 +3,12 @@
 Every theorem the library implements is restated here as a CheckReport
 producer; the CLI prints one line per report and exits nonzero on any
 failure.  The same functions back the acceptance test suite.  Enumeration
-scope is capped by ``max_rank`` (the n of the largest symmetric group
-visited), further clamped by the REDWORDS_MAX_RANK environment variable.
+scope is capped by ``max_rank``, the n of the largest symmetric group
+visited, as given.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 
@@ -21,14 +20,6 @@ from .partitions import hook_length_count, staircase
 from .reports import CheckReport
 from .symfunc import support_interval as expansion_interval
 from .tableaux import generate_ssyt_with_content, tableau_crystal, yamanouchi_tableau
-
-MAX_RANK_ENV = "REDWORDS_MAX_RANK"
-
-
-def effective_max_rank(requested: int) -> int:
-    cap = os.environ.get(MAX_RANK_ENV)
-    return min(requested, int(cap)) if cap else requested
-
 
 def _ranks(max_rank: int) -> range:
     return range(2, max(2, max_rank) + 1)
@@ -249,7 +240,7 @@ def stanley_checks(max_rank: int) -> list[CheckReport]:
     out.append(CheckReport(f"S{n}-dominance-interval-support", interval))
     out.append(CheckReport(f"S{n}-omega-duality", duality))
     out.append(CheckReport(f"S{n}-skew-by-s1", skew))
-    if effective_max_rank(max_rank) >= 5:
+    if max_rank >= 5:
         s5 = SymmetricGroup(5)
         rng = random.Random(20240517)
         sample = rng.sample(s5.elements(), 20)
@@ -317,7 +308,7 @@ def markov_checks(max_rank: int) -> list[CheckReport]:
                 stochastic = False
             if not matrix.is_strongly_connected():
                 connected = False
-            if not markov.charpoly_matches_spectrum(system, measure, matrix):
+            if not markov.charpoly_matches_spectrum(system, measure):
                 charmatch = False
             lines = markov.spectrum(system, measure)
             if sum(line.multiplicity for line in lines) != matrix.size:
@@ -383,7 +374,6 @@ SUITES = {
 
 
 def run_suite(suite: str = "all", max_rank: int = 4) -> list[CheckReport]:
-    max_rank = effective_max_rank(max_rank)
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:

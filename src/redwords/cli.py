@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import checks, markov, stanley
 from .coxeter import CoxeterSystem, Dihedral, Hypercube, SymmetricGroup, format_word, parse_word
-from .crystal import factorization_crystal, parse_blocks, parse_factorization
+from .crystal import default_num_factors, factorization_crystal, parse_blocks, parse_factorization
 from .edelman_greene import ck_graph, eg_insert, p_transpose_reading_word
 from .partitions import check_partition, hook_content_count, hook_length_count
 from .tableaux import tableau_crystal
@@ -26,8 +26,8 @@ _FRACTION = re.compile(r"^-?\d+(/\d+)?$")
 # the dense matrix and its exact characteristic polynomial, which is O(n^4).
 MAX_REPORT_STATES = 64
 
-# Largest tableau crystal that `tableaux crystal` builds, in any mode: every
-# mode lists each semistandard tableau, at a few KB apiece.
+# Largest crystal that `tableaux crystal` and `crystal graph` build, in any
+# mode: every mode lists each tableau or factorization, at a few KB apiece.
 MAX_CRYSTAL_VERTICES = 20_000
 
 
@@ -46,14 +46,6 @@ def build_system(kind: str, rank: int) -> CoxeterSystem:
     if kind == "dihedral":
         return Dihedral(rank)
     raise InputError(f"unknown system type {kind!r}")
-
-
-def type_a_system(kind: str, rank: int) -> SymmetricGroup:
-    """The system for a command whose layer is built for the symmetric group."""
-    system = build_system(kind, rank)
-    if not isinstance(system, SymmetricGroup):
-        raise InputError(f"this command needs type A (the symmetric group), not {kind!r}")
-    return system
 
 
 def parse_element(system: CoxeterSystem, text: str):
@@ -93,12 +85,8 @@ def parse_shape(text: str):
         raise InputError(str(err)) from None
 
 
-def measure_for(system_or_labels, probs: list[Fraction]) -> markov.ProbabilityMeasure:
-    labels = (
-        system_or_labels.index_set
-        if isinstance(system_or_labels, CoxeterSystem)
-        else tuple(system_or_labels)
-    )
+def measure_for(labels, probs: list[Fraction]) -> markov.ProbabilityMeasure:
+    labels = tuple(labels)
     if len(probs) != len(labels):
         raise InputError(
             f"expected {len(labels)} probabilities for {labels}, got {len(probs)}"
@@ -132,7 +120,7 @@ def cmd_red_words(args) -> int:
 
 
 def cmd_stanley(args) -> int:
-    system = type_a_system(args.type, args.rank)
+    system = build_system("A", args.rank)
     element = parse_element(system, args.element)
     if args.basis == "monomial":
         expansion = stanley.stanley_monomial(system, element)
@@ -146,9 +134,15 @@ def cmd_stanley(args) -> int:
 
 
 def cmd_crystal_graph(args) -> int:
-    system = type_a_system(args.type, args.rank)
+    system = build_system("A", args.rank)
     element = parse_element(system, args.element)
-    graph = factorization_crystal(system, element, args.factors)
+    blocks = default_num_factors(system, element) if args.factors is None else args.factors
+    _refuse_above(
+        stanley.factorization_count(system, element, blocks), MAX_CRYSTAL_VERTICES,
+        f"the crystal of {args.element} on {blocks} blocks", "vertices", "crystal graph",
+        " (--factors sets the block count)",
+    )
+    graph = factorization_crystal(system, element, blocks)
     if args.dot:
         print(graph.to_dot("crystal"), end="")
         return 0
@@ -232,7 +226,7 @@ def cmd_eg_insert(args) -> int:
 
 
 def cmd_eg_ck_graph(args) -> int:
-    system = type_a_system(args.type, args.rank)
+    system = build_system("A", args.rank)
     element = parse_element(system, args.element)
     graph = ck_graph(system, element)
     if args.dot:
@@ -318,7 +312,7 @@ def _walk_command(args, name: str, what: str, count, build, measure, system=None
 
 def cmd_markov_exchange(args) -> int:
     system = build_system(args.type, args.rank)
-    measure = measure_for(system, parse_probs(args.probs))
+    measure = measure_for(system.index_set, parse_probs(args.probs))
     return _walk_command(
         args, "exchange", f"the walk of {system!r}",
         lambda: system.reduced_word_count(system.longest_element),
@@ -374,6 +368,11 @@ def _add_system_args(parser):
     )
 
 
+def _add_symmetric_group_args(parser):
+    parser.add_argument("--rank", type=int, required=True, help="n of S_n")
+    parser.add_argument("--element", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redwords",
@@ -393,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_red_words)
 
     p = sub.add_parser("stanley", help="expand a Stanley symmetric function")
-    _add_system_args(p)
-    p.add_argument("--element", required=True)
+    _add_symmetric_group_args(p)
     p.add_argument("--basis", choices=("monomial", "schur"), default="schur")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stanley)
@@ -402,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crystal", help="crystal graphs")
     crystal_sub = p.add_subparsers(dest="subcommand", required=True)
     g = crystal_sub.add_parser("graph", help="crystal on decreasing factorizations")
-    _add_system_args(g)
-    g.add_argument("--element", required=True)
+    _add_symmetric_group_args(g)
     g.add_argument("--factors", type=int, default=None)
     g.add_argument("--dot", action="store_true")
     g.add_argument("--json", action="store_true")
@@ -429,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--json", action="store_true")
     i.set_defaults(func=cmd_eg_insert)
     k = eg_sub.add_parser("ck-graph", help="Coxeter-Knuth graph of an element")
-    _add_system_args(k)
-    k.add_argument("--element", required=True)
+    _add_symmetric_group_args(k)
     k.add_argument("--dot", action="store_true")
     k.add_argument("--json", action="store_true")
     k.set_defaults(func=cmd_eg_ck_graph)

@@ -19,7 +19,6 @@ construction apart from internal memo tables, so values can be shared freely.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 Word = tuple[int, ...]
@@ -60,25 +59,10 @@ def parse_word(text: str) -> Word:
     return tuple(int(token) for token in tokens)
 
 
-@dataclass(frozen=True, eq=False)
-class ExchangeKernel:
-    """The exchange walk's moves, tabulated once per system.
-
-    ``states`` are the reduced words of the longest element in lexicographic
-    order, ``index`` maps each word to its position, and
-    ``next[k][g]`` is the position of ``exchange(generators[g], states[k])``.
-    """
-
-    states: tuple[Word, ...]
-    index: dict
-    generators: tuple[int, ...]
-    next: tuple[tuple[int, ...], ...]
-
-
 class CoxeterSystem:
     """Shared reduced-word machinery on top of per-system group primitives."""
 
-    index_set: tuple[int, ...]
+    index_set: tuple[int, ...]  # ascending
     identity: object
 
     def __init__(self, index_set: tuple[int, ...], identity) -> None:
@@ -94,8 +78,8 @@ class CoxeterSystem:
         # element -> its Schur expansion by highest weights
         # (see stanley.schur_expansion)
         self._schur_cache: dict = {}
-        # the exchange walk's move table (see exchange_kernel)
-        self._exchange_kernel: ExchangeKernel | None = None
+        # the exchange walk's states and move table (see exchange_kernel)
+        self._exchange_kernel: tuple | None = None
         self._w0 = None
 
     def memo_sizes(self) -> dict[str, int]:
@@ -113,7 +97,7 @@ class CoxeterSystem:
             "peel_tables": len(self._peel_table),
             "weight_counts": len(self._weight_count_cache),
             "schur_expansions": len(self._schur_cache),
-            "exchange_states": 0 if kernel is None else len(kernel.states),
+            "exchange_states": 0 if kernel is None else len(kernel[0]),
         }
 
     # ------------------------------------------------------------------
@@ -279,18 +263,21 @@ class CoxeterSystem:
         deleted = next(self._deletion_walk((word,), (i,)))[i]
         return (i,) + word[:deleted] + word[deleted + 1:]
 
-    def exchange_kernel(self) -> ExchangeKernel:
-        """The exchange table over the reduced words of the longest element,
-        built by one :meth:`_deletion_walk` over all of them, and kept."""
+    def exchange_kernel(self) -> tuple[tuple[Word, ...], tuple[tuple[int, ...], ...]]:
+        """The exchange walk's moves, tabulated once per system: the pair
+        ``(states, table)`` of the reduced words of the longest element in
+        lexicographic order, and the rows ``table[k]``, where ``table[k][g]``
+        is the position of the exchange image of ``states[k]`` under
+        ``index_set[g]``.  One :meth:`_deletion_walk` over all the words
+        builds it."""
         if self._exchange_kernel is None:
             states = tuple(sorted(self.reduced_words(self.longest_element)))
             index = {state: k for k, state in enumerate(states)}
-            generators = tuple(sorted(self.index_set))
             table = tuple(
                 tuple(index[(i,) + word[:d] + word[d + 1:]] for i, d in where.items())
-                for word, where in zip(states, self._deletion_walk(states, generators))
+                for word, where in zip(states, self._deletion_walk(states, self.index_set))
             )
-            self._exchange_kernel = ExchangeKernel(states, index, generators, table)
+            self._exchange_kernel = states, table
         return self._exchange_kernel
 
     def _deletion_walk(self, words, generators):

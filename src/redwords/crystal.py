@@ -606,16 +606,17 @@ def stembridge_violations(graph: CrystalGraph) -> list[str]:
                     if graph.e(yi, j) != graph.e(yj, i) or graph.e(yi, j) is None:
                         bad.append(f"square closure fails for colours {i},{j} at {x}")
                 if di == 1 and dj == 1:
-                    a = _apply_chain(graph, x, [(i, "e"), (j, "e"), (j, "e"), (i, "e")])
-                    b = _apply_chain(graph, x, [(j, "e"), (i, "e"), (i, "e"), (j, "e")])
+                    a = _apply_chain(graph, x, (i, j, j, i))
+                    b = _apply_chain(graph, x, (j, i, i, j))
                     if a is None or a != b:
                         bad.append(f"double-string closure fails for colours {i},{j} at {x}")
     return bad
 
 
-def _apply_chain(graph: CrystalGraph, x, steps):
-    for i, kind in steps:
-        x = graph.e(x, i) if kind == "e" else graph.f(x, i)
+def _apply_chain(graph: CrystalGraph, x, colours):
+    """Raise ``x`` by e_i for each colour i in turn; None once one is undefined."""
+    for i in colours:
+        x = graph.e(x, i)
         if x is None:
             return None
     return x

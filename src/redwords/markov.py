@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -217,14 +218,14 @@ class TransitionMatrix:
 def build_chain(system: CoxeterSystem, measure: ProbabilityMeasure) -> TransitionMatrix:
     """Exchange walk transition matrix over the reduced words of the longest
     element.  The measure must have full support for ergodicity."""
-    kernel = system.exchange_kernel()
-    if measure.index_set != kernel.generators:
+    if measure.index_set != system.index_set:
         raise ValueError(
-            f"measure is on {measure.index_set}, system needs {kernel.generators}"
+            f"measure is on {measure.index_set}, system needs {system.index_set}"
         )
-    if measure.support != frozenset(kernel.generators):
+    if measure.support != frozenset(system.index_set):
         raise ValueError("measure must have full support on the generators")
-    return TransitionMatrix(kernel.states, measure, kernel.next)
+    states, table = system.exchange_kernel()
+    return TransitionMatrix(states, measure, table)
 
 
 def _over_common_denominator(values: Iterable) -> tuple[int, list[int]]:
@@ -359,13 +360,10 @@ def eigenvalue_multiplicity_in_charpoly(
     return mult
 
 
-def charpoly_matches_spectrum(system: CoxeterSystem, measure: ProbabilityMeasure,
-                              matrix: TransitionMatrix | None = None) -> bool:
+def charpoly_matches_spectrum(system: CoxeterSystem, measure: ProbabilityMeasure) -> bool:
     """Exact equality of the characteristic polynomial with the closed-form
     factorization, collisions between subsets merged first."""
-    if matrix is None:
-        matrix = build_chain(system, measure)
-    return charpoly(matrix) == poly_from_eigenvalues(
+    return charpoly(build_chain(system, measure)) == poly_from_eigenvalues(
         eigenvalues_by_value(spectrum(system, measure))
     )
 
@@ -463,32 +461,28 @@ def simulate(
 ) -> dict[Word, Fraction]:
     """Empirical occupation frequencies of a seeded trajectory.
 
-    The state at every time 0..steps is counted, so zero steps give a point
-    mass at the start state; identical seeds give identical trajectories.
+    The walk follows the table of :func:`build_chain`, so the measure must
+    have full support on the generators.  The state at every time 0..steps
+    is counted, so zero steps give a point mass at the start state, which
+    defaults to the first word; identical seeds give identical trajectories.
     """
-    kernel = system.exchange_kernel()
-    if start is None:
-        start = kernel.states[0]
-    if start not in kernel.index:
-        raise ValueError(f"{start} is not a reduced word of the longest element")
-    column = {i: g for g, i in enumerate(kernel.generators)}
-    for i, _ in measure.weights:
-        if i not in column:
-            raise ValueError(f"measure index {i} is not a generator of {system!r}")
+    matrix = build_chain(system, measure)
+    states, table = matrix.states, matrix.table
+    current = 0
+    if start is not None:
+        current = bisect_left(states, start)
+        if current == len(states) or states[current] != start:
+            raise ValueError(f"{start} is not a reduced word of the longest element")
     rng = random.Random(seed)
-    indices = [column[i] for i, _ in measure.weights]
     weights = [float(p) for _, p in measure.weights]
-    table = kernel.next
-    counts = [0] * len(kernel.states)
-    current = kernel.index[start]
+    columns = list(range(len(weights)))  # a list draws faster than a range
+    counts = [0] * len(states)
     counts[current] = 1
-    for g in rng.choices(indices, weights=weights, k=steps):
+    for g in rng.choices(columns, weights=weights, k=steps):
         current = table[current][g]
         counts[current] += 1
     total = steps + 1
-    return {
-        state: Fraction(c, total) for state, c in zip(kernel.states, counts) if c
-    }
+    return {state: Fraction(c, total) for state, c in zip(states, counts) if c}
 
 
 def total_variation(p: Mapping, q: Mapping) -> Fraction:

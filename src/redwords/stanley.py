@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .coxeter import CoxeterSystem
 from .crystal import highest_weight_factorizations, weight_vector_count
-from .partitions import Partition, conjugate, partitions_of
+from .partitions import Partition, conjugate, hook_content_count, partitions_of
 from .reports import CheckReport
 from .symfunc import SymFuncExpansion, omega, s1_perp
 from .symfunc import support_interval as expansion_support_interval
@@ -57,6 +57,18 @@ def schur_expansion(system: CoxeterSystem, w) -> SymFuncExpansion:
             terms[shape] = terms.get(shape, 0) + 1
         expansion = system._schur_cache[w] = SymFuncExpansion.from_dict("schur", terms)
     return expansion
+
+
+def factorization_count(system: CoxeterSystem, w, num_factors: int) -> int:
+    """Number of decreasing factorizations of ``w`` into ``num_factors``
+    blocks, the vertices of its crystal, without listing them: F_w at
+    ``num_factors`` ones, the sum over its Schur terms of the coefficient
+    times the semistandard fillings of the shape with entries
+    1..``num_factors``."""
+    return sum(
+        coeff * hook_content_count(shape, num_factors)
+        for shape, coeff in schur_expansion(system, w).terms
+    )
 
 
 def schur_expansion_via_eg(system: CoxeterSystem, w) -> SymFuncExpansion:

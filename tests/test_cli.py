@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from redwords.cli import main, parse_element, parse_probs, build_system
+from redwords.cli import build_parser, build_system, main, parse_element, parse_probs
 from redwords.cli import InputError
 from redwords.symfunc import SymFuncExpansion
 
@@ -135,14 +136,14 @@ def test_red_words_json_roundtrip(capsys):
 
 
 def test_stanley_schur_pinned(capsys):
-    code, out, _ = run_cli(capsys, "stanley", "--type", "A", "--rank", "3",
+    code, out, _ = run_cli(capsys, "stanley", "--rank", "3",
                            "--element", "w0", "--basis", "schur")
     assert code == 0
     assert out.strip() == "s[2,1]"
 
 
 def test_stanley_monomial_pinned(capsys):
-    code, out, _ = run_cli(capsys, "stanley", "--type", "A", "--rank", "3",
+    code, out, _ = run_cli(capsys, "stanley", "--rank", "3",
                            "--element", "w0", "--basis", "monomial")
     assert code == 0
     assert out.strip() == "2*m[1,1,1] + m[2,1]"
@@ -165,7 +166,7 @@ def test_stanley_and_eg_insert_take_no_block_count_rank_or_type(argv):
 
 
 def test_stanley_json_roundtrip(capsys):
-    code, out, _ = run_cli(capsys, "stanley", "--type", "A", "--rank", "4",
+    code, out, _ = run_cli(capsys, "stanley", "--rank", "4",
                            "--element", "1232", "--basis", "schur", "--json")
     assert code == 0
     parsed = SymFuncExpansion.from_json_dict(json.loads(out))
@@ -173,7 +174,7 @@ def test_stanley_json_roundtrip(capsys):
 
 
 def test_crystal_graph_dot(capsys):
-    code, out, _ = run_cli(capsys, "crystal", "graph", "--type", "A", "--rank", "3",
+    code, out, _ = run_cli(capsys, "crystal", "graph", "--rank", "3",
                            "--element", "w0", "--factors", "3", "--dot")
     assert code == 0
     assert_valid_dot(out)
@@ -182,7 +183,7 @@ def test_crystal_graph_dot(capsys):
 
 
 def test_crystal_graph_json(capsys):
-    code, out, _ = run_cli(capsys, "crystal", "graph", "--type", "A", "--rank", "3",
+    code, out, _ = run_cli(capsys, "crystal", "graph", "--rank", "3",
                            "--element", "w0", "--factors", "3", "--json")
     data = json.loads(out)
     assert code == 0
@@ -190,6 +191,20 @@ def test_crystal_graph_json(capsys):
     assert len(data["edges"]) == 8
     assert data["components"] == 1
     assert data["highest_weights"][0]["weight"] == [2, 1, 0]
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--dot"]])
+def test_crystal_graph_refuses_before_listing(capsys, mode):
+    # the w0 of S5 has 1,812,096 factorizations into its default 10 blocks,
+    # counted from its Schur expansion and refused in every mode
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "crystal", "graph", "--rank", "5", "--element", "w0", *mode)
+    assert time.perf_counter() - started < 2
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the crystal of w0 on 10 blocks has 1812096 vertices; crystal graph stops "
+        "at 20000 (--factors sets the block count)\n"
+    )
 
 
 def test_tableaux_count(capsys):
@@ -293,20 +308,25 @@ def test_out_of_range_letters_are_input_errors(capsys, argv):
     ("eg", "ck-graph", "--type", "dihedral", "--rank", "4", "--element", "w0"),
     ("eg", "ck-graph", "--type", "hypercube", "--rank", "3", "--element", "w0"),
 ])
-def test_type_a_only_commands_reject_other_types(capsys, argv):
-    # main() runs in-process, so an uncaught exception would fail the test
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == "" and "needs type A" in err and "Traceback" not in err
+def test_type_a_only_commands_reject_other_types(argv):
+    # these commands work in S_n and take no --type: argparse rejects it as
+    # a usage error
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+    assert exit_.value.code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("usage: ") and "Traceback" not in err.getvalue()
+    assert "unrecognized arguments: --type" in err.getvalue()
 
 
 def test_eg_ck_graph(capsys):
-    code, out, _ = run_cli(capsys, "eg", "ck-graph", "--type", "A", "--rank", "3",
+    code, out, _ = run_cli(capsys, "eg", "ck-graph", "--rank", "3",
                            "--element", "w0", "--json")
     data = json.loads(out)
     assert code == 0
     assert data["components"] == [["121", "212"]]
-    code, out, _ = run_cli(capsys, "eg", "ck-graph", "--type", "A", "--rank", "4",
+    code, out, _ = run_cli(capsys, "eg", "ck-graph", "--rank", "4",
                            "--element", "121", "--dot")
     assert code == 0
     assert_valid_dot(out)
@@ -537,11 +557,50 @@ def test_verify_rank_4_runs_the_pinned_checks(capsys, monkeypatch):
     assert all(r["passed"] is True for r in reports)
 
 
-def test_verify_env_var_caps_rank(capsys, monkeypatch):
+def test_verify_max_rank_ignores_the_test_rank_variable(capsys, monkeypatch):
+    # REDWORDS_MAX_RANK gates the pytest suite alone; verify runs the ranks
+    # that --max-rank asks for
     monkeypatch.setenv("REDWORDS_MAX_RANK", "3")
-    code, out, _ = run_cli(capsys, "verify", "--suite", "coxeter", "--max-rank", "5")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "coxeter", "--max-rank", "4")
     assert code == 0
-    assert "S4" not in out and "S5" not in out
+    for check in ("generator-relations", "reduced-words-vs-hooks", "reduced-words-evaluate",
+                  "exchange-totality", "parabolic-involutions"):
+        assert f"PASS  S4-{check}" in out
+    assert "S5" not in out
+
+
+# every subcommand's options, one tuple of option strings per option: a
+# change to the command line shows here
+CLI_OPTIONS = {
+    "red-words": [("--type",), ("--rank",), ("--element",), ("--json",)],
+    "stanley": [("--rank",), ("--element",), ("--basis",), ("--json",)],
+    "crystal graph": [("--rank",), ("--element",), ("--factors",), ("--dot",), ("--json",)],
+    "tableaux count": [("--shape",), ("--json",)],
+    "tableaux crystal": [("--shape",), ("--entries",), ("--dot",), ("--json",)],
+    "eg insert": [("--factors",), ("--json",)],
+    "eg ck-graph": [("--rank",), ("--element",), ("--dot",), ("--json",)],
+    "markov exchange": [("--type",), ("--rank",), ("--probs",), ("--json", "--report"),
+                        ("--dot",)],
+    "markov promote": [("--poset",), ("--probs",), ("--json", "--report"), ("--dot",)],
+    "verify": [("--suite",), ("--max-rank",), ("--json",)],
+}
+
+
+def _parser_options(parser, path=()):
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_parser_options(sub, path + (name,)))
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            out.setdefault(" ".join(path), []).append(tuple(action.option_strings))
+    return out
+
+
+def test_cli_options_are_pinned():
+    options = _parser_options(build_parser())
+    assert options == CLI_OPTIONS
+    assert sum(len(opts) for opts in options.values()) == 37
 
 
 def test_verify_json(capsys):
@@ -554,7 +613,7 @@ def test_verify_json(capsys):
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
-        main(["stanley", "--type", "A", "--rank", "3"])  # missing --element
+        main(["stanley", "--rank", "3"])  # missing --element
     assert info.value.code == 2
 
 
@@ -605,9 +664,10 @@ def _argv(*parts):
 
 # small inputs, mostly well formed, with the malformed ones mixed in
 _RANKS = st.sampled_from(["2", "3", "3", "4", "4", "-1", "0", "1"])
+_RANK = _option("--rank", _RANKS)  # the type-A commands take no --type
 _SYSTEM = _argv(
     _option("--type", st.sampled_from(["A", "A", "A", "hypercube", "dihedral", "B"])),
-    _option("--rank", _RANKS),
+    _RANK,
 )
 _ELEMENT = _option("--element", st.one_of(
     st.sampled_from(["w0", "w0", "w0", "121", "1,2", "213", "10,", ",", "0", "9"]),
@@ -641,16 +701,16 @@ _POSETS = st.one_of(
 )
 _CASES = st.one_of(
     st.tuples(_argv(["red-words"], _SYSTEM, _ELEMENT, _flags("--json")), st.none()),
-    st.tuples(_argv(["stanley"], _SYSTEM, _ELEMENT, _flags("--json"),
+    st.tuples(_argv(["stanley"], _RANK, _ELEMENT, _flags("--json"),
                     _option("--basis", st.sampled_from(["schur", "monomial"]))), st.none()),
-    st.tuples(_argv(["crystal", "graph"], _SYSTEM, _ELEMENT, _FACTORS,
+    st.tuples(_argv(["crystal", "graph"], _RANK, _ELEMENT, _FACTORS,
                     _flags("--json", "--dot")), st.none()),
     st.tuples(_argv(["tableaux", "count"], _SHAPE, _flags("--json")), st.none()),
     st.tuples(_argv(["tableaux", "crystal"], _SHAPE,
                     _option("--entries", st.integers(-1, 4).map(str)),
                     _flags("--json", "--dot")), st.none()),
     st.tuples(_argv(["eg", "insert"], _BLOCKS, _flags("--json")), st.none()),
-    st.tuples(_argv(["eg", "ck-graph"], _SYSTEM, _ELEMENT, _flags("--json", "--dot")), st.none()),
+    st.tuples(_argv(["eg", "ck-graph"], _RANK, _ELEMENT, _flags("--json", "--dot")), st.none()),
     st.tuples(_argv(["markov", "exchange"], _SYSTEM, _PROBS,
                     _flags("--report", "--json", "--dot")), st.none()),
     st.tuples(_argv(["markov", "promote", "--poset", "POSET"], _PROBS,

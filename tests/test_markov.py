@@ -437,7 +437,8 @@ def _table_chains():
                    Hypercube(4), Dihedral(4), Dihedral(6)):
         measure = ProbabilityMeasure.random_rational(system.index_set, 7)
         matrix = build_chain(system, measure)
-        assert matrix.table is system.exchange_kernel().next
+        assert (matrix.states, matrix.table) == system.exchange_kernel()
+        assert matrix.table is system.exchange_kernel()[1]
         pi = stationary_distribution(system, measure)
         reference = _reference_chain(matrix.states, measure, system.exchange)
         out.append((matrix, reference, [pi[state] for state in matrix.states]))
@@ -511,12 +512,14 @@ def test_kernel_table_is_the_exchange_map():
     for system in systems:
         kernel = system.exchange_kernel()
         assert kernel is system.exchange_kernel()
+        states, table = kernel
         w0 = system.longest_element
-        assert kernel.states == tuple(sorted(system.reduced_words(w0)))
-        for k, state in enumerate(kernel.states):
-            assert kernel.index[state] == k
-            for g, i in enumerate(kernel.generators):
-                image = kernel.states[kernel.next[k][g]]
+        assert states == tuple(sorted(system.reduced_words(w0)))
+        assert len(set(states)) == len(states) == len(table)
+        for k, state in enumerate(states):
+            assert len(table[k]) == len(system.index_set)
+            for g, i in enumerate(system.index_set):
+                image = states[table[k][g]]
                 assert image == system.exchange(i, state)
                 # the strong exchange condition: the one deletion that keeps i + word at w0
                 spelled = [
@@ -562,6 +565,18 @@ def test_simulate_rejects_foreign_measure_and_start(s3):
         simulate(s3, ProbabilityMeasure.uniform((1, 2, 3)), 10, seed=1)
     with pytest.raises(ValueError):
         simulate(s3, ProbabilityMeasure.uniform((1, 2)), 10, seed=1, start=(1, 1, 1))
+
+
+@pytest.mark.parametrize("weights", [{1: F(1), 2: F(0)}, {1: F(1)}])
+def test_simulate_refuses_a_measure_that_build_chain_refuses(s3, weights):
+    # the sampler walks build_chain's table, so a zero or missing weight is
+    # refused with build_chain's message
+    measure = ProbabilityMeasure.from_mapping(weights)
+    with pytest.raises(ValueError) as chain_error:
+        build_chain(s3, measure)
+    with pytest.raises(ValueError) as walk_error:
+        simulate(s3, measure, 10, seed=1)
+    assert str(walk_error.value) == str(chain_error.value)
 
 
 def test_simulate_approaches_stationary(s3):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import requires_s6
 from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
 from redwords import stanley
-from redwords.crystal import decreasing_factorizations, highest_weight_factorizations
+from redwords.crystal import decreasing_factorizations, factorization_crystal, highest_weight_factorizations
 from redwords.partitions import conjugate, dominates, partitions_of, staircase
 from redwords.stanley import (
     omega_duality_check,
@@ -303,3 +303,11 @@ def test_routes_two_and_three_neither_fill_nor_read_the_table(monkeypatch):
         assert schur_expansion_via_eg(system, g) == expected
         assert schur_expansion_via_linear_algebra(system, g) == expected
     assert system.memo_sizes()["schur_expansions"] == filled == 24
+
+
+def test_factorization_count_is_the_crystal_size(s4):
+    # F_w at k ones counts the decreasing factorizations into k blocks
+    for g in s4.elements():
+        for k in range(1, 8):
+            graph = factorization_crystal(s4, g, k)
+            assert stanley.factorization_count(s4, g, k) == len(graph.vertices)
