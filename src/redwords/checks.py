@@ -2,7 +2,7 @@
 
 Every theorem the library implements is restated here as a CheckReport
 producer; the CLI prints one line per report and exits nonzero on any
-failure.  The same functions back the acceptance test suite.  Enumeration
+failure.  The test suite asserts each report by name.  Enumeration
 scope is capped by ``max_rank``, the n of the largest symmetric group
 visited, as given.
 """

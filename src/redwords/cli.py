@@ -26,9 +26,12 @@ _FRACTION = re.compile(r"^-?\d+(/\d+)?$")
 # the dense matrix and its exact characteristic polynomial, which is O(n^4).
 MAX_REPORT_STATES = 64
 
-# Largest crystal that `tableaux crystal` and `crystal graph` build, in any
-# mode: every mode lists each tableau or factorization, at a few KB apiece.
-MAX_CRYSTAL_VERTICES = 20_000
+# Largest graph that `tableaux crystal`, `crystal graph`, `eg ck-graph` and
+# the walks' `--dot` build: every mode lists each vertex, at up to a few KB.
+MAX_GRAPH_VERTICES = 20_000
+
+# Most reduced words that `red-words` lists (the w0 of S6 has 292,864).
+MAX_LISTED_WORDS = 1_000_000
 
 
 class InputError(ValueError):
@@ -107,6 +110,8 @@ def _element_json(system, element):
 def cmd_red_words(args) -> int:
     system = build_system(args.type, args.rank)
     element = parse_element(system, args.element)
+    _refuse_above(system.reduced_word_count(element), MAX_LISTED_WORDS, args.element,
+                  "reduced words", "red-words")
     words = system.reduced_words(element)
     if args.json:
         print(json.dumps({
@@ -138,7 +143,7 @@ def cmd_crystal_graph(args) -> int:
     element = parse_element(system, args.element)
     blocks = default_num_factors(system, element) if args.factors is None else args.factors
     _refuse_above(
-        stanley.factorization_count(system, element, blocks), MAX_CRYSTAL_VERTICES,
+        stanley.factorization_count(system, element, blocks), MAX_GRAPH_VERTICES,
         f"the crystal of {args.element} on {blocks} blocks", "vertices", "crystal graph",
         " (--factors sets the block count)",
     )
@@ -181,7 +186,7 @@ def cmd_tableaux_count(args) -> int:
 def cmd_tableaux_crystal(args) -> int:
     shape = parse_shape(args.shape)
     _refuse_above(
-        hook_content_count(shape, args.entries), MAX_CRYSTAL_VERTICES,
+        hook_content_count(shape, args.entries), MAX_GRAPH_VERTICES,
         f"the crystal of shape {args.shape} on entries 1..{args.entries}", "vertices",
         "tableaux crystal",
     )
@@ -228,6 +233,8 @@ def cmd_eg_insert(args) -> int:
 def cmd_eg_ck_graph(args) -> int:
     system = build_system("A", args.rank)
     element = parse_element(system, args.element)
+    _refuse_above(system.reduced_word_count(element), MAX_GRAPH_VERTICES,
+                  f"the Coxeter-Knuth graph of {args.element}", "vertices", "eg ck-graph")
     graph = ck_graph(system, element)
     if args.dot:
         print(graph.to_dot("ck"), end="")
@@ -291,13 +298,16 @@ def _markov_report(matrix, measure, system=None) -> dict:
 
 def _walk_command(args, name: str, what: str, count, build, measure, system=None,
                   unit: str = "states") -> int:
-    """The rest of `markov exchange` and `markov promote`: unless drawing,
-    refuse a walk of more than MAX_REPORT_STATES states by ``count()``
-    before ``build()`` lists it; then print the DOT digraph ``name``, the
-    JSON report or its summary line, and exit 1 when a check fails."""
-    if not args.dot:
-        _refuse_above(count(), MAX_REPORT_STATES, what, unit, "the exact report",
-                      " (--dot draws larger walks)")
+    """The rest of `markov exchange` and `markov promote`: refuse a walk of
+    more than MAX_REPORT_STATES states, or MAX_GRAPH_VERTICES when drawing,
+    by ``count(limit)`` before ``build()`` lists it; then print the DOT
+    digraph ``name``, the JSON report or its summary line, and exit 1 when a
+    check fails."""
+    if args.dot:
+        limit, scope, hint = MAX_GRAPH_VERTICES, "--dot", ""
+    else:
+        limit, scope, hint = MAX_REPORT_STATES, "the exact report", " (--dot draws larger walks)"
+    _refuse_above(count(limit), limit, what, unit, scope, hint)
     matrix = build()
     if args.dot:
         print(matrix.to_dot(name), end="")
@@ -315,7 +325,7 @@ def cmd_markov_exchange(args) -> int:
     measure = measure_for(system.index_set, parse_probs(args.probs))
     return _walk_command(
         args, "exchange", f"the walk of {system!r}",
-        lambda: system.reduced_word_count(system.longest_element),
+        lambda limit: system.reduced_word_count(system.longest_element),
         lambda: markov.build_chain(system, measure), measure, system,
     )
 
@@ -323,6 +333,12 @@ def cmd_markov_exchange(args) -> int:
 def cmd_markov_promote(args) -> int:
     with open(args.poset) as handle:
         data = json.load(handle)
+    # more labels than probabilities is refused before the poset builds its
+    # tables of n entries, and without listing the labels
+    n = data.get("n") if isinstance(data, dict) else None
+    given = len(args.probs.split(","))
+    if type(n) is int and n > given:
+        raise InputError(f"expected {n} probabilities for the labels 1..{n}, got {given}")
     try:
         poset = markov.NaturalPoset.from_relations(data["n"], data.get("relations", []))
     except (KeyError, TypeError, ValueError) as err:
@@ -332,7 +348,7 @@ def cmd_markov_promote(args) -> int:
     # found before the layers of order ideals grow towards 2^n
     return _walk_command(
         args, "promotion", "the promotion walk",
-        lambda: next((c for c in poset.prefix_counts() if c > MAX_REPORT_STATES), 0),
+        lambda limit: next((c for c in poset.prefix_counts() if c > limit), 0),
         lambda: markov.promotion_chain(poset, measure), measure, unit="or more states",
     )
 

@@ -1,0 +1,136 @@
+"""The executable identities of ``redwords.checks``, each its own test item.
+
+The registry behind ``verify`` is the one place where the suite states an
+identity: it runs once per rank and session, and every check name is a
+parametrized item that must PASS.  Each suite also meets a fault: one
+library function made wrong must turn the checks that read it to FAIL and
+``verify`` to exit 1, so a check that could never fail shows here.
+"""
+
+import functools
+import json
+import time
+from fractions import Fraction
+
+import pytest
+
+from conftest import requires_s5
+from redwords import checks, edelman_greene, markov, stanley, tableaux
+from redwords.cli import main
+from redwords.coxeter import SymmetricGroup
+from redwords.crystal import DecreasingFactorization
+from redwords.symfunc import SymFuncExpansion
+
+# Every check `verify --suite all --max-rank 4` runs, in order: a renamed,
+# dropped or added check changes this list on purpose.
+RANK_4_CHECKS = [
+    "S2-generator-relations", "S2-reduced-words-vs-hooks", "S2-reduced-words-evaluate",
+    "S2-exchange-totality", "S2-parabolic-involutions", "S3-generator-relations",
+    "S3-reduced-words-vs-hooks", "S3-reduced-words-evaluate", "S3-exchange-totality",
+    "S3-parabolic-involutions", "S4-generator-relations", "S4-reduced-words-vs-hooks",
+    "S4-reduced-words-evaluate", "S4-exchange-totality", "S4-parabolic-involutions",
+    "hypercube-commutation", "dihedral-relation", "S2-crystal-e-f-inverse",
+    "S2-crystal-weight-steps", "S2-crystal-string-lengths", "S2-crystal-targets-preserved",
+    "S2-highest-weights-are-partitions", "S3-crystal-e-f-inverse",
+    "S3-crystal-weight-steps", "S3-crystal-string-lengths", "S3-crystal-targets-preserved",
+    "S3-highest-weights-are-partitions", "S4-crystal-e-f-inverse",
+    "S4-crystal-weight-steps", "S4-crystal-string-lengths", "S4-crystal-targets-preserved",
+    "S4-highest-weights-are-partitions", "S4-stembridge-local-axioms",
+    "hook-formula-vs-enumeration", "tableau-crystal-closure-is-all-ssyt",
+    "tableau-crystal-axioms", "S4-schur-three-way-agreement",
+    "S4-squarefree-counts-reduced-words", "S4-schur-positivity",
+    "S4-dominance-interval-support", "S4-omega-duality", "S4-skew-by-s1",
+    "S4-EG-intertwining", "S4-CK-crystal-component-bijection", "S4-same-P-iff-CK",
+    "S4-CK-edge-operator-identity", "S4-P-Q-shapes-agree", "S4-highest-weight-Q-yamanouchi",
+    "SymmetricGroup(3)-column-stochastic", "SymmetricGroup(3)-strongly-connected",
+    "SymmetricGroup(3)-charpoly-factorization", "SymmetricGroup(3)-stationary-closed-form",
+    "SymmetricGroup(3)-multiplicities-account", "SymmetricGroup(4)-column-stochastic",
+    "SymmetricGroup(4)-strongly-connected", "SymmetricGroup(4)-charpoly-factorization",
+    "SymmetricGroup(4)-stationary-closed-form", "SymmetricGroup(4)-multiplicities-account",
+    "Hypercube(3)-column-stochastic", "Hypercube(3)-strongly-connected",
+    "Hypercube(3)-charpoly-factorization", "Hypercube(3)-stationary-closed-form",
+    "Hypercube(3)-multiplicities-account", "Dihedral(4)-column-stochastic",
+    "Dihedral(4)-strongly-connected", "Dihedral(4)-charpoly-factorization",
+    "Dihedral(4)-stationary-closed-form", "Dihedral(4)-multiplicities-account",
+    "promotion-on-antichain-is-tsetlin", "promotion-v-poset-stationary",
+    "monte-carlo-tv-below-0.02",
+]
+
+# rank 5 adds the S5 count against the hooks and 20 seeded S5 draws of the
+# three Schur routes; the crystal, eg and markov suites stop at rank 4
+RANK_5_CHECKS = (
+    RANK_4_CHECKS[:15] + ["S5-generator-relations", "S5-reduced-words-vs-hooks"]
+    + RANK_4_CHECKS[15:42] + ["S5-sampled-three-way-agreement"] + RANK_4_CHECKS[42:]
+)
+
+CHECKS = {4: RANK_4_CHECKS, 5: RANK_5_CHECKS}
+
+# seconds the whole registry may take at each rank
+TIME_BOUNDS = {4: 10, 5: 300}
+
+
+@functools.cache
+def registry(rank):
+    """The reports of ``run_suite("all", rank)`` and its wall time, once."""
+    started = time.perf_counter()
+    reports = checks.run_suite("all", rank)
+    return reports, time.perf_counter() - started
+
+
+@pytest.mark.parametrize("rank", [4, pytest.param(5, marks=requires_s5)])
+def test_registry_runs_the_pinned_checks_in_order(rank):
+    reports, elapsed = registry(rank)
+    assert [report.name for report in reports] == CHECKS[rank]
+    assert len(CHECKS[4]) == 71 and len(CHECKS[5]) == 74
+    assert elapsed < TIME_BOUNDS[rank]
+
+
+@pytest.mark.parametrize("rank, name", [
+    pytest.param(rank, name, marks=[requires_s5] if rank == 5 else [], id=f"rank{rank}-{name}")
+    for rank, names in CHECKS.items()
+    for name in names
+])
+def test_check_passes(rank, name):
+    reports = {report.name: report for report in registry(rank)[0]}
+    assert reports[name].passed, str(reports[name])
+
+
+# ----------------------------------------------------------------------
+# one wrong library function per suite
+
+
+# suite -> (owner, attribute, the wrong version of the original, the checks
+# that must fail)
+FAULTS = {
+    "coxeter": (SymmetricGroup, "reduced_word_count",
+                lambda count: lambda self, w: count(self, w) + 1,
+                {f"S{n}-reduced-words-vs-hooks" for n in (2, 3, 4)}),
+    "crystal": (DecreasingFactorization, "phi", lambda phi: lambda self, i: phi(self, i) + 1,
+                {"S3-crystal-string-lengths", "S4-crystal-string-lengths"}),
+    "tableaux": (tableaux, "crystal_f", lambda f: lambda tableau, i: None,
+                 {"tableau-crystal-closure-is-all-ssyt"}),
+    "stanley": (stanley, "schur_expansion_via_eg",
+                lambda route: lambda system, w: SymFuncExpansion.zero("schur"),
+                {"S4-schur-three-way-agreement"}),
+    # the insertion tableau recorded in place of the recording tableau
+    "eg": (edelman_greene, "eg_insert",
+           lambda insert: lambda fz: edelman_greene.EGPair(insert(fz).p, insert(fz).p),
+           {"S4-EG-intertwining", "S4-highest-weight-Q-yamanouchi"}),
+    # the uniform law in place of the closed form
+    "markov": (markov, "stationary_distribution",
+               lambda law: lambda system, measure: dict.fromkeys(
+                   law(system, measure),
+                   Fraction(1, system.reduced_word_count(system.longest_element))),
+               {f"{name}-stationary-closed-form"
+                for name in ("SymmetricGroup(3)", "SymmetricGroup(4)", "Hypercube(3)", "Dihedral(4)")}),
+}
+
+
+@pytest.mark.parametrize("suite", checks.SUITES)
+def test_a_wrong_library_function_fails_its_checks(monkeypatch, capsys, suite):
+    owner, attribute, wrong, failing = FAULTS[suite]
+    monkeypatch.setattr(owner, attribute, wrong(getattr(owner, attribute)))
+    code = main(["verify", "--suite", suite, "--max-rank", "4", "--json"])
+    reports = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert {r["name"] for r in reports if not r["passed"]} == failing

@@ -14,7 +14,6 @@ from redwords.crystal import (
     factorization_crystal,
     highest_weight_factorizations,
     parse_factorization,
-    stembridge_violations,
 )
 from redwords.edelman_greene import ck_components
 from redwords.tableaux import tableau_crystal
@@ -133,19 +132,6 @@ def test_lowering_matches_listing(s3):
         assert mid.phi(i) - mid.epsilon(i) == 0
 
 
-def test_e_then_f_roundtrip_everywhere(s4):
-    graph = factorization_crystal(s4, s4.longest_element)
-    for (u, i), v in graph.f_edges.items():
-        assert v.e(i) == u
-        assert u.f(i) == v
-    # and the reverse direction: every raising step is undone by lowering
-    for v in graph.vertices:
-        for i in graph.index_set:
-            raised = v.e(i)
-            if raised is not None:
-                assert raised.f(i) == v
-
-
 def test_full_s3_crystal_structure(s3):
     graph = factorization_crystal(s3, s3.longest_element, 3)
     assert {v.display_factors() for v in graph.vertices} == set(S3_VERTICES)
@@ -184,24 +170,6 @@ def test_operators_preserve_target_and_reducedness(s4):
             assert sum(v.weight()) == s4.length(g)
 
 
-def test_weight_step_convention(s4):
-    # lowering at colour i moves one unit from coordinate i to coordinate i+1
-    graph = factorization_crystal(s4, s4.evaluate((1, 2, 3, 2)))
-    for (u, i), v in graph.f_edges.items():
-        wu, wv = u.weight(), v.weight()
-        assert wu[i - 1] - wv[i - 1] == 1
-        assert wv[i] - wu[i] == 1
-        rest = [k for k in range(len(wu)) if k not in (i - 1, i)]
-        assert all(wu[k] == wv[k] for k in rest)
-
-
-def test_string_length_axiom(s4):
-    graph = factorization_crystal(s4, s4.evaluate((2, 1, 3)))
-    for v in graph.vertices:
-        for i in graph.index_set:
-            assert v.phi(i) - v.epsilon(i) == v.weight()[i - 1] - v.weight()[i]
-
-
 def test_highest_weights_pinned(s3, s4):
     top = highest_weight_factorizations(s3, s3.longest_element, 3)
     assert [(t.factors, t.weight()) for t in top] == [(((2, 1), (1,), ()), (2, 1, 0))]
@@ -231,20 +199,6 @@ def test_highest_weights_match_slow_filter(s4):
             key=lambda x: x.factors,
         )
         assert highest_weight_factorizations(s4, g, num) == slow
-
-
-def test_highest_weight_weights_are_partitions(s4):
-    for g in s4.elements():
-        for top in highest_weight_factorizations(s4, g):
-            weight = top.weight()
-            nonzero = tuple(p for p in weight if p)
-            assert list(nonzero) == sorted(nonzero, reverse=True)
-            assert not any(weight[len(nonzero):])
-
-
-def test_stembridge_spot_checks(s4):
-    graph = factorization_crystal(s4, s4.longest_element)
-    assert stembridge_violations(graph) == []
 
 
 def test_s5_crystal_pinned():

@@ -118,13 +118,6 @@ def test_build_chain_rejects_partial_support(s3):
         build_chain(s3, ProbabilityMeasure.uniform((1, 2, 3)))
 
 
-def test_s4_uniform_chain(s4):
-    matrix = build_chain(s4, ProbabilityMeasure.uniform(s4.index_set))
-    assert matrix.size == 16
-    assert matrix.is_column_stochastic()
-    assert matrix.is_strongly_connected()
-
-
 # ----------------------------------------------------------------------
 # spectrum
 
@@ -210,17 +203,6 @@ def test_stationary_hypercube_two_books():
     measure = ProbabilityMeasure.from_mapping({1: F(2, 7), 2: F(5, 7)})
     pi = stationary_distribution(Hypercube(2), measure)
     assert pi == {(1, 2): F(2, 7), (2, 1): F(5, 7)}
-
-
-def test_stationary_fixed_by_matrix_everywhere(s4):
-    for system in (SymmetricGroup(3), s4, Hypercube(3), Dihedral(4)):
-        for seed in (11, 12, 13):
-            measure = ProbabilityMeasure.random_rational(system.index_set, seed)
-            matrix = build_chain(system, measure)
-            pi = stationary_distribution(system, measure)
-            vector = [pi[s] for s in matrix.states]
-            assert sum(vector) == 1
-            assert matrix.fixes(vector)
 
 
 def test_solve_stationary_agrees_with_closed_form(s3):
@@ -579,13 +561,6 @@ def test_simulate_refuses_a_measure_that_build_chain_refuses(s3, weights):
     assert str(walk_error.value) == str(chain_error.value)
 
 
-def test_simulate_approaches_stationary(s3):
-    uniform = ProbabilityMeasure.uniform(s3.index_set)
-    empirical = simulate(s3, uniform, 100_000, seed=20240101)
-    tv = total_variation(empirical, stationary_distribution(s3, uniform))
-    assert tv < F(2, 100)
-
-
 def test_total_variation():
     assert total_variation({1: F(1)}, {2: F(1)}) == F(1)
     assert total_variation({1: F(1, 2), 2: F(1, 2)}, {1: F(1, 2), 2: F(1, 2)}) == 0
@@ -739,12 +714,13 @@ def test_tau_and_promotion():
 
 def test_promotion_chain_on_antichain_equals_tsetlin():
     for n in (1, 2, 3, 4):
-        measure = ProbabilityMeasure.random_rational(range(1, n + 1), 30 + n)
-        move_to_front = tsetlin_chain(n, measure)
-        promo = promotion_chain(NaturalPoset.antichain(n), measure)
-        assert promo.states == move_to_front.states
-        assert promo.entries == move_to_front.entries
-        assert promo.labels == move_to_front.labels
+        for seed in (30 + n, 50 + n, 60 + n):
+            measure = ProbabilityMeasure.random_rational(range(1, n + 1), seed)
+            move_to_front = tsetlin_chain(n, measure)
+            promo = promotion_chain(NaturalPoset.antichain(n), measure)
+            assert promo.states == move_to_front.states
+            assert promo.entries == move_to_front.entries
+            assert promo.labels == move_to_front.labels
 
 
 def test_promotion_chain_on_total_order_is_trivial():

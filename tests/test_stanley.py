@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -7,7 +8,7 @@ from conftest import requires_s6
 from redwords.coxeter import Dihedral, Hypercube, SymmetricGroup
 from redwords import stanley
 from redwords.crystal import decreasing_factorizations, factorization_crystal, highest_weight_factorizations
-from redwords.partitions import conjugate, dominates, partitions_of, staircase
+from redwords.partitions import conjugate, partitions_of, staircase
 from redwords.stanley import (
     omega_duality_check,
     reduced_word_count_from_squarefree,
@@ -96,14 +97,7 @@ def test_monomial_brute_force_oracle(s4):
         assert stanley_monomial(s4, g).as_dict() == expected
 
 
-def test_squarefree_coefficient_counts_reduced_words(s4):
-    for g in s4.elements():
-        assert reduced_word_count_from_squarefree(s4, g) == s4.reduced_word_count(g)
-
-
 def test_squarefree_coefficient_sampled_s5():
-    import random
-
     s5 = SymmetricGroup(5)
     rng = random.Random(7)
     for g in rng.sample(s5.elements(), 8):
@@ -130,52 +124,19 @@ def test_longest_element_is_single_staircase():
         )
 
 
-def test_three_way_agreement_exhaustive(s4):
-    for g in s4.elements():
-        a = schur_expansion(s4, g)
-        b = schur_expansion_via_eg(s4, g)
-        c = schur_expansion_via_linear_algebra(s4, g)
-        assert a == b == c, g
-
-
-def test_schur_positivity(s4):
-    for g in s4.elements():
-        assert all(coeff >= 1 for _, coeff in schur_expansion(s4, g).terms)
-
-
 def test_support_interval(s3, s4):
     assert support_interval(s3, s3.longest_element) == ((2, 1), (2, 1))
     assert support_interval(s3, s3.generator(1)) == ((1,), (1,))
     assert support_interval(s4, s4.evaluate((1, 2, 3, 2))) == ((2, 1, 1), (2, 1, 1))
 
 
-def test_support_interval_brackets_everything(s4):
-    for g in s4.elements():
-        expansion = schur_expansion(s4, g)
-        lo, hi = support_interval(s4, g)
-        assert expansion.coefficient(lo) == 1
-        assert expansion.coefficient(hi) == 1
-        for shape in expansion.support():
-            assert dominates(shape, lo)
-            assert dominates(hi, shape)
-
-
-def test_omega_duality_exhaustive(s4):
-    for g in s4.elements():
-        if s4.length(g) >= 1:
-            assert omega_duality_check(s4, g).passed
-
-
-def test_skew_by_s1(s3, s4):
+def test_skew_by_s1(s3):
     # the smallest case reduces to the empty shape
     assert skew_by_s1_check(s3, s3.generator(1)).passed
     report = skew_by_s1_check(s3, s3.longest_element)
     assert report.passed
     lhs = s1_perp(schur_expansion(s3, s3.longest_element))
     assert lhs == schur({(2,): 1, (1, 1): 1})
-    for g in s4.elements():
-        if s4.length(g) >= 1:
-            assert skew_by_s1_check(s4, g).passed
     with pytest.raises(ValueError):
         skew_by_s1_check(s3, s3.identity)
 
@@ -190,6 +151,14 @@ def test_three_way_agreement_sampled_s5(index):
         == schur_expansion_via_eg(s5, g)
         == schur_expansion_via_linear_algebra(s5, g)
     )
+
+
+def test_three_way_agreement_seeded_s5_draws():
+    # the 20 seeded draws that `verify` makes from rank 5 on, here at every rank
+    s5 = SymmetricGroup(5)
+    for g in random.Random(20240517).sample(s5.elements(), 20):
+        a = schur_expansion(s5, g)
+        assert a == schur_expansion_via_eg(s5, g) == schur_expansion_via_linear_algebra(s5, g), g
 
 
 def eg_expansion_by_enumeration(system, w):
