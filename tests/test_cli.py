@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from redwords import checks
 from redwords.cli import build_parser, build_system, main, parse_element, parse_probs
 from redwords.cli import InputError
 from redwords.symfunc import SymFuncExpansion
@@ -525,6 +527,11 @@ def test_verify_rejects_max_rank_below_2(capsys, rank):
     assert err.strip() == f"error: --max-rank must be at least 2, got {rank}"
 
 
+def test_verify_small(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "coxeter", "--max-rank", "3")
+    assert code == 0 and "FAIL" not in out
+
+
 def test_verify_max_rank_ignores_the_test_rank_variable(capsys, monkeypatch):
     # REDWORDS_MAX_RANK gates the pytest suite alone; verify runs the ranks
     # that --max-rank asks for
@@ -591,21 +598,31 @@ def test_unknown_element_is_input_error(capsys):
     assert code == 2 and "error" in err
 
 
-def test_verify_passes_under_python_optimize():
-    # `python -O` strips assert statements; the checks must still run and pass
+@functools.cache
+def _verify_under_python_optimize():
+    # one `python -O` process runs each suite in turn; each output ends in its summary
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
-        "import sys; from redwords.cli import main; "
-        "sys.exit(main(['verify', '--suite', 'all', '--max-rank', '3']))"
+        "import sys; from redwords.cli import main; sys.exit(max([main(['verify', "
+        f"'--suite', s, '--max-rank', '3']) for s in {list(checks.SUITES)!r}]))"
     )
     result = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    *lines, summary = result.stdout.splitlines()
-    assert len(lines) == 56 and all(line.startswith("PASS ") for line in lines)
-    assert summary == "56/56 checks passed"
+    outputs = re.split(r"(?<=checks passed)\n", result.stdout.strip())
+    assert len(outputs) == len(checks.SUITES)
+    return dict(zip(checks.SUITES, outputs))
+
+
+@pytest.mark.parametrize("suite", checks.SUITES)
+def test_verify_passes_under_python_optimize(suite):
+    # `python -O` strips assert statements; the checks must still run and pass
+    *lines, summary = _verify_under_python_optimize()[suite].splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines)
+    passed, total = summary.split()[0].split("/")
+    assert passed == total == str(len(lines))
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,11 @@ def brute_force_reduced_words(system, element):
 # symmetric groups
 
 
+def test_multiply_involution(s3):
+    s1 = s3.generator(1)
+    assert s3.multiply(s1, s1) == s3.identity
+
+
 def test_multiply_braid(s3):
     s1, s2 = s3.generator(1), s3.generator(2)
     lhs = s3.multiply(s3.multiply(s1, s2), s1)
@@ -141,6 +146,13 @@ def test_parabolic_longest(s3):
     assert s3.parabolic_longest(()) == s3.identity
     assert s3.parabolic_longest({1, 2}) == (3, 2, 1)
     assert s3.parabolic_longest({1}) == s3.generator(1)
+
+
+def test_parabolic_involution(s4):
+    for r in range(4):
+        for subset in itertools.combinations(s4.index_set, r):
+            w_j = s4.parabolic_longest(subset)
+            assert s4.multiply(w_j, w_j) == s4.identity
 
 
 def test_exchange_pinned(s3, s4):
