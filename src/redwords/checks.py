@@ -85,7 +85,7 @@ def coxeter_checks(max_rank: int) -> list[CheckReport]:
         h.multiply(h.generator(i), h.generator(j)) == h.multiply(h.generator(j), h.generator(i))
         for i in h.index_set
         for j in h.index_set
-    ) and h.reduced_word_count(h.longest_element) == 6
+    ) and h.reduced_word_count(h.longest_element) == len(h.reduced_words(h.longest_element)) == 6
     out.append(CheckReport("hypercube-commutation", ok))
     d = Dihedral(4)
     rho = d.multiply(d.generator(1), d.generator(2))

@@ -19,6 +19,7 @@ construction apart from internal memo tables, so values can be shared freely.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 from typing import Iterable
 
 Word = tuple[int, ...]
@@ -213,20 +214,20 @@ class CoxeterSystem:
     def parabolic_longest(self, subset: Iterable[int]):
         """Longest element of the parabolic subgroup on the given generators.
 
-        Found by greedy ascent in left weak order; it is an involution and
-        the full index set yields the longest element of the whole group.
+        Found by greedy ascent in right weak order, one descent test per
+        step: the climb stops where every chosen generator is a descent,
+        which only w_J is.  It is an involution, and the full index set
+        yields the longest element of the whole group.
         """
         chosen = frozenset(subset)
         for j in chosen:
             self._check_index(j)
+        ordered = sorted(chosen)
         w = self.identity
-        lw = 0
         while True:
-            for j in sorted(chosen):
-                cand = self.left_multiplied(j, w)
-                if self.length(cand) > lw:
-                    w = cand
-                    lw += 1
+            for j in ordered:
+                if not self.is_right_descent(w, j):
+                    w = self.right_multiplied(w, j)
                     break
             else:
                 return w
@@ -399,12 +400,48 @@ class SymmetricGroup(CoxeterSystem):
     def is_right_descent(self, a, i: int) -> bool:
         return a[i - 1] > a[i]
 
-    def _simple_conjugate(self, a, i: int):
-        # a s_i a^-1 transposes the values a(i) and a(i+1)
-        low, high = a[i - 1], a[i]
-        if low > high:
-            low, high = high, low
-        return low if high - low == 1 else None
+    def _deletion_walk(self, words, generators):
+        """:meth:`CoxeterSystem._deletion_walk` on one mutable one-line list
+        ``a``, the product of the letters walked so far, so a letter costs
+        O(1) and a word of length L costs O(L).  The letter l is an ascent
+        when a[l-1] < a[l]; its reflection a s_l a^-1 transposes those two
+        values, so it is the simple s_v when they are v and v+1; applying l
+        swaps them in place, and going back up the trie swaps the dropped
+        letters again in reverse order."""
+        letters = self._letters
+        a = list(self.identity)
+        w0 = list(self.longest_element)
+        where = dict.fromkeys(generators, -1)  # -1 until the deletion is found
+        missing = len(where)
+        previous: Word = ()
+        for word in words:
+            shared = 0
+            if previous:
+                for x, y in zip(previous, word):
+                    if x != y:
+                        break
+                    shared += 1
+                for letter in reversed(previous[shared:]):
+                    a[letter - 1], a[letter] = a[letter], a[letter - 1]
+                for g, k in where.items():
+                    if k >= shared:
+                        where[g] = -1
+                        missing += 1
+            for k in range(shared, len(word)):
+                letter = word[k]
+                if letter not in letters or a[letter - 1] > a[letter]:
+                    raise ValueError(f"{word} is not a reduced word of the longest element")
+                low, high = a[letter - 1], a[letter]
+                if missing and high - low == 1 and low in where:
+                    where[low] = k
+                    missing -= 1
+                a[letter - 1], a[letter] = high, low
+            if a != w0:
+                raise ValueError(f"{word} is not a reduced word of the longest element")
+            if missing:
+                raise ArithmeticError("exchange condition must produce a deletion")
+            yield where
+            previous = word
 
     def elements(self) -> tuple:
         return tuple(sorted(itertools.permutations(range(1, self.n + 1))))
@@ -444,6 +481,11 @@ class Hypercube(CoxeterSystem):
 
     def is_right_descent(self, a, i: int) -> bool:
         return i in a
+
+    def reduced_word_count(self, a) -> int:
+        # the generators commute, so every ordering of the flipped
+        # coordinates is a reduced word
+        return factorial(len(a))
 
     def _simple_conjugate(self, a, i: int):
         return i  # the group is abelian

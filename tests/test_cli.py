@@ -223,6 +223,12 @@ def test_crystal_graph_refuses_before_listing(capsys, mode):
     # compared before the poset builds its tables of n entries
     (("markov", "promote", "--poset", {"n": 10**12}, "--probs", "1/2,1/2"),
      f"expected {10**12} probabilities for the labels 1..{10**12}, got 2"),
+    # 20! reduced words, counted without visiting the 2^20 subsets
+    (("red-words", "--type", "hypercube", "--rank", "20", "--element", "w0"),
+     "w0 has 2432902008176640000 reduced words; red-words stops at 1000000"),
+    (("markov", "exchange", "--type", "hypercube", "--rank", "20", "--probs", ",".join(["1/20"] * 20)),
+     "the walk of Hypercube(20) has 2432902008176640000 states; the exact report stops at 64 "
+     "(--dot draws larger walks)"),
 ])
 def test_oversized_inputs_are_refused_before_they_are_listed(tmp_path, capsys, argv, message):
     poset_file = tmp_path / "poset.json"  # a dict stands for a poset file holding it

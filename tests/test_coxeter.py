@@ -1,10 +1,13 @@
 import ast
 import itertools
+import random
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import requires_s6
 from redwords import coxeter
 from redwords.coxeter import CoxeterSystem, Dihedral, Hypercube, SymmetricGroup
 
@@ -19,6 +22,18 @@ def brute_force_reduced_words(system, element):
             if system.evaluate(word) == element
         )
     )
+
+
+def random_reduced_word_of_w0(n, seed):
+    """A seeded reduced word of the longest element of S_n: from the
+    identity, apply a random ascent until none is left."""
+    rng = random.Random(seed)
+    a, word = list(range(1, n + 1)), []
+    while ascents := [i for i in range(1, n) if a[i - 1] < a[i]]:
+        i = rng.choice(ascents)
+        a[i - 1], a[i] = a[i], a[i - 1]
+        word.append(i)
+    return tuple(word)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +170,24 @@ def test_parabolic_involution(s4):
             assert s4.multiply(w_j, w_j) == s4.identity
 
 
+@pytest.mark.parametrize("system", [SymmetricGroup(4), Hypercube(3), Dihedral(5)], ids=repr)
+def test_parabolic_longest_is_the_longest_element_of_its_subgroup(system):
+    for r in range(len(system.index_set) + 1):
+        for subset in itertools.combinations(system.index_set, r):
+            # the parabolic subgroup, generated by brute force from the identity
+            subgroup, frontier = {system.identity}, [system.identity]
+            while frontier:
+                a = frontier.pop()
+                for j in subset:
+                    b = system.right_multiplied(a, j)
+                    if b not in subgroup:
+                        subgroup.add(b)
+                        frontier.append(b)
+            top = max(system.length(a) for a in subgroup)
+            longest = [a for a in subgroup if system.length(a) == top]
+            assert longest == [system.parabolic_longest(subset)]
+
+
 def test_exchange_pinned(s3, s4):
     assert s4.exchange(2, (1, 2, 3, 1, 2, 1)) == (2, 1, 2, 3, 2, 1)
     assert s3.exchange(2, (1, 2, 1)) == (2, 1, 2)
@@ -210,7 +243,7 @@ def test_exchange_is_a_reduced_word_of_w0_starting_with_i(system, data):
     "system", [SymmetricGroup(4), Hypercube(3), Dihedral(5)], ids=repr
 )
 def test_simple_conjugate_is_the_reflection_when_simple(system):
-    # the overrides against the definition in the base class: a s_i a^-1 = s_g
+    # each system's conjugate against the definition in the base class: a s_i a^-1 = s_g
     for a in system.elements():
         for i in system.index_set:
             g = system._simple_conjugate(a, i)
@@ -220,6 +253,61 @@ def test_simple_conjugate_is_the_reflection_when_simple(system):
                 if system.left_multiplied(h, a) == system.right_multiplied(a, i)
             ]
             assert simple == ([] if g is None else [g])
+
+
+def walk_outcome(walk, system, words, generators):
+    """Every dict a deletion walk yields, copied, or the type and message
+    of the exception it raises."""
+    try:
+        return [dict(where) for where in walk(system, words, generators)]
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=requires_s6)])
+def test_symmetric_walk_matches_the_base_walk_on_the_whole_kernel(n):
+    system = SymmetricGroup(n)
+    states = tuple(sorted(system.reduced_words(system.longest_element)))
+    fast = walk_outcome(SymmetricGroup._deletion_walk, system, states, system.index_set)
+    assert len(fast) == len(states)
+    assert fast == walk_outcome(CoxeterSystem._deletion_walk, system, states, system.index_set)
+
+
+@pytest.mark.parametrize("n", [10, 20, 30])
+def test_symmetric_walk_matches_the_base_walk_on_random_words(n):
+    system = SymmetricGroup(n)
+    for seed in range(3):
+        words = (random_reduced_word_of_w0(n, seed),)
+        fast = walk_outcome(SymmetricGroup._deletion_walk, system, words, system.index_set)
+        assert len(set(fast[0].values())) == n - 1  # each generator deletes its own letter
+        assert fast == walk_outcome(CoxeterSystem._deletion_walk, system, words, system.index_set)
+
+
+@pytest.mark.parametrize("words, generators", [
+    (((1, 2, 3, 1, 2, 4),), (1,)),  # a letter past the index set
+    (((0, 1, 2, 1, 3, 2),), (1,)),  # letter 0 would read the last entry
+    (((1, 2, 1, 1, 3, 2),), (1,)),  # a descent
+    (((1, 2, 3, 1, 2),), (1,)),  # reduced, but shorter than w0
+    (((1, 2, 1, 3, 2, 1), (1, 2, 3, 2, 1)), (1, 2, 3)),  # a short word after a shared prefix
+    (((1, 2, 1, 3, 2, 1), (1, 2, 3, 2, 2, 1)), (1, 2, 3)),  # a descent after a shared prefix
+    (((1, 2, 1, 3, 2, 1),), (1, 4)),  # 4 is never a deletion's generator
+])
+def test_symmetric_walk_fails_as_the_base_walk_does(s4, words, generators):
+    expected = walk_outcome(CoxeterSystem._deletion_walk, s4, words, generators)
+    assert expected[0] in (ValueError, ArithmeticError)
+    assert walk_outcome(SymmetricGroup._deletion_walk, s4, words, generators) == expected
+
+
+def test_exchange_scales_to_s60():
+    # 1,770 letters: one exchange per generator walks the word once each
+    word = random_reduced_word_of_w0(60, 0)
+    started = time.perf_counter()
+    system = SymmetricGroup(60)
+    images = [system.exchange(i, word) for i in system.index_set]
+    assert time.perf_counter() - started < 1
+    assert len(word) == 1770
+    assert all(image[0] == i and len(image) == len(word) for i, image in zip(system.index_set, images))
+    assert system.evaluate(images[0]) == system.longest_element
 
 
 def test_evaluate_rejects_letters_outside_index_set(s3):
@@ -279,6 +367,12 @@ def test_hypercube_examples():
     assert h.multiply(frozenset({1}), frozenset({2})) == frozenset({1, 2})
     assert h.longest_element == frozenset({1, 2})
     assert h.reduced_words(h.longest_element) == ((1, 2), (2, 1))
+
+
+def test_hypercube_count_is_the_number_of_reduced_words():
+    h = Hypercube(5)
+    for a in h.elements():
+        assert h.reduced_word_count(a) == len(h.reduced_words(a))
 
 
 def test_hypercube_exchange_is_move_to_front():
