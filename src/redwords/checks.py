@@ -260,11 +260,15 @@ def eg_checks(max_rank: int) -> list[CheckReport]:
     system = SymmetricGroup(n)
     intertwine = components = biconditional = edge_identity = yamanouchi = shapes = True
     for g in system.elements():
-        # one crystal (a block per letter) and one insertion per vertex
-        # serve every check on g
+        # one crystal (a block per letter) and one insertion walk over its
+        # vertices serve every check on g; only the Q tableaux are kept
         graph = factorization_crystal(system, g)
-        pairs = {fz: eg.eg_insert(fz) for fz in graph.vertices}
-        if not eg._intertwining(graph, {fz: pair.q for fz, pair in pairs.items()}).passed:
+        q_of = {}
+        for fz, pair in zip(graph.vertices, eg.eg_insert_all(graph.vertices)):
+            q_of[fz] = pair.q
+            if pair.p.shape != pair.q.shape:
+                shapes = False
+        if not eg._intertwining(graph, q_of).passed:
             intertwine = False
         if not eg._component_correspondence(system, g, graph).passed:
             components = False
@@ -272,10 +276,8 @@ def eg_checks(max_rank: int) -> list[CheckReport]:
             biconditional = False
         if not eg.ck_edge_operator_identity(system, g).passed:
             edge_identity = False
-        if any(pair.p.shape != pair.q.shape for pair in pairs.values()):
-            shapes = False
         for fz, _ in graph.highest_weights():
-            if not eg.is_yamanouchi(pairs[fz].q):
+            if not eg.is_yamanouchi(q_of[fz]):
                 yamanouchi = False
     out.append(CheckReport(f"S{n}-EG-intertwining", intertwine))
     out.append(CheckReport(f"S{n}-CK-crystal-component-bijection", components))

@@ -80,8 +80,11 @@ def _inserted(block: Word, letter: int) -> Word:
 # The crystal operators and the highest-weight test read only the two blocks
 # they act on, so each is tabulated once per pair of blocks: at most 4^r
 # pairs of decreasing blocks on r letters, each result an immutable tuple.
-# The new blocks are checked when their pair is first met, so every block an
-# operator hands out has been checked.
+# Every block is checked once, where it is first made: the new blocks here
+# when their pair is first met, the enumerated blocks when their peel table
+# is filled (see _peels), and the blocks handed to DecreasingFactorization
+# by its constructor.  Factorizations assembled from checked blocks are
+# built by _unchecked, which skips the constructor's check.
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +182,7 @@ class DecreasingFactorization:
 
     def weight(self) -> tuple[int, ...]:
         """Block lengths, rightmost block first."""
-        return tuple(len(b) for b in self.factors)
+        return tuple(map(len, self.factors))
 
     def display_factors(self) -> tuple[Word, ...]:
         """Blocks in left-to-right display order (highest block first)."""
@@ -249,11 +252,7 @@ class DecreasingFactorization:
         """This factorization with blocks i+1 and i replaced by blocks that
         :func:`_raised` or :func:`_lowered` produced and checked; the others
         were checked when ``self`` was built."""
-        out = object.__new__(DecreasingFactorization)
-        object.__setattr__(out, "factors", self.factors[:i - 1] + (lower, upper) + self.factors[i + 1:])
-        object.__setattr__(out, "target", self.target)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return _unchecked(_splice(self.factors, i, upper, lower), self.target)
 
     def epsilon(self, i: int) -> int:
         """Number of times :meth:`e` applies at index i."""
@@ -262,6 +261,20 @@ class DecreasingFactorization:
     def phi(self, i: int) -> int:
         """Number of times :meth:`f` applies at index i."""
         return _string_length(self, lambda x: x.f(i))
+
+
+def _splice(factors: tuple[Word, ...], i: int, upper: Word, lower: Word) -> tuple[Word, ...]:
+    """``factors`` with blocks i+1 and i replaced by ``upper`` and ``lower``."""
+    return factors[:i - 1] + (lower, upper) + factors[i + 1:]
+
+
+def _unchecked(factors: tuple[Word, ...], target) -> DecreasingFactorization:
+    """A factorization of blocks that were each checked when first made."""
+    out = object.__new__(DecreasingFactorization)
+    object.__setattr__(out, "factors", factors)
+    object.__setattr__(out, "target", target)
+    object.__setattr__(out, "_hash", None)
+    return out
 
 
 def _string_length(x, step: Callable[[object], object]) -> int:
@@ -283,7 +296,8 @@ def _peels(system: CoxeterSystem, u) -> tuple[tuple[Word, object], ...]:
 
     Filled on first use and kept on the system.  Letters come off the right
     smallest first, so each next letter is a larger right descent of what
-    is left.
+    is left.  Each block is checked once, here, when the table is filled;
+    the factorizations built from the table are not checked again.
     """
     table = system._peel_table.get(u)
     if table is None:
@@ -294,6 +308,7 @@ def _peels(system: CoxeterSystem, u) -> tuple[tuple[Word, object], ...]:
             for a in system.right_descents(rest):
                 if not block or a > block[0]:
                     entry = ((a,) + block, system.right_multiplied(rest, a))
+                    _check_block(entry[0])
                     found.append(entry)
                     stack.append(entry)
         found.sort(key=lambda entry: (len(entry[0]), entry[0]))
@@ -330,11 +345,15 @@ def _block_sequences_of(system: CoxeterSystem, u, length: int, k: int, previous:
     the first to be checked against ``previous``.  It is a module-level
     function, not a closure, so finished walks leave no reference cycle
     that would keep the system and its memo tables alive."""
-    if k == 0:
-        if length == 0:
-            yield ()
-        return
     if length > k * len(system.index_set):
+        return
+    if k == 1:
+        # The last block spells all of u.  A decreasing word is fixed by its
+        # letters, and every reduced word of u has the same letters, so at
+        # most one block does, and it is the longest peel.
+        block, _ = _peels(system, u)[-1]
+        if len(block) == length and (admissible is None or previous is None or admissible(block, previous)):
+            yield (block,)
         return
     for block, rest in _peels(system, u):
         if admissible is not None and previous is not None and not admissible(block, previous):
@@ -349,7 +368,7 @@ def decreasing_factorizations(system: CoxeterSystem, w, num_factors: int | None 
     Blocks may be empty; the block lengths always sum to the length of ``w``.
     """
     for blocks in _block_sequences(system, w, num_factors):
-        yield DecreasingFactorization(blocks, w)
+        yield _unchecked(blocks, w)
 
 
 def highest_weight_factorizations(system: CoxeterSystem, w, num_factors: int | None = None) -> list[DecreasingFactorization]:
@@ -360,10 +379,7 @@ def highest_weight_factorizations(system: CoxeterSystem, w, num_factors: int | N
     condition e_k = None and depends on no later block.
     """
     found = _block_sequences(system, w, num_factors, _all_upper_paired)
-    return sorted(
-        (DecreasingFactorization(blocks, w) for blocks in found),
-        key=lambda fz: fz.factors,
-    )
+    return [_unchecked(blocks, w) for blocks in sorted(found)]
 
 
 def weight_vector_count(system: CoxeterSystem, w, parts: tuple[int, ...]) -> int:
@@ -497,21 +513,30 @@ class CrystalGraph:
 
 
 def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = None) -> CrystalGraph:
-    """The crystal graph on all decreasing factorizations of ``w``."""
+    """The crystal graph on all decreasing factorizations of ``w``, its
+    vertices sorted by their blocks.
+
+    The graph :meth:`CrystalGraph.from_lowering` builds from
+    :meth:`DecreasingFactorization.f`, made without building each image: an
+    edge splices the blocks :func:`_lowered` returns into the source's
+    blocks and looks the result up among the vertices' blocks.
+    """
     if num_factors is None:
         num_factors = default_num_factors(system, w)
-    vertices = tuple(
-        sorted(
-            decreasing_factorizations(system, w, num_factors),
-            key=lambda fz: fz.factors,
-        )
-    )
-    return CrystalGraph.from_lowering(
-        vertices,
-        tuple(range(1, num_factors)),
-        DecreasingFactorization.f,
-        DecreasingFactorization.weight,
-    )
+    index_set = tuple(range(1, num_factors))
+    vertices = tuple(_unchecked(blocks, w) for blocks in sorted(_block_sequences(system, w, num_factors)))
+    by_factors = {v.factors: v for v in vertices}
+    f_edges = {}
+    for v in vertices:
+        factors = v.factors
+        for i in index_set:
+            blocks = _lowered(factors[i], factors[i - 1])
+            if blocks is not None:
+                target = by_factors.get(_splice(factors, i, *blocks))
+                if target is None:
+                    raise ValueError(f"f_{i} maps {v} outside the vertex set")
+                f_edges[(v, i)] = target
+    return CrystalGraph(vertices, index_set, f_edges, {v: v.weight() for v in vertices})
 
 
 # ----------------------------------------------------------------------

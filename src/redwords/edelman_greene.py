@@ -11,8 +11,9 @@ its content.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .coxeter import CoxeterSystem, Word, format_word
 from .crystal import CrystalGraph, DecreasingFactorization, connected_components, factorization_crystal
@@ -33,35 +34,64 @@ def eg_insert_letter(row: tuple[int, ...], a: int) -> tuple[tuple[int, ...], Opt
     marks the case where the row already contains both a and a+1 and is left
     untouched.
     """
-    larger = [v for v in row if v > a]
-    if not larger:
+    k = bisect_right(row, a)  # row[k] is the smallest entry larger than a
+    if k == len(row):
         return row + (a,), None, False
-    b = min(larger)
-    if b == a + 1 and a in row:
+    b = row[k]
+    if b == a + 1 and k and row[k - 1] == a:
         return row, b, True
-    out = tuple(a if v == b else v for v in row)
-    return out, b, False
+    return row[:k] + (a,) + row[k + 1:], b, False
 
 
 def eg_insert(factorization: DecreasingFactorization) -> EGPair:
     """Insertion and recording tableaux of a decreasing factorization."""
-    p_rows: list[tuple[int, ...]] = []
-    q_rows: list[list[int]] = []
-    for block_index, block in enumerate(factorization.factors, start=1):
-        for a in reversed(block):
-            letter: Optional[int] = a
-            row = 0
-            while letter is not None:
-                if row == len(p_rows):
-                    p_rows.append(())
-                    q_rows.append([])
-                p_rows[row], letter, _ = eg_insert_letter(p_rows[row], letter)
-                row += 1
-            q_rows[row - 1].append(block_index)
-    return EGPair(
-        Tableau(tuple(p_rows)),
-        Tableau(tuple(tuple(r) for r in q_rows)),
-    )
+    return next(eg_insert_all((factorization,)))
+
+
+def eg_insert_all(factorizations: Iterable[DecreasingFactorization]) -> Iterator[EGPair]:
+    """The insertion and recording tableaux of each factorization in turn.
+
+    Blocks are inserted rightmost first, so a factorization that shares its
+    first k blocks (``factors[:k]``) with the one before it resumes from the
+    tableaux those blocks left: sorted by ``factors``, neighbours share the
+    most.  Only the states along the current factorization's blocks are
+    kept, not the tableaux of earlier factorizations.
+    """
+    states = [((), ())]  # states[k]: the rows of P and Q after the first k blocks
+    previous: tuple = ()
+    for factorization in factorizations:
+        factors = factorization.factors
+        shared = 0
+        for a, b in zip(previous, factors):
+            if a != b:
+                break
+            shared += 1
+        del states[shared + 1:]
+        p_rows, q_rows = states[shared]
+        for block_index in range(shared + 1, len(factors) + 1):
+            if factors[block_index - 1]:
+                p_rows, q_rows = _insert_block(p_rows, q_rows, factors[block_index - 1], block_index)
+            states.append((p_rows, q_rows))
+        yield EGPair(Tableau(p_rows), Tableau(q_rows))
+        previous = factors
+
+
+def _insert_block(p_rows, q_rows, block: Word, block_index: int):
+    """The P and Q rows after inserting ``block`` in increasing order, each
+    new cell recorded with ``block_index``."""
+    p = list(p_rows)
+    q = list(q_rows)
+    for a in reversed(block):
+        letter: Optional[int] = a
+        row = 0
+        while letter is not None:
+            if row == len(p):
+                p.append(())
+                q.append(())
+            p[row], letter, _ = eg_insert_letter(p[row], letter)
+            row += 1
+        q[row - 1] += (block_index,)
+    return tuple(p), tuple(q)
 
 
 def eg_insert_word(system: CoxeterSystem, word: Word) -> EGPair:
@@ -201,6 +231,7 @@ def ck_edge_operator_identity(system: CoxeterSystem, w) -> CheckReport:
     k = system.length(w)
     failures = []
     for word in words:
+        source = DecreasingFactorization.from_word(system, word)
         for j in range(k - 2):
             x, y, z = word[j:j + 3]
             partner = None
@@ -213,7 +244,6 @@ def ck_edge_operator_identity(system: CoxeterSystem, w) -> CheckReport:
             if partner is None:
                 continue
             m = k - j - 2  # blocks are numbered from the right, 1-based
-            source = DecreasingFactorization.from_word(system, word)
             cur = source.e(m + 1)
             cur = cur.e(m) if cur is not None else None
             cur = cur.f(m + 1) if cur is not None else None
@@ -231,7 +261,7 @@ def ck_edge_operator_identity(system: CoxeterSystem, w) -> CheckReport:
 def q_tableaux(system: CoxeterSystem, w, num_factors: int | None = None) -> tuple[CrystalGraph, dict]:
     """Crystal of ``w`` together with the recording tableau of every vertex."""
     graph = factorization_crystal(system, w, num_factors)
-    return graph, {v: eg_insert(v).q for v in graph.vertices}
+    return graph, {v: pair.q for v, pair in zip(graph.vertices, eg_insert_all(graph.vertices))}
 
 
 def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None) -> CheckReport:
@@ -245,21 +275,27 @@ def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None)
 
 def _intertwining(graph: CrystalGraph, q_of: dict) -> CheckReport:
     """:func:`intertwining_check` on a factorization crystal ``graph`` and the
-    recording tableau ``q_of`` of each vertex.  The f side reads the graph's
-    edges, which hold the operator's own images; the e side applies e."""
+    recording tableau ``q_of`` of each vertex.
+
+    The f side reads the graph's edges, which :func:`factorization_crystal`
+    builds from the blocks ``crystal._lowered`` returns.  The e side applies
+    e to each vertex rather than reading those edges backwards, so the two
+    sides test two operators.
+    """
     failures = 0
     for v in graph.vertices:
+        q = q_of[v]
         for i in graph.index_set:
             down = graph.f(v, i)
-            q_down, q_up = _crystal_images(q_of[v], i)
+            q_down, q_up = _crystal_images(q, i)
             if (down is None) != (q_down is None):
                 failures += 1
-            elif down is not None and q_of[down] != q_down:
+            elif down is not None and q_of[down].rows != q_down.rows:
                 failures += 1
             up = v.e(i)
             if (up is None) != (q_up is None):
                 failures += 1
-            elif up is not None and q_of[up] != q_up:
+            elif up is not None and q_of[up].rows != q_up.rows:
                 failures += 1
     return CheckReport(
         "EG-intertwining",

@@ -23,7 +23,7 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if any(not row for row in self.rows):
+        if not all(self.rows):
             raise ValueError("empty rows are not allowed")
 
     @classmethod
@@ -239,9 +239,10 @@ def _signature(tableau: Tableau, i: int) -> tuple[list[tuple[int, int]], list[tu
 
 
 def _with_entry(tableau: Tableau, cell: tuple[int, int], value: int) -> Tableau:
-    rows = [list(row) for row in tableau.rows]
-    rows[cell[0]][cell[1]] = value
-    return Tableau(tuple(tuple(row) for row in rows))
+    """``tableau`` with ``value`` in ``cell``; only that cell's row is rebuilt."""
+    r, c = cell
+    rows = tableau.rows
+    return Tableau(rows[:r] + (rows[r][:c] + (value,) + rows[r][c + 1:],) + rows[r + 1:])
 
 
 def _crystal_images(tableau: Tableau, i: int) -> tuple[Optional[Tableau], Optional[Tableau]]:

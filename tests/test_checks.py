@@ -112,9 +112,10 @@ FAULTS = {
     "stanley": (stanley, "schur_expansion_via_eg",
                 lambda route: lambda system, w: SymFuncExpansion.zero("schur"),
                 {"S4-schur-three-way-agreement"}),
-    # the insertion tableau recorded in place of the recording tableau
-    "eg": (edelman_greene, "eg_insert",
-           lambda insert: lambda fz: edelman_greene.EGPair(insert(fz).p, insert(fz).p),
+    # the insertion tableau recorded in place of the recording tableau, in
+    # the walk that every insertion runs through
+    "eg": (edelman_greene, "eg_insert_all",
+           lambda walk: lambda fzs: (edelman_greene.EGPair(pair.p, pair.p) for pair in walk(fzs)),
            {"S4-EG-intertwining", "S4-highest-weight-Q-yamanouchi"}),
     # the uniform law in place of the closed form
     "markov": (markov, "stationary_distribution",

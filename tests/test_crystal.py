@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import requires_s5
+from redwords import crystal
 from redwords.coxeter import SymmetricGroup
 from redwords.crystal import (
     CrystalGraph,
@@ -403,3 +405,46 @@ def test_edge_targets_are_the_vertices_themselves():
 def test_lowering_outside_the_vertex_set_raises():
     with pytest.raises(ValueError):
         CrystalGraph.from_lowering((1, 2), (1,), lambda v, i: v + 1, lambda v: (v,))
+
+
+# ----------------------------------------------------------------------
+# the factorization crystal against the generic constructor
+
+
+def _from_lowering_oracle(system, w, num_factors):
+    """The crystal as the generic constructor builds it: every vertex through
+    the public checked constructor, every edge by applying f."""
+    vertices = tuple(sorted(
+        (DecreasingFactorization(x.factors, x.target) for x in decreasing_factorizations(system, w, num_factors)),
+        key=lambda x: x.factors,
+    ))
+    return CrystalGraph.from_lowering(
+        vertices, tuple(range(1, num_factors)), DecreasingFactorization.f, DecreasingFactorization.weight
+    )
+
+
+@pytest.mark.parametrize("rank, num_factors", [(4, None), pytest.param(5, 5, marks=requires_s5)])
+def test_factorization_crystal_matches_from_lowering(rank, num_factors):
+    # factorization_crystal splices the blocks _lowered returns and looks
+    # them up; from_lowering applies f and looks the image up: the same
+    # graph on every element, at default blocks in S4 and 5 blocks in S5
+    system = SymmetricGroup(rank)
+    edges = 0
+    for g in system.elements():
+        blocks = num_factors or crystal.default_num_factors(system, g)
+        graph = factorization_crystal(system, g, num_factors)
+        oracle = _from_lowering_oracle(system, g, blocks)
+        assert graph.vertices == oracle.vertices
+        assert graph.index_set == oracle.index_set
+        assert graph.f_edges == oracle.f_edges
+        assert graph.weights == oracle.weights
+        edges += len(graph.f_edges)
+    assert edges > (40_000 if rank == 5 else 1_000)
+
+
+def test_factorization_crystal_refuses_an_image_outside_its_vertices(monkeypatch, s3):
+    # drop one factorization from the enumeration: an f-image lands on it
+    full = crystal._block_sequences
+    monkeypatch.setattr(crystal, "_block_sequences", lambda *args: list(full(*args))[1:])
+    with pytest.raises(ValueError, match="outside the vertex set"):
+        factorization_crystal(s3, s3.longest_element, 3)

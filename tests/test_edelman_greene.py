@@ -1,8 +1,10 @@
+import itertools
 import time
 
 import pytest
 
-from redwords.coxeter import Dihedral
+from conftest import requires_s5, requires_s6
+from redwords.coxeter import Dihedral, SymmetricGroup
 from redwords.crystal import factorization_crystal, parse_factorization
 from redwords.edelman_greene import (
     BRAID,
@@ -12,7 +14,9 @@ from redwords.edelman_greene import (
     ck_edge_operator_identity,
     ck_graph,
     ck_neighbors,
+    EGPair,
     eg_insert,
+    eg_insert_all,
     eg_insert_letter,
     eg_insert_word,
     intertwining_check,
@@ -42,6 +46,29 @@ def test_insert_letter_special_bump():
 
 def test_insert_letter_replace():
     assert eg_insert_letter((2, 4), 1) == ((1, 4), 2, False)
+
+
+def scanning_insert_letter(row, a):
+    # the letter step by a scan of the whole row
+    larger = [v for v in row if v > a]
+    if not larger:
+        return row + (a,), None, False
+    b = min(larger)
+    if b == a + 1 and a in row:
+        return row, b, True
+    return tuple(a if v == b else v for v in row), b, False
+
+
+def test_insert_letter_matches_the_row_scan():
+    # every strictly increasing row over 1..6 and every letter 1..7
+    specials = 0
+    for size in range(7):
+        for row in itertools.combinations(range(1, 7), size):
+            for a in range(1, 8):
+                expected = scanning_insert_letter(row, a)
+                assert eg_insert_letter(row, a) == expected
+                specials += expected[2]
+    assert specials > 0
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +115,40 @@ def test_q_standard_for_singleton_blocks(s4):
     for word in s4.reduced_words(s4.longest_element):
         pair = eg_insert_word(s4, word)
         assert pair.q.is_standard()
+
+
+def reference_insert(factorization):
+    # each factorization inserted from empty tableaux, letter by letter
+    p_rows, q_rows = [], []
+    for block_index, block in enumerate(factorization.factors, start=1):
+        for letter in reversed(block):
+            row = 0
+            while letter is not None:
+                if row == len(p_rows):
+                    p_rows.append(())
+                    q_rows.append(())
+                p_rows[row], letter, _ = scanning_insert_letter(p_rows[row], letter)
+                row += 1
+            q_rows[row - 1] += (block_index,)
+    return EGPair(Tableau(tuple(p_rows)), Tableau(tuple(q_rows)))
+
+
+@pytest.mark.parametrize("rank, num_factors", [(4, None), pytest.param(5, 5, marks=requires_s5)])
+def test_insertion_walk_matches_per_vertex_insertion(rank, num_factors):
+    # the walk resumes from the blocks a vertex shares with the one before
+    # it; in the crystal's sorted order, in reverse order, one at a time and
+    # through q_tableaux it must give the reference insertion of each vertex
+    system = SymmetricGroup(rank)
+    vertices = 0
+    for g in system.elements():
+        graph, q_of = q_tableaux(system, g, num_factors)
+        expected = [reference_insert(v) for v in graph.vertices]
+        assert list(eg_insert_all(graph.vertices)) == expected
+        assert list(eg_insert_all(graph.vertices[::-1])) == expected[::-1]
+        assert [eg_insert(v) for v in graph.vertices] == expected
+        assert [q_of[v] for v in graph.vertices] == [pair.q for pair in expected]
+        vertices += len(graph.vertices)
+    assert vertices > (20_000 if rank == 5 else 500)
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +226,18 @@ def test_recording_tableau_is_the_crystal_isomorphism(s3):
     assert len(pairs) == 8
     assert all(q_of[a] == b for a, b in pairs)
     assert time.monotonic() - started < 1
+
+
+@requires_s6
+def test_intertwining_s6_w0():
+    # every factorization of the S6 longest element into 6 blocks, under
+    # all five colours
+    s6 = SymmetricGroup(6)
+    started = time.perf_counter()
+    report = intertwining_check(s6, s6.longest_element, 6)
+    assert report.passed, str(report)
+    assert report.detail == "32768 vertices x 5 colours"
+    assert time.perf_counter() - started < 10
 
 
 def test_highest_weight_q_is_yamanouchi():
