@@ -77,7 +77,10 @@ def parse_probs(text: str) -> list[Fraction]:
             raise InputError(
                 f"probability {token!r} must be an exact fraction like 1/3"
             )
-        out.append(Fraction(token))
+        try:
+            out.append(Fraction(token))
+        except ZeroDivisionError:
+            raise InputError(f"probability {token!r} has a zero denominator") from None
     return out
 
 

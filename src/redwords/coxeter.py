@@ -251,8 +251,11 @@ class CoxeterSystem:
         """Prepend ``i`` to a reduced word of the longest element and delete
         the unique letter that keeps the result reduced.
 
-        The one-word, one-generator case of :meth:`_deletion_walk`, which
-        also checks that the word is a reduced word of the longest element.
+        One walk along the word: each letter must be a generator and an
+        ascent of the product p of the letters before it, so the word is
+        reduced, and the product must end at the longest element.
+        Prepending i deletes the letter l at which s_i p = p s_l, the one
+        letter whose reflection p s_l p^-1 is s_i.
 
         >>> SymmetricGroup(4).exchange(2, (1, 2, 3, 1, 2, 1))
         (2, 1, 2, 3, 2, 1)
@@ -261,7 +264,17 @@ class CoxeterSystem:
         """
         self._check_index(i)
         word = tuple(word)
-        deleted = next(self._deletion_walk((word,), (i,)))[i]
+        prefix, deleted = self.identity, None
+        for k, letter in enumerate(word):
+            if letter not in self._letters or self.is_right_descent(prefix, letter):
+                raise ValueError(f"{word} is not a reduced word of the longest element")
+            if deleted is None and self._simple_conjugate(prefix, letter) == i:
+                deleted = k
+            prefix = self.right_multiplied(prefix, letter)
+        if prefix != self.longest_element:
+            raise ValueError(f"{word} is not a reduced word of the longest element")
+        if deleted is None:
+            raise ArithmeticError("exchange condition must produce a deletion")
         return (i,) + word[:deleted] + word[deleted + 1:]
 
     def exchange_kernel(self) -> tuple[tuple[Word, ...], tuple[tuple[int, ...], ...]]:
@@ -269,71 +282,48 @@ class CoxeterSystem:
         ``(states, table)`` of the reduced words of the longest element in
         lexicographic order, and the rows ``table[k]``, where ``table[k][g]``
         is the position of the exchange image of ``states[k]`` under
-        ``index_set[g]``.  One :meth:`_deletion_walk` over all the words
-        builds it."""
+        ``index_set[g]``.
+
+        The words are the maximal chains of the right weak order, walked
+        from the identity on a stack that takes each element's ascents in
+        decreasing order, so they come out in lexicographic order (the
+        traversal of ``markov.stationary_distribution``).  Along a path, the
+        letter j at depth k after the prefix p is the one that prepending g
+        deletes when p s_j p^-1 = s_g, as in :meth:`exchange`; every
+        reflection occurs exactly once on a reduced word of the longest
+        element, so each generator is met once per path.
+        """
         if self._exchange_kernel is None:
-            states = tuple(sorted(self.reduced_words(self.longest_element)))
+            generators = self.index_set[::-1]
+            steps: dict = {}  # element -> its (j, element s_j, simple conjugate) per ascent j
+            states: list[Word] = []
+            positions: list[tuple[int, ...]] = []  # per state, the deletion for each generator
+            stack = [(self.identity, (), ())]  # (element, word, (generator, deletion) pairs)
+            while stack:
+                element, word, found = stack.pop()
+                step = steps.get(element)
+                if step is None:
+                    step = steps[element] = tuple(
+                        (j, self.right_multiplied(element, j), self._simple_conjugate(element, j))
+                        for j in generators if not self.is_right_descent(element, j)
+                    )
+                if not step:
+                    if element != self.longest_element:
+                        raise ArithmeticError("a maximal chain of the weak order must end at the longest element")
+                    if len(found) != len(self.index_set):
+                        raise ArithmeticError("exchange condition must produce a deletion")
+                    states.append(word)
+                    positions.append(tuple(d for _, d in sorted(found)))
+                depth = len(word)
+                for j, above, g in step:
+                    stack.append((above, word + (j,), found if g is None else found + ((g, depth),)))
             index = {state: k for k, state in enumerate(states)}
             table = tuple(
-                tuple(index[(i,) + word[:d] + word[d + 1:]] for i, d in where.items())
-                for word, where in zip(states, self._deletion_walk(states, self.index_set))
+                tuple(index[(i,) + word[:d] + word[d + 1:]] for i, d in zip(self.index_set, deleted))
+                for word, deleted in zip(states, positions)
             )
-            self._exchange_kernel = states, table
+            self._exchange_kernel = tuple(states), table
         return self._exchange_kernel
-
-    def _deletion_walk(self, words, generators):
-        """For each word of ``words``, lexicographically sorted, yield the
-        dict from each of ``generators`` to the position of the letter that
-        the exchange condition deletes once that generator is prepended.
-
-        The words are walked as paths of their prefix trie, so a prefix that
-        a word shares with the word before it costs nothing.  Each node
-        checks that its letter is a generator and an ascent of the product p
-        of the letters before it, so the word is reduced, and each leaf
-        checks that the product is the longest element.  Prepending g
-        deletes the letter l at which s_g p = p s_l, the one node whose
-        reflection p s_l p^-1 is s_g, so a node costs one step however many
-        generators there are.  The yielded dict is reused for the next word.
-        """
-        letters = self._letters
-        descent = self.is_right_descent
-        times = self.right_multiplied
-        conjugate = self._simple_conjugate
-        w0 = self.longest_element
-        where = dict.fromkeys(generators, -1)  # -1 until the deletion is found
-        missing = len(where)
-        prefixes = [self.identity]  # prefixes[k]: product of the first k letters
-        previous: Word = ()
-        for word in words:
-            shared = 0
-            if previous:
-                for a, b in zip(previous, word):
-                    if a != b:
-                        break
-                    shared += 1
-                del prefixes[shared + 1:]
-                for g, k in where.items():
-                    if k >= shared:
-                        where[g] = -1
-                        missing += 1
-            prefix = prefixes[shared]
-            for k in range(shared, len(word)):
-                letter = word[k]
-                if letter not in letters or descent(prefix, letter):
-                    raise ValueError(f"{word} is not a reduced word of the longest element")
-                if missing:
-                    g = conjugate(prefix, letter)
-                    if g in where:
-                        where[g] = k
-                        missing -= 1
-                prefix = times(prefix, letter)
-                prefixes.append(prefix)
-            if prefix != w0:
-                raise ValueError(f"{word} is not a reduced word of the longest element")
-            if missing:
-                raise ArithmeticError("exchange condition must produce a deletion")
-            yield where
-            previous = word
 
 
 class SymmetricGroup(CoxeterSystem):
@@ -400,48 +390,30 @@ class SymmetricGroup(CoxeterSystem):
     def is_right_descent(self, a, i: int) -> bool:
         return a[i - 1] > a[i]
 
-    def _deletion_walk(self, words, generators):
-        """:meth:`CoxeterSystem._deletion_walk` on one mutable one-line list
-        ``a``, the product of the letters walked so far, so a letter costs
-        O(1) and a word of length L costs O(L).  The letter l is an ascent
-        when a[l-1] < a[l]; its reflection a s_l a^-1 transposes those two
-        values, so it is the simple s_v when they are v and v+1; applying l
-        swaps them in place, and going back up the trie swaps the dropped
-        letters again in reverse order."""
+    def exchange(self, i: int, word: Word) -> Word:
+        """:meth:`CoxeterSystem.exchange` on one mutable one-line list ``a``,
+        the product of the letters walked so far, so a letter costs O(1) and
+        a word of length L costs O(L).  The letter l is an ascent when
+        a[l-1] < a[l]; its reflection a s_l a^-1 transposes those two
+        values, so prepending i deletes it when they are i and i+1; applying
+        l swaps them in place."""
+        self._check_index(i)
+        word = tuple(word)
         letters = self._letters
         a = list(self.identity)
-        w0 = list(self.longest_element)
-        where = dict.fromkeys(generators, -1)  # -1 until the deletion is found
-        missing = len(where)
-        previous: Word = ()
-        for word in words:
-            shared = 0
-            if previous:
-                for x, y in zip(previous, word):
-                    if x != y:
-                        break
-                    shared += 1
-                for letter in reversed(previous[shared:]):
-                    a[letter - 1], a[letter] = a[letter], a[letter - 1]
-                for g, k in where.items():
-                    if k >= shared:
-                        where[g] = -1
-                        missing += 1
-            for k in range(shared, len(word)):
-                letter = word[k]
-                if letter not in letters or a[letter - 1] > a[letter]:
-                    raise ValueError(f"{word} is not a reduced word of the longest element")
-                low, high = a[letter - 1], a[letter]
-                if missing and high - low == 1 and low in where:
-                    where[low] = k
-                    missing -= 1
-                a[letter - 1], a[letter] = high, low
-            if a != w0:
+        deleted = None
+        for k, letter in enumerate(word):
+            if letter not in letters or a[letter - 1] > a[letter]:
                 raise ValueError(f"{word} is not a reduced word of the longest element")
-            if missing:
-                raise ArithmeticError("exchange condition must produce a deletion")
-            yield where
-            previous = word
+            low, high = a[letter - 1], a[letter]
+            if low == i and high == i + 1:
+                deleted = k
+            a[letter - 1], a[letter] = high, low
+        if a != list(self.longest_element):
+            raise ValueError(f"{word} is not a reduced word of the longest element")
+        if deleted is None:
+            raise ArithmeticError("exchange condition must produce a deletion")
+        return (i,) + word[:deleted] + word[deleted + 1:]
 
     def elements(self) -> tuple:
         return tuple(sorted(itertools.permutations(range(1, self.n + 1))))

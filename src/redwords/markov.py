@@ -523,6 +523,8 @@ class NaturalPoset:
     def __post_init__(self) -> None:
         if any(type(x) is not int for x in (self.n, *itertools.chain(*self.relations))):
             raise ValueError("the size and every relation entry must be integers")
+        if self.n < 0:
+            raise ValueError(f"the size must be at least 0, got {self.n}")
         below = [0] * self.n
         for i, j in sorted(self.relations):
             if not (1 <= i < j <= self.n):

@@ -426,6 +426,14 @@ def test_markov_exchange_rejects_bad_probs(capsys):
     assert code == 2 and "exact fraction" in err
 
 
+def test_markov_exchange_rejects_a_zero_denominator(capsys):
+    # Fraction("1/0") raises ZeroDivisionError, so the token is refused as input, by name
+    code, out, err = run_cli(capsys, "markov", "exchange", "--type", "A", "--rank", "3",
+                             "--probs", "1/0,1")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: probability '1/0' has a zero denominator"
+
+
 @pytest.mark.parametrize("rank", [5, 6])
 def test_markov_exchange_refuses_large_reports(capsys, rank):
     probs = ",".join([f"1/{rank - 1}"] * (rank - 1))
@@ -515,6 +523,7 @@ def test_markov_promote_rejects_unnatural(tmp_path, capsys):
     {"n": "2", "relations": []},
     {"n": 2, "relations": [[True, 2]]},
     {"n": 2, "relations": [["1", 2]]},
+    {"n": -1},
 ])
 def test_markov_promote_rejects_malformed_poset_files(tmp_path, capsys, payload):
     poset_file = tmp_path / "poset.json"

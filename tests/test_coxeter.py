@@ -146,7 +146,8 @@ def test_memo_sizes_count_each_table():
     assert sizes["reduced_words"] == sizes["exchange_states"] == 0
     system.exchange_kernel()
     sizes = system.memo_sizes()
-    assert sizes["reduced_words"] == 24 and sizes["exchange_states"] == 16
+    # the kernel walks the weak order and leaves the reduced-word memo empty
+    assert sizes["reduced_words"] == 0 and sizes["exchange_states"] == 16
 
 
 def test_weak_order_covers(s3):
@@ -255,47 +256,47 @@ def test_simple_conjugate_is_the_reflection_when_simple(system):
             assert simple == ([] if g is None else [g])
 
 
-def walk_outcome(walk, system, words, generators):
-    """Every dict a deletion walk yields, copied, or the type and message
-    of the exception it raises."""
+def exchange_outcome(exchange, system, i, word):
+    """The exchange image of ``word`` under ``i``, or the type and message
+    of the exception the exchange raises."""
     try:
-        return [dict(where) for where in walk(system, words, generators)]
+        return exchange(system, i, word)
     except (ValueError, ArithmeticError) as err:
         return type(err), str(err)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=requires_s6)])
 def test_symmetric_walk_matches_the_base_walk_on_the_whole_kernel(n):
+    # the one-line exchange against the generic one on every (state, generator) pair
     system = SymmetricGroup(n)
-    states = tuple(sorted(system.reduced_words(system.longest_element)))
-    fast = walk_outcome(SymmetricGroup._deletion_walk, system, states, system.index_set)
-    assert len(fast) == len(states)
-    assert fast == walk_outcome(CoxeterSystem._deletion_walk, system, states, system.index_set)
+    states, _ = system.exchange_kernel()
+    for word in states:
+        for i in system.index_set:
+            assert SymmetricGroup.exchange(system, i, word) == CoxeterSystem.exchange(system, i, word)
 
 
 @pytest.mark.parametrize("n", [10, 20, 30])
 def test_symmetric_walk_matches_the_base_walk_on_random_words(n):
     system = SymmetricGroup(n)
     for seed in range(3):
-        words = (random_reduced_word_of_w0(n, seed),)
-        fast = walk_outcome(SymmetricGroup._deletion_walk, system, words, system.index_set)
-        assert len(set(fast[0].values())) == n - 1  # each generator deletes its own letter
-        assert fast == walk_outcome(CoxeterSystem._deletion_walk, system, words, system.index_set)
+        word = random_reduced_word_of_w0(n, seed)
+        images = [SymmetricGroup.exchange(system, i, word) for i in system.index_set]
+        assert images == [CoxeterSystem.exchange(system, i, word) for i in system.index_set]
+        # each generator deletes its own letter, so the images differ
+        assert len(set(images)) == n - 1
 
 
-@pytest.mark.parametrize("words, generators", [
-    (((1, 2, 3, 1, 2, 4),), (1,)),  # a letter past the index set
-    (((0, 1, 2, 1, 3, 2),), (1,)),  # letter 0 would read the last entry
-    (((1, 2, 1, 1, 3, 2),), (1,)),  # a descent
-    (((1, 2, 3, 1, 2),), (1,)),  # reduced, but shorter than w0
-    (((1, 2, 1, 3, 2, 1), (1, 2, 3, 2, 1)), (1, 2, 3)),  # a short word after a shared prefix
-    (((1, 2, 1, 3, 2, 1), (1, 2, 3, 2, 2, 1)), (1, 2, 3)),  # a descent after a shared prefix
-    (((1, 2, 1, 3, 2, 1),), (1, 4)),  # 4 is never a deletion's generator
+@pytest.mark.parametrize("word, i", [
+    pytest.param((1, 2, 3, 1, 2, 4), 1, id="past-the-index-set"),
+    pytest.param((0, 1, 2, 1, 3, 2), 1, id="letter-0"),  # would read the last entry
+    pytest.param((1, 2, 1, 1, 3, 2), 1, id="descent"),
+    pytest.param((1, 2, 3, 1, 2), 1, id="short"),  # reduced, but shorter than w0
+    pytest.param((1, 2, 1, 3, 2, 1), 4, id="generator-4"),  # not a generator of S4
 ])
-def test_symmetric_walk_fails_as_the_base_walk_does(s4, words, generators):
-    expected = walk_outcome(CoxeterSystem._deletion_walk, s4, words, generators)
-    assert expected[0] in (ValueError, ArithmeticError)
-    assert walk_outcome(SymmetricGroup._deletion_walk, s4, words, generators) == expected
+def test_symmetric_exchange_fails_as_the_base_exchange_does(s4, word, i):
+    expected = exchange_outcome(CoxeterSystem.exchange, s4, i, word)
+    assert expected[0] is ValueError
+    assert exchange_outcome(SymmetricGroup.exchange, s4, i, word) == expected
 
 
 def test_exchange_scales_to_s60():

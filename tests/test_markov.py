@@ -512,6 +512,16 @@ def test_kernel_table_is_the_exchange_map():
                 assert spelled == [image]
 
 
+@requires_s6
+def test_s6_kernel_table_is_the_exchange_map():
+    # the identity above at 292,864 states, without its brute-force deletion search
+    s6 = SymmetricGroup(6)
+    states, table = s6.exchange_kernel()
+    assert states == tuple(sorted(s6.reduced_words(s6.longest_element)))
+    for state, row in zip(states, table):
+        assert tuple(states[k] for k in row) == tuple(s6.exchange(i, state) for i in s6.index_set)
+
+
 # ----------------------------------------------------------------------
 # simulation
 
@@ -626,6 +636,10 @@ def test_natural_poset_validation():
                      (2, [("1", 2)])]:
         with pytest.raises(ValueError, match="integers"):
             NaturalPoset.from_relations(n, pairs)
+    # the count and the listing agree from size 0 up, so a negative size is refused
+    with pytest.raises(ValueError, match="at least 0"):
+        NaturalPoset(-1, frozenset())
+    assert NaturalPoset(0, frozenset()).linear_extensions() == ((),)
 
 
 def test_linear_extensions():
