@@ -240,10 +240,11 @@ class CoxeterSystem:
 
     def _simple_conjugate(self, a, i: int):
         """The generator g with a s_i a^-1 = s_g, or None when that reflection
-        is not simple.  Then s_g a = a s_i."""
-        reflection = self.multiply(self.right_multiplied(a, i), self.inverse(a))
+        is not simple: the g with s_g a = a s_i, found by comparing those
+        products, so neither a^-1 nor the reflection is formed."""
+        moved = self.right_multiplied(a, i)
         for g in self.index_set:
-            if self.generator(g) == reflection:
+            if self.left_multiplied(g, a) == moved:
                 return g
         return None
 
@@ -268,9 +269,10 @@ class CoxeterSystem:
         for k, letter in enumerate(word):
             if letter not in self._letters or self.is_right_descent(prefix, letter):
                 raise ValueError(f"{word} is not a reduced word of the longest element")
-            if deleted is None and self._simple_conjugate(prefix, letter) == i:
+            moved = self.right_multiplied(prefix, letter)
+            if deleted is None and self.left_multiplied(i, prefix) == moved:
                 deleted = k
-            prefix = self.right_multiplied(prefix, letter)
+            prefix = moved
         if prefix != self.longest_element:
             raise ValueError(f"{word} is not a reduced word of the longest element")
         if deleted is None:

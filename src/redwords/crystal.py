@@ -255,12 +255,19 @@ class DecreasingFactorization:
         return _unchecked(_splice(self.factors, i, upper, lower), self.target)
 
     def epsilon(self, i: int) -> int:
-        """Number of times :meth:`e` applies at index i."""
-        return _string_length(self, lambda x: x.e(i))
+        """Number of times :meth:`e` applies at index i.
+
+        Iterates :func:`_raised` on blocks i+1 and i alone, the only blocks
+        e_i reads, so no factorization is built along the string.
+        """
+        self._check_op_index(i)
+        return _pair_string_length(_raised, self.factors[i], self.factors[i - 1])
 
     def phi(self, i: int) -> int:
-        """Number of times :meth:`f` applies at index i."""
-        return _string_length(self, lambda x: x.f(i))
+        """Number of times :meth:`f` applies at index i, iterating
+        :func:`_lowered` on blocks i+1 and i as :meth:`epsilon` does."""
+        self._check_op_index(i)
+        return _pair_string_length(_lowered, self.factors[i], self.factors[i - 1])
 
 
 def _splice(factors: tuple[Word, ...], i: int, upper: Word, lower: Word) -> tuple[Word, ...]:
@@ -277,10 +284,12 @@ def _unchecked(factors: tuple[Word, ...], target) -> DecreasingFactorization:
     return out
 
 
-def _string_length(x, step: Callable[[object], object]) -> int:
-    """Number of times ``step`` applies from ``x`` before it returns None."""
+def _pair_string_length(step: Callable[[Word, Word], tuple[Word, Word] | None], upper: Word, lower: Word) -> int:
+    """Number of times ``step`` (:func:`_raised` or :func:`_lowered`)
+    applies to the block pair before it returns None."""
     count = 0
-    while (x := step(x)) is not None:
+    while (blocks := step(upper, lower)) is not None:
+        upper, lower = blocks
         count += 1
     return count
 
@@ -404,12 +413,13 @@ def weight_vector_count(system: CoxeterSystem, w, parts: tuple[int, ...]) -> int
 # crystal graphs
 
 
-def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> tuple[frozenset, ...]:
-    """Components of the undirected graph with the given edge pairs, by
-    union-find, ordered by their first vertex in ``vertices``."""
-    parent = {v: v for v in vertices}
+def _position_components(size: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Components of the undirected graph on the positions 0..size-1 with
+    the given edge pairs, by union-find with path halving, each a list of
+    positions, ordered by their least position."""
+    parent = list(range(size))
 
-    def find(x):
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -417,10 +427,26 @@ def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> tuple[fr
 
     for u, v in pairs:
         parent[find(u)] = find(v)
-    groups: dict = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
-    return tuple(frozenset(g) for g in groups.values())
+    groups: dict[int, list[int]] = {}
+    for k in range(size):
+        groups.setdefault(find(k), []).append(k)
+    return list(groups.values())
+
+
+def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> tuple[frozenset, ...]:
+    """Components of the undirected graph with the given edge pairs, by
+    union-find, ordered by their first vertex in ``vertices``.
+
+    Each vertex is numbered once, by its first place in ``vertices``, and
+    each endpoint hashed once, when its pair is read; the union-find runs
+    on those numbers.
+    """
+    position: dict = {}
+    for v in vertices:
+        position.setdefault(v, len(position))
+    order = tuple(position)
+    groups = _position_components(len(order), ((position[u], position[v]) for u, v in pairs))
+    return tuple(frozenset(order[k] for k in group) for group in groups)
 
 
 @dataclass(eq=False)
@@ -428,7 +454,15 @@ class CrystalGraph:
     """Edge-labelled graph of a crystal: f_i arrows between vertices.
 
     Vertices are any hashable values carrying a weight; ``f_edges`` maps
-    (vertex, i) to the target vertex.
+    (vertex, i) to the target vertex, i one of ``index_set``.  The
+    vertices are numbered once, by their place in ``vertices``, and each
+    colour's f and e are stored as lists of positions, -1 where the
+    operator is undefined: :meth:`e`, :meth:`f`, :meth:`highest_weights`,
+    :meth:`components` and :func:`stembridge_violations` read those lists.
+
+    A vertex listed twice, an edge endpoint outside the vertices, a colour
+    outside ``index_set`` and an f_i that maps two vertices to one vertex
+    are each refused with ValueError.
     """
 
     vertices: tuple
@@ -437,33 +471,99 @@ class CrystalGraph:
     weights: dict
 
     def __post_init__(self) -> None:
-        self._e_edges = {(v, i): u for (u, i), v in self.f_edges.items()}
-        vertex_set = set(self.vertices)
-        for (u, _), v in self.f_edges.items():
-            if u not in vertex_set or v not in vertex_set:
+        position = {v: k for k, v in enumerate(self.vertices)}
+        if len(position) != len(self.vertices):
+            raise ValueError("a vertex is listed twice")
+        colour = {i: c for c, i in enumerate(self.index_set)}
+        f_rows = [[-1] * len(self.vertices) for _ in self.index_set]
+        for (u, i), v in self.f_edges.items():
+            source, target = position.get(u), position.get(v)
+            if source is None or target is None:
                 raise ValueError("edge endpoint outside the vertex set")
+            c = colour.get(i)
+            if c is None:
+                raise ValueError(f"edge colour {i} outside the index set {self.index_set}")
+            f_rows[c][source] = target
+        e_rows = []
+        for i, f_row in zip(self.index_set, f_rows):
+            e_row = [-1] * len(f_row)
+            for k, target in enumerate(f_row):
+                if target >= 0:
+                    if e_row[target] >= 0:
+                        raise ValueError(f"f_{i} maps two vertices to {self.vertices[target]}")
+                    e_row[target] = k
+            e_rows.append(e_row)
+        self._position = position
+        self._colour = colour
+        self._f = f_rows
+        self._e = e_rows
+
+    def _step(self, rows: list[list[int]], v, i: int):
+        k = self._position.get(v)
+        c = self._colour.get(i)
+        if k is None or c is None:
+            return None
+        target = rows[c][k]
+        return None if target < 0 else self.vertices[target]
 
     def f(self, v, i: int):
-        return self.f_edges.get((v, i))
+        return self._step(self._f, v, i)
 
     def e(self, v, i: int):
-        return self._e_edges.get((v, i))
+        return self._step(self._e, v, i)
+
+    def _arrows(self) -> Iterator[tuple[int, int, int]]:
+        """(source position, label, target position) of every f-arrow,
+        ordered by source position, then label."""
+        labels = sorted(self._colour.items())
+        for k in range(len(self.vertices)):
+            for i, c in labels:
+                target = self._f[c][k]
+                if target >= 0:
+                    yield k, i, target
 
     def edges(self) -> list[tuple[object, int, object]]:
         """Sorted (source, label, target) triples."""
-        order = {v: k for k, v in enumerate(self.vertices)}
-        return sorted(
-            ((u, i, v) for (u, i), v in self.f_edges.items()),
-            key=lambda t: (order[t[0]], t[1]),
-        )
+        vertices = self.vertices
+        return [(vertices[k], i, vertices[t]) for k, i, t in self._arrows()]
 
     def highest_weights(self) -> list[tuple[object, tuple[int, ...]]]:
         """Vertices with no incoming f-arrow of any colour, with weights."""
-        out = []
-        for v in self.vertices:
-            if all((v, i) not in self._e_edges for i in self.index_set):
-                out.append((v, self.weights[v]))
-        return out
+        e_rows = self._e
+        return [
+            (v, self.weights[v])
+            for k, v in enumerate(self.vertices)
+            if all(row[k] < 0 for row in e_rows)
+        ]
+
+    def _string_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The string lengths of every vertex: ``(epsilon, phi)`` where
+        ``epsilon[c][k]`` and ``phi[c][k]`` count how often e and f of the
+        colour ``index_set[c]`` apply from ``vertices[k]``.
+
+        One pass per colour walks each f-string once from its head, the one
+        vertex of the string where e is undefined.  The vertices of an
+        f-string with no head, a cycle, get -1 in both tables.
+        """
+        size = len(self.vertices)
+        epsilon, phi = [], []
+        for f_row, e_row in zip(self._f, self._e):
+            eps_row, phi_row = [-1] * size, [-1] * size
+            for head, above in enumerate(e_row):
+                if above >= 0:
+                    continue
+                string = [head]
+                k = f_row[head]
+                while k >= 0:
+                    string.append(k)
+                    k = f_row[k]
+                last = len(string) - 1
+                for depth, k in enumerate(string):
+                    eps_row[k] = depth
+                    phi_row[k] = last - depth
+            epsilon.append(eps_row)
+            phi.append(phi_row)
+        return epsilon, phi
 
     @classmethod
     def from_lowering(
@@ -492,23 +592,30 @@ class CrystalGraph:
                     f_edges[(v, i)] = target
         return cls(vertices, index_set, f_edges, {v: weight(v) for v in vertices})
 
+    def _component_positions(self) -> list[list[int]]:
+        return _position_components(
+            len(self.vertices), ((k, t) for row in self._f for k, t in enumerate(row) if t >= 0)
+        )
+
     def components(self) -> tuple[frozenset, ...]:
-        """Connected components, each a frozenset of vertices."""
-        return connected_components(self.vertices, ((u, v) for (u, _), v in self.f_edges.items()))
+        """Connected components, each a frozenset of vertices, ordered by
+        their first vertex."""
+        vertices = self.vertices
+        return tuple(frozenset(vertices[k] for k in group) for group in self._component_positions())
 
     def component_of(self) -> dict:
         """Map from vertex to its component index."""
-        out = {}
-        for k, comp in enumerate(self.components()):
-            for v in comp:
-                out[v] = k
-        return out
+        vertices = self.vertices
+        return {
+            vertices[k]: label
+            for label, group in enumerate(self._component_positions())
+            for k in group
+        }
 
     def to_dot(self, name: str = "crystal") -> str:
         from .dot import digraph
 
-        order = {v: k for k, v in enumerate(self.vertices)}
-        edges = [(order[u], order[v], {"label": str(i)}) for u, i, v in self.edges()]
+        edges = [(k, t, {"label": str(i)}) for k, i, t in self._arrows()]
         return digraph(name, map(str, self.vertices), edges)
 
 
@@ -587,61 +694,76 @@ def stembridge_violations(graph: CrystalGraph) -> list[str]:
     colours change (eps_j, phi_j) by (0,-1) or (+1,0); and the matching
     square or double-string closures hold.  Returns human-readable
     descriptions of any violations.
+
+    The checks run on vertex positions: eps and phi of every vertex come
+    from one walk of each f-string from its head, one pass per colour, and the
+    raising operators from the graph's e lists.  An f-string with no head
+    (a cycle) has no string lengths, so a graph with one is reported by
+    its cycles alone, each named at its first vertex.
     """
+    vertices = graph.vertices
+    e = graph._e
+    eps, phi = graph._string_tables()
     bad: list[str] = []
+    for c, i in enumerate(graph.index_set):
+        on_cycle: set[int] = set()
+        for k, depth in enumerate(eps[c]):
+            if depth < 0 and k not in on_cycle:
+                bad.append(f"f_{i} string through {vertices[k]} has no head (a cycle)")
+                while k not in on_cycle:
+                    on_cycle.add(k)
+                    k = graph._f[c][k]
+    if bad:
+        return bad
 
-    def eps(x, i):
-        return _string_length(x, lambda y: graph.e(y, i))
-
-    def phi(x, i):
-        return _string_length(x, lambda y: graph.f(y, i))
-
-    for x in graph.vertices:
-        for i in graph.index_set:
-            y = graph.e(x, i)
-            if y is None:
+    colours = tuple(enumerate(graph.index_set))
+    for x, vertex in enumerate(vertices):
+        for c, i in colours:
+            y = e[c][x]
+            if y < 0:
                 continue
-            for j in graph.index_set:
+            for d, j in colours:
                 if j == i:
                     continue
-                d_eps = eps(y, j) - eps(x, j)
-                d_phi = phi(y, j) - phi(x, j)
+                d_eps = eps[d][y] - eps[d][x]
+                d_phi = phi[d][y] - phi[d][x]
                 if abs(i - j) >= 2:
                     if (d_eps, d_phi) != (0, 0):
-                        bad.append(f"distant colours {i},{j} move string data at {x}")
-                    z = graph.e(x, j)
-                    if z is not None and graph.e(y, j) != graph.e(z, i):
-                        bad.append(f"distant colours {i},{j} fail to commute at {x}")
-                else:
-                    if (d_eps, d_phi) not in {(0, -1), (1, 0)}:
-                        bad.append(
-                            f"adjacent colours {i},{j} give (d_eps,d_phi)=({d_eps},{d_phi}) at {x}"
-                        )
-        for i in graph.index_set:
-            for j in graph.index_set:
+                        bad.append(f"distant colours {i},{j} move string data at {vertex}")
+                    z = e[d][x]
+                    if z >= 0 and e[d][y] != e[c][z]:
+                        bad.append(f"distant colours {i},{j} fail to commute at {vertex}")
+                elif (d_eps, d_phi) not in {(0, -1), (1, 0)}:
+                    bad.append(
+                        f"adjacent colours {i},{j} give (d_eps,d_phi)=({d_eps},{d_phi}) at {vertex}"
+                    )
+        for c, i in colours:
+            for d, j in colours:
                 if abs(i - j) != 1:
                     continue
-                yi = graph.e(x, i)
-                yj = graph.e(x, j)
-                if yi is None or yj is None:
+                yi = e[c][x]
+                yj = e[d][x]
+                if yi < 0 or yj < 0:
                     continue
-                di = eps(yi, j) - eps(x, j)
-                dj = eps(yj, i) - eps(x, i)
+                di = eps[d][yi] - eps[d][x]
+                dj = eps[c][yj] - eps[c][x]
                 if di == 0 and dj == 0:
-                    if graph.e(yi, j) != graph.e(yj, i) or graph.e(yi, j) is None:
-                        bad.append(f"square closure fails for colours {i},{j} at {x}")
+                    top = e[d][yi]
+                    if top != e[c][yj] or top < 0:
+                        bad.append(f"square closure fails for colours {i},{j} at {vertex}")
                 if di == 1 and dj == 1:
-                    a = _apply_chain(graph, x, (i, j, j, i))
-                    b = _apply_chain(graph, x, (j, i, i, j))
-                    if a is None or a != b:
-                        bad.append(f"double-string closure fails for colours {i},{j} at {x}")
+                    a = _raised_along(e, x, (c, d, d, c))
+                    b = _raised_along(e, x, (d, c, c, d))
+                    if a < 0 or a != b:
+                        bad.append(f"double-string closure fails for colours {i},{j} at {vertex}")
     return bad
 
 
-def _apply_chain(graph: CrystalGraph, x, colours):
-    """Raise ``x`` by e_i for each colour i in turn; None once one is undefined."""
-    for i in colours:
-        x = graph.e(x, i)
-        if x is None:
-            return None
+def _raised_along(e_rows: list[list[int]], x: int, colours: tuple[int, ...]) -> int:
+    """Raise position ``x`` by the e list of each colour index in turn; -1
+    once one is undefined."""
+    for c in colours:
+        x = e_rows[c][x]
+        if x < 0:
+            return -1
     return x

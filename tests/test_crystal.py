@@ -12,13 +12,15 @@ from redwords.crystal import (
     _check_block,
     _inserted,
     bracket_unpaired,
+    connected_components,
     decreasing_factorizations,
     factorization_crystal,
     highest_weight_factorizations,
     parse_factorization,
+    stembridge_violations,
 )
-from redwords.edelman_greene import ck_components
-from redwords.tableaux import tableau_crystal
+from redwords.edelman_greene import ck_components, ck_graph
+from redwords.tableaux import crystal_e, crystal_f, tableau_crystal, tableau_epsilon, tableau_phi
 
 
 def fz(system, *display_blocks):
@@ -448,3 +450,216 @@ def test_factorization_crystal_refuses_an_image_outside_its_vertices(monkeypatch
     monkeypatch.setattr(crystal, "_block_sequences", lambda *args: list(full(*args))[1:])
     with pytest.raises(ValueError, match="outside the vertex set"):
         factorization_crystal(s3, s3.longest_element, 3)
+
+
+# ----------------------------------------------------------------------
+# the graph on vertex positions against the object-level walks it replaced
+
+
+def walked_string_length(x, step):
+    """The string length as the graph and the factorizations once found it:
+    apply ``step`` to whole objects until it returns None."""
+    count = 0
+    while (x := step(x)) is not None:
+        count += 1
+    return count
+
+
+def dict_union_find(vertices, pairs):
+    """Components by a union-find keyed on the vertices themselves, ordered
+    by their first vertex in ``vertices``."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    groups = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return tuple(frozenset(g) for g in groups.values())
+
+
+def _factorization_crystals():
+    for n in (2, 3, 4):
+        system = SymmetricGroup(n)
+        for g in system.elements():
+            yield factorization_crystal(system, g)
+    s5 = SymmetricGroup(5)
+    yield factorization_crystal(s5, s5.longest_element, 5)
+
+
+TABLEAU_CRYSTALS = [((2, 1), 3), ((3, 1), 3), ((2, 2), 3), ((2, 1, 1), 4)]
+
+
+def _assert_components_match_the_dict_union_find(graph):
+    expected = dict_union_find(graph.vertices, ((u, v) for (u, _), v in graph.f_edges.items()))
+    assert graph.components() == expected
+    assert graph.component_of() == {v: k for k, comp in enumerate(expected) for v in comp}
+
+
+def test_string_tables_and_components_match_the_object_walks_on_factorization_crystals():
+    # epsilon/phi iterate the block-pair tables and the graph walks each
+    # f-string once from its head; both must equal applying e and f to
+    # whole factorizations, on every default-block crystal of S2-S4 and
+    # the 5-block crystal of the S5 longest element
+    strings = 0
+    for graph in _factorization_crystals():
+        eps_table, phi_table = graph._string_tables()
+        for c, i in enumerate(graph.index_set):
+            for k, v in enumerate(graph.vertices):
+                eps = walked_string_length(v, lambda y: y.e(i))
+                phi = walked_string_length(v, lambda y: y.f(i))
+                assert v.epsilon(i) == eps_table[c][k] == eps
+                assert v.phi(i) == phi_table[c][k] == phi
+                strings += 1
+        _assert_components_match_the_dict_union_find(graph)
+    assert strings > 4_000
+
+
+def test_string_tables_and_components_match_the_object_walks_on_tableau_crystals():
+    for shape, entries in TABLEAU_CRYSTALS:
+        graph = tableau_crystal(shape, entries)
+        eps_table, phi_table = graph._string_tables()
+        for c, i in enumerate(graph.index_set):
+            for k, t in enumerate(graph.vertices):
+                assert eps_table[c][k] == walked_string_length(t, lambda y: crystal_e(y, i)) == tableau_epsilon(t, i)
+                assert phi_table[c][k] == walked_string_length(t, lambda y: crystal_f(y, i)) == tableau_phi(t, i)
+        _assert_components_match_the_dict_union_find(graph)
+
+
+def test_ck_components_match_the_dict_union_find(s4):
+    for g in s4.elements():
+        graph = ck_graph(s4, g)
+        assert graph.components() == dict_union_find(graph.vertices, ((u, v) for u, v, _ in graph.edges))
+
+
+def test_connected_components_numbers_a_repeated_vertex_once():
+    assert connected_components(["a", "b", "a", "c"], [("c", "a")]) == (frozenset("ac"), frozenset("b"))
+
+
+def test_operators_off_the_graph_are_undefined(s3):
+    graph = factorization_crystal(s3, s3.longest_element, 3)
+    top = graph.vertices[0]
+    stranger = DecreasingFactorization.from_display(((1,),), s3.generator(1))
+    assert graph.f(stranger, 1) is graph.e(stranger, 1) is None
+    assert graph.f(top, 7) is graph.e(top, 0) is None
+
+
+# ----------------------------------------------------------------------
+# malformed graphs are refused, and broken axioms are reported
+
+
+def arrow_graph(index_set, arrows):
+    """The graph of the given (source, colour, target) arrows, its vertices
+    in order of first mention."""
+    vertices = tuple(dict.fromkeys(v for u, _, w in arrows for v in (u, w)))
+    return CrystalGraph(vertices, index_set, {(u, i): v for u, i, v in arrows}, {v: () for v in vertices})
+
+
+# Seven points of the plane, (a, b) named "ab": f_1 steps right along a
+# row, f_2 up a column.  Each row and column is an interval whose ends
+# move as the axioms ask, so every local axiom holds, and at 11 the two
+# raisings meet at 00 (a square) while at 22 both double strings meet
+# at 00 as well.
+GRID = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2))
+
+
+def grid_copies(twisted):
+    """Two copies of the grid, suffixed a and b; when ``twisted`` the f_1
+    arrows out of 00 cross to the other copy, which keeps every string
+    length and opens the closures at 11 and 22."""
+    arrows = []
+    for copy, other in (("a", "b"), ("b", "a")):
+        for a, b in GRID:
+            if (a + 1, b) in GRID:
+                target = other if twisted and (a, b) == (0, 0) else copy
+                arrows.append((f"{a}{b}{copy}", 1, f"{a + 1}{b}{target}"))
+            if (a, b + 1) in GRID:
+                arrows.append((f"{a}{b}{copy}", 2, f"{a}{b + 1}{copy}"))
+    return arrow_graph((1, 2), arrows)
+
+
+BROKEN_GRAPHS = {
+    # e_1 and e_3 both raise b, so each colour changes the other's string
+    "distant-move": (
+        arrow_graph((1, 3), [("a", 1, "b"), ("c", 3, "b")]),
+        ["distant colours 1,3 move string data at b", "distant colours 3,1 move string data at b"],
+    ),
+    # two commuting squares x <- y, z <- t with their tops swapped: every
+    # string has one arrow, but e_3 e_1 and e_1 e_3 part at x1 and x2
+    "distant-commute": (
+        arrow_graph(
+            (1, 3),
+            [(f"{v}{k}", c, f"{w}{k}") for k in (1, 2) for v, c, w in (("y", 1, "x"), ("z", 3, "x"))]
+            + [("t1", 3, "y1"), ("t2", 1, "z1"), ("t2", 3, "y2"), ("t1", 1, "z2")],
+        ),
+        [
+            "distant colours 1,3 fail to commute at x1",
+            "distant colours 3,1 fail to commute at x1",
+            "distant colours 1,3 fail to commute at x2",
+            "distant colours 3,1 fail to commute at x2",
+        ],
+    ),
+    # a lone 1-arrow leaves the adjacent colour 2 unchanged
+    "adjacent": (
+        arrow_graph((1, 2), [("a", 1, "b")]),
+        ["adjacent colours 1,2 give (d_eps,d_phi)=(0,0) at b"],
+    ),
+    "square": (
+        grid_copies(twisted=True),
+        [
+            "square closure fails for colours 1,2 at 11a",
+            "square closure fails for colours 2,1 at 11a",
+            "double-string closure fails for colours 1,2 at 22a",
+            "double-string closure fails for colours 2,1 at 22a",
+            "square closure fails for colours 1,2 at 11b",
+            "square closure fails for colours 2,1 at 11b",
+            "double-string closure fails for colours 1,2 at 22b",
+            "double-string closure fails for colours 2,1 at 22b",
+        ],
+    ),
+    # f_1 runs round a -> b -> a: its string has no head, and the
+    # f_2-string of c has none either
+    "cycle": (
+        arrow_graph((1, 2), [("a", 1, "b"), ("b", 1, "a"), ("c", 2, "d"), ("d", 2, "e"), ("e", 2, "c")]),
+        ["f_1 string through a has no head (a cycle)", "f_2 string through c has no head (a cycle)"],
+    ),
+}
+
+
+def test_the_untwisted_grid_satisfies_the_axioms():
+    assert stembridge_violations(grid_copies(twisted=False)) == []
+
+
+@pytest.mark.parametrize("name", BROKEN_GRAPHS)
+def test_stembridge_reports_each_broken_axiom(name):
+    graph, expected = BROKEN_GRAPHS[name]
+    assert stembridge_violations(graph) == expected
+
+
+def test_string_tables_mark_a_cycle():
+    graph, _ = BROKEN_GRAPHS["cycle"]
+    eps, phi = graph._string_tables()
+    assert eps == [[-1, -1, 0, 0, 0], [0, 0, -1, -1, -1]]
+    assert phi == [[-1, -1, 0, 0, 0], [0, 0, -1, -1, -1]]
+
+
+@pytest.mark.parametrize("vertices, index_set, f_edges, message", [
+    pytest.param(("a", "b", "c"), (1,), {("a", 1): "c", ("b", 1): "c"}, "f_1 maps two vertices to c", id="merge"),
+    pytest.param(("a", "b"), (1,), {("a", 1): "z"}, "outside the vertex set", id="endpoint"),
+    pytest.param(("a", "b"), (1,), {("a", 2): "b"}, "colour 2 outside the index set", id="colour"),
+    pytest.param(("a", "b", "a"), (1,), {}, "listed twice", id="repeated-vertex"),
+])
+def test_crystal_graph_refuses_a_malformed_graph(vertices, index_set, f_edges, message):
+    with pytest.raises(ValueError, match=message):
+        CrystalGraph(vertices, index_set, f_edges, {v: () for v in vertices})
+
+
+def test_from_lowering_refuses_two_arrows_into_one_vertex():
+    with pytest.raises(ValueError, match="maps two vertices"):
+        CrystalGraph.from_lowering((1, 2, 3), (1,), lambda v, i: 3 if v < 3 else None, lambda v: (v,))
