@@ -122,13 +122,11 @@ def crystal_checks(max_rank: int) -> list[CheckReport]:
             for (u, i), v in graph.f_edges.items():
                 if v.e(i) != u:
                     inverse_ok = False
+                # f_i moves one letter from block i to block i+1 and leaves
+                # every other block length alone
                 wu, wv = u.weight(), v.weight()
-                delta = tuple(a - b for a, b in zip(wu, wv))
-                expected = tuple(
-                    1 if k == i - 1 else -1 if k == i else 0
-                    for k in range(len(wu))
-                )
-                if delta != expected:
+                if (wv[i - 1] != wu[i - 1] - 1 or wv[i] != wu[i] + 1
+                        or wv[:i - 1] != wu[:i - 1] or wv[i + 1:] != wu[i + 1:]):
                     weight_ok = False
             for v in graph.vertices:
                 for i in graph.index_set:
@@ -140,8 +138,9 @@ def crystal_checks(max_rank: int) -> list[CheckReport]:
                     u.validate(system)
                 except ValueError:
                     target_ok = False
+                weight = u.weight()
                 for i in graph.index_set:
-                    if u.phi(i) - u.epsilon(i) != u.weight()[i - 1] - u.weight()[i]:
+                    if u.phi(i) - u.epsilon(i) != weight[i - 1] - weight[i]:
                         string_ok = False
             for fz, weight in graph.highest_weights():
                 shape = tuple(p for p in weight if p)
@@ -268,7 +267,8 @@ def eg_checks(max_rank: int) -> list[CheckReport]:
             q_of[fz] = pair.q
             if pair.p.shape != pair.q.shape:
                 shapes = False
-        if not eg._intertwining(graph, q_of).passed:
+        factors = [fz.factors for fz in graph.vertices]
+        if not eg._intertwining(factors, [q.rows for q in q_of.values()], graph.index_set).passed:
             intertwine = False
         if not eg._component_correspondence(system, g, graph).passed:
             components = False

@@ -691,9 +691,12 @@ def stembridge_violations(graph: CrystalGraph) -> list[str]:
 
     Checks, for every vertex x and indices i != j with e_i(x) defined:
     distant colours leave the j-string data unchanged and commute; adjacent
-    colours change (eps_j, phi_j) by (0,-1) or (+1,0); and the matching
-    square or double-string closures hold.  Returns human-readable
-    descriptions of any violations.
+    colours change (eps_j, phi_j) by (0,-1) or (+1,0); and the closures of
+    adjacent colours hold: e_j e_i x = e_i e_j x whenever e_i leaves eps_j
+    unchanged (Stembridge's P5, which asks nothing of what e_j does to
+    eps_i), and e_i e_j e_j e_i x = e_j e_i e_i e_j x when each raising
+    moves the other's eps.  Returns human-readable descriptions of any
+    violations.
 
     The checks run on vertex positions: eps and phi of every vertex come
     from one walk of each f-string from its head, one pass per colour, and the
@@ -747,7 +750,7 @@ def stembridge_violations(graph: CrystalGraph) -> list[str]:
                     continue
                 di = eps[d][yi] - eps[d][x]
                 dj = eps[c][yj] - eps[c][x]
-                if di == 0 and dj == 0:
+                if di == 0:
                     top = e[d][yi]
                     if top != e[c][yj] or top < 0:
                         bad.append(f"square closure fails for colours {i},{j} at {vertex}")

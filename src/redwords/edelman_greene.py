@@ -16,9 +16,20 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .coxeter import CoxeterSystem, Word, format_word
-from .crystal import CrystalGraph, DecreasingFactorization, connected_components, factorization_crystal
+from .crystal import (
+    CrystalGraph,
+    DecreasingFactorization,
+    _block_sequences,
+    _lowered,
+    _raised,
+    _splice,
+    _unchecked,
+    connected_components,
+    default_num_factors,
+    factorization_crystal,
+)
 from .reports import CheckReport
-from .tableaux import Tableau, _crystal_images
+from .tableaux import _UNBRACKETED, Tableau, _brackets, _with_entry
 
 
 @dataclass(frozen=True)
@@ -226,12 +237,20 @@ def _component_correspondence(system: CoxeterSystem, w, graph: CrystalGraph) -> 
 
 def ck_edge_operator_identity(system: CoxeterSystem, w) -> CheckReport:
     """On each relation edge the word with the left-hand pattern maps to the
-    other by f_m f_{m+1} e_m e_{m+1}, m determined by the window position."""
+    other by f_m f_{m+1} e_m e_{m+1}, m determined by the window position.
+
+    The operators act on the word's singleton blocks through the block-pair
+    tables (:func:`~redwords.crystal._raised`, :func:`~redwords.crystal._lowered`),
+    four splices per window, and the result must be the partner's singleton
+    blocks.  The partner must also be a reduced word of ``w``, so it spells
+    the same element.
+    """
     words = system.reduced_words(w)
+    word_set = set(words)
     k = system.length(w)
     failures = []
     for word in words:
-        source = DecreasingFactorization.from_word(system, word)
+        source = tuple((letter,) for letter in reversed(word))
         for j in range(k - 2):
             x, y, z = word[j:j + 3]
             partner = None
@@ -244,18 +263,27 @@ def ck_edge_operator_identity(system: CoxeterSystem, w) -> CheckReport:
             if partner is None:
                 continue
             m = k - j - 2  # blocks are numbered from the right, 1-based
-            cur = source.e(m + 1)
-            cur = cur.e(m) if cur is not None else None
-            cur = cur.f(m + 1) if cur is not None else None
-            cur = cur.f(m) if cur is not None else None
-            expected = DecreasingFactorization.from_word(system, partner)
-            if cur != expected:
+            cur = _moved(_raised, source, m + 1)
+            cur = _moved(_raised, cur, m)
+            cur = _moved(_lowered, cur, m + 1)
+            cur = _moved(_lowered, cur, m)
+            if partner not in word_set or cur != tuple((letter,) for letter in reversed(partner)):
                 failures.append((word, j))
     return CheckReport(
         "CK-edge-operator-identity",
         not failures,
         f"{len(failures)} failing windows" if failures else "all windows verified",
     )
+
+
+def _moved(step, factors: tuple[Word, ...] | None, i: int) -> tuple[Word, ...] | None:
+    """The blocks after ``step`` (``_raised`` or ``_lowered``) acts on blocks
+    i+1 and i of ``factors``; None when it does not apply or ``factors`` is
+    None."""
+    if factors is None:
+        return None
+    blocks = step(factors[i], factors[i - 1])
+    return None if blocks is None else _splice(factors, i, *blocks)
 
 
 def q_tableaux(system: CoxeterSystem, w, num_factors: int | None = None) -> tuple[CrystalGraph, dict]:
@@ -269,38 +297,55 @@ def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None)
 
     For every vertex and every index, applying e or f before or after taking
     the recording tableau gives the same answer, with None matching None.
+    The factorizations are enumerated once, as sorted block tuples, and
+    inserted by one :func:`eg_insert_all` walk; no crystal graph is built
+    (see :func:`_intertwining`).
     """
-    return _intertwining(*q_tableaux(system, w, num_factors))
+    if num_factors is None:
+        num_factors = default_num_factors(system, w)
+    factors = sorted(_block_sequences(system, w, num_factors))
+    pairs = eg_insert_all(_unchecked(blocks, w) for blocks in factors)
+    return _intertwining(factors, [pair.q.rows for pair in pairs], range(1, num_factors))
 
 
-def _intertwining(graph: CrystalGraph, q_of: dict) -> CheckReport:
-    """:func:`intertwining_check` on a factorization crystal ``graph`` and the
-    recording tableau ``q_of`` of each vertex.
+def _intertwining(factors: list[tuple[Word, ...]], q_rows: list, colours: Iterable[int]) -> CheckReport:
+    """:func:`intertwining_check` on the block tuples ``factors`` of every
+    factorization of one element into one number of blocks, the rows
+    ``q_rows[k]`` of the recording tableau of ``factors[k]``, and the
+    ``colours`` 1, ..., blocks - 1.
 
-    The f side reads the graph's edges, which :func:`factorization_crystal`
-    builds from the blocks ``crystal._lowered`` returns.  The e side applies
-    e to each vertex rather than reading those edges backwards, so the two
-    sides test two operators.
+    Each vertex is numbered by its place in ``factors``.  For each colour i
+    the f side splices the blocks ``crystal._lowered`` returns into the
+    vertex's blocks and the e side those ``crystal._raised`` returns, so the
+    two sides test two operators; either image is looked up among the
+    vertices, and one outside them raises ValueError.  The tableau side
+    brackets each Q once for every colour (``tableaux._brackets``), and
+    the image's Q must be Q changed at the cell the bracketing names.
     """
+    position = {blocks: k for k, blocks in enumerate(factors)}
+    colours = tuple(colours)
     failures = 0
-    for v in graph.vertices:
-        q = q_of[v]
-        for i in graph.index_set:
-            down = graph.f(v, i)
-            q_down, q_up = _crystal_images(q, i)
-            if (down is None) != (q_down is None):
-                failures += 1
-            elif down is not None and q_of[down].rows != q_down.rows:
-                failures += 1
-            up = v.e(i)
-            if (up is None) != (q_up is None):
-                failures += 1
-            elif up is not None and q_of[up].rows != q_up.rows:
-                failures += 1
+    for blocks, q in zip(factors, q_rows):
+        brackets = _brackets(q)
+        for i in colours:
+            last, first, _, _ = brackets.get(i, _UNBRACKETED)
+            upper, lower = blocks[i], blocks[i - 1]
+            for name, moved, cell, value in (
+                ("f", _lowered(upper, lower), last, i + 1),
+                ("e", _raised(upper, lower), first, i),
+            ):
+                if moved is None:
+                    failures += cell is not None
+                    continue
+                target = position.get(_splice(blocks, i, *moved))
+                if target is None:
+                    raise ValueError(f"{name}_{i} maps {_unchecked(blocks, None)} outside the vertex set")
+                if cell is None or q_rows[target] != _with_entry(q, cell, value):
+                    failures += 1
     return CheckReport(
         "EG-intertwining",
         failures == 0,
-        f"{len(graph.vertices)} vertices x {len(graph.index_set)} colours"
+        f"{len(factors)} vertices x {len(colours)} colours"
         + ("" if failures == 0 else f", {failures} failures"),
     )
 

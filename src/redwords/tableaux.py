@@ -220,36 +220,56 @@ def _strip_removals(shape: Partition, size: int) -> list[Partition]:
 # crystal operators via the signature rule
 
 
-def _signature(tableau: Tableau, i: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Surviving cells after bracketing i+1 (opening) against i (closing)
-    along the reading word.  Returns (surviving i cells, surviving i+1 cells)
-    in reading order."""
-    opens: list[tuple[int, int]] = []
-    closers: list[tuple[int, int]] = []
-    for r in range(len(tableau.rows) - 1, -1, -1):
-        for c, v in enumerate(tableau.rows[r]):
-            if v == i + 1:
-                opens.append((r, c))
-            elif v == i:
-                if opens:
-                    opens.pop()
-                else:
-                    closers.append((r, c))
-    return closers, opens
+Cell = tuple[int, int]
 
 
-def _with_entry(tableau: Tableau, cell: tuple[int, int], value: int) -> Tableau:
-    """``tableau`` with ``value`` in ``cell``; only that cell's row is rebuilt."""
+def _brackets(rows: tuple[tuple[int, ...], ...]) -> dict[int, tuple[Optional[Cell], Optional[Cell], int, int]]:
+    """The bracketing of every colour in one pass over the reading word.
+
+    For colour i an entry i+1 opens a bracket and a later entry i closes the
+    nearest open one; an entry v opens for colour v-1 and closes for colour
+    v, so one pass serves them all.  Returns, for each colour i that meets
+    an entry i or i+1, ``(last unpaired i cell, first unpaired i+1 cell,
+    phi_i, epsilon_i)``: f_i changes the entry of the former cell into i+1
+    and e_i that of the latter into i, and a cell is None where its operator
+    does not apply.  Colours left out meet no such entry, so their
+    bracketing is ``(None, None, 0, 0)``.
+    """
+    state: dict[int, list] = {}  # colour -> [last unpaired i cell, phi, unpaired i+1 cells]
+    for r in range(len(rows) - 1, -1, -1):
+        for c, v in enumerate(rows[r]):
+            own = state.get(v)
+            if own is None:
+                own = state[v] = [None, 0, []]
+            if own[2]:
+                own[2].pop()
+            else:
+                own[0] = (r, c)
+                own[1] += 1
+            below = state.get(v - 1)
+            if below is None:
+                below = state[v - 1] = [None, 0, []]
+            below[2].append((r, c))
+    return {
+        i: (last, opens[0] if opens else None, phi, len(opens))
+        for i, (last, phi, opens) in state.items()
+    }
+
+
+_UNBRACKETED = (None, None, 0, 0)
+
+
+def _with_entry(rows: tuple[tuple[int, ...], ...], cell: Cell, value: int) -> tuple[tuple[int, ...], ...]:
+    """``rows`` with ``value`` in ``cell``; only that cell's row is rebuilt."""
     r, c = cell
-    rows = tableau.rows
-    return Tableau(rows[:r] + (rows[r][:c] + (value,) + rows[r][c + 1:],) + rows[r + 1:])
+    return rows[:r] + (rows[r][:c] + (value,) + rows[r][c + 1:],) + rows[r + 1:]
 
 
 def _crystal_images(tableau: Tableau, i: int) -> tuple[Optional[Tableau], Optional[Tableau]]:
-    """``(f_i image, e_i image)`` from one signature of the reading word."""
-    closers, opens = _signature(tableau, i)
-    lowered = _with_entry(tableau, closers[-1], i + 1) if closers else None
-    raised = _with_entry(tableau, opens[0], i) if opens else None
+    """``(f_i image, e_i image)`` from one bracketing of the reading word."""
+    last, first, _, _ = _brackets(tableau.rows).get(i, _UNBRACKETED)
+    lowered = None if last is None else Tableau(_with_entry(tableau.rows, last, i + 1))
+    raised = None if first is None else Tableau(_with_entry(tableau.rows, first, i))
     return lowered, raised
 
 
@@ -264,13 +284,11 @@ def crystal_e(tableau: Tableau, i: int) -> Optional[Tableau]:
 
 
 def tableau_epsilon(tableau: Tableau, i: int) -> int:
-    _, opens = _signature(tableau, i)
-    return len(opens)
+    return _brackets(tableau.rows).get(i, _UNBRACKETED)[3]
 
 
 def tableau_phi(tableau: Tableau, i: int) -> int:
-    closers, _ = _signature(tableau, i)
-    return len(closers)
+    return _brackets(tableau.rows).get(i, _UNBRACKETED)[2]
 
 
 def tableau_crystal(shape: Partition, max_entry: int) -> CrystalGraph:

@@ -584,6 +584,22 @@ def grid_copies(twisted):
     return arrow_graph((1, 2), arrows)
 
 
+def sym2_copies(twisted):
+    """Two copies of the crystal of one-row tableaux of length 2 on entries
+    1..3, vertices named by their entries and suffixed a and b.  At 23 e_1
+    leaves eps_2 unchanged while e_2 raises eps_1, so only the square
+    closure of P5 read one-sided applies there; when ``twisted`` the f_2
+    arrows out of 12 cross to the other copy, which keeps every string
+    length and opens that square."""
+    arrows = []
+    for copy, other in (("a", "b"), ("b", "a")):
+        for u, i, v in (("11", 1, "12"), ("12", 1, "22"), ("13", 1, "23"),
+                        ("12", 2, "13"), ("22", 2, "23"), ("23", 2, "33")):
+            target = other if twisted and (u, i) == ("12", 2) else copy
+            arrows.append((u + copy, i, v + target))
+    return arrow_graph((1, 2), arrows)
+
+
 BROKEN_GRAPHS = {
     # e_1 and e_3 both raise b, so each colour changes the other's string
     "distant-move": (
@@ -623,6 +639,12 @@ BROKEN_GRAPHS = {
             "double-string closure fails for colours 2,1 at 22b",
         ],
     ),
+    # e_2 e_1 and e_1 e_2 part at 23; Delta_2 eps_1 = 1 there, so a gate
+    # that also asked for Delta_2 eps_1 = 0 would pass this graph
+    "one-sided-square": (
+        sym2_copies(twisted=True),
+        ["square closure fails for colours 1,2 at 23a", "square closure fails for colours 1,2 at 23b"],
+    ),
     # f_1 runs round a -> b -> a: its string has no head, and the
     # f_2-string of c has none either
     "cycle": (
@@ -634,6 +656,10 @@ BROKEN_GRAPHS = {
 
 def test_the_untwisted_grid_satisfies_the_axioms():
     assert stembridge_violations(grid_copies(twisted=False)) == []
+
+
+def test_the_untwisted_sym2_copies_satisfy_the_axioms():
+    assert stembridge_violations(sym2_copies(twisted=False)) == []
 
 
 @pytest.mark.parametrize("name", BROKEN_GRAPHS)

@@ -4,8 +4,9 @@ import time
 import pytest
 
 from conftest import requires_s5, requires_s6
+from redwords import crystal, edelman_greene
 from redwords.coxeter import Dihedral, SymmetricGroup
-from redwords.crystal import factorization_crystal, parse_factorization
+from redwords.crystal import DecreasingFactorization, factorization_crystal, parse_factorization
 from redwords.edelman_greene import (
     BRAID,
     MIDDLE_FIRST,
@@ -24,7 +25,7 @@ from redwords.edelman_greene import (
     p_transpose_reading_word,
     q_tableaux,
 )
-from redwords.tableaux import Tableau, tableau_crystal
+from redwords.tableaux import _UNBRACKETED, Tableau, _brackets, crystal_e, crystal_f, generate_ssyt, tableau_crystal
 
 
 def tab(*rows):
@@ -194,6 +195,68 @@ def test_ck_edge_operator_identity(s3):
     assert ck_edge_operator_identity(s3, s3.longest_element).passed
 
 
+def reference_ck_edge_failures(system, w):
+    # the identity on DecreasingFactorization objects, each partner built
+    # from its word and evaluated, so a partner that spells another element
+    # differs in its target
+    words = system.reduced_words(w)
+    k = system.length(w)
+    failures = 0
+    for word in words:
+        source = DecreasingFactorization.from_word(system, word)
+        for j in range(k - 2):
+            x, y, z = word[j:j + 3]
+            partner = None
+            if x == z and y == x - 1:
+                partner = word[:j] + (y, x, y) + word[j + 3:]
+            elif y < x < z:
+                partner = word[:j] + (x, z, y) + word[j + 3:]
+            elif y < z < x:
+                partner = word[:j] + (y, x, z) + word[j + 3:]
+            if partner is None:
+                continue
+            m = k - j - 2
+            cur = source.e(m + 1)
+            cur = cur.e(m) if cur is not None else None
+            cur = cur.f(m + 1) if cur is not None else None
+            cur = cur.f(m) if cur is not None else None
+            failures += cur != DecreasingFactorization.from_word(system, partner)
+    return failures
+
+
+def ck_edge_cases():
+    for n in (2, 3, 4):
+        system = SymmetricGroup(n)
+        yield from ((system, g) for g in system.elements())
+    d4 = Dihedral(4)
+    yield d4, d4.longest_element  # braid windows turn 2121 and 1212 into 1211 and 1121, not reduced
+
+
+def test_ck_edge_identity_on_blocks_matches_the_object_identity():
+    verdicts = set()
+    for system, g in ck_edge_cases():
+        failures = reference_ck_edge_failures(system, g)
+        report = ck_edge_operator_identity(system, g)
+        assert report.passed == (failures == 0)
+        assert report.detail == (f"{failures} failing windows" if failures else "all windows verified")
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
+
+
+@requires_s5
+def test_ck_edge_identity_on_blocks_matches_the_object_identity_s5():
+    s5 = SymmetricGroup(5)
+    for g in s5.elements():
+        if s5.length(g) >= 5:
+            assert reference_ck_edge_failures(s5, g) == 0
+            assert ck_edge_operator_identity(s5, g).passed
+
+
+def test_a_wrong_operator_fails_the_ck_edge_identity(monkeypatch, s4):
+    monkeypatch.setattr(edelman_greene, "_lowered", crystal._raised)
+    assert not ck_edge_operator_identity(s4, s4.longest_element).passed
+
+
 # ----------------------------------------------------------------------
 # intertwining
 
@@ -226,6 +289,115 @@ def test_recording_tableau_is_the_crystal_isomorphism(s3):
     assert len(pairs) == 8
     assert all(q_of[a] == b for a, b in pairs)
     assert time.monotonic() - started < 1
+
+
+def reference_intertwining_failures(graph, q_of):
+    # the object-level loop: f read from the graph, e applied to each
+    # factorization, and the tableau operators applied to each Tableau
+    failures = 0
+    for v in graph.vertices:
+        q = q_of[v]
+        for i in graph.index_set:
+            down, q_down = graph.f(v, i), crystal_f(q, i)
+            if (down is None) != (q_down is None):
+                failures += 1
+            elif down is not None and q_of[down].rows != q_down.rows:
+                failures += 1
+            up, q_up = v.e(i), crystal_e(q, i)
+            if (up is None) != (q_up is None):
+                failures += 1
+            elif up is not None and q_of[up].rows != q_up.rows:
+                failures += 1
+    return failures
+
+
+def intertwining_detail(graph, failures):
+    return (f"{len(graph.vertices)} vertices x {len(graph.index_set)} colours"
+            + (f", {failures} failures" if failures else ""))
+
+
+def assert_positional_loop_matches_object_loop(system, g, num_factors):
+    # the same verdict and failure count on Q, and again with P in place
+    # of Q (the insertion tableau fault of the verify suite)
+    graph = factorization_crystal(system, g, num_factors)
+    pairs = list(eg_insert_all(graph.vertices))
+    q_of = {v: pair.q for v, pair in zip(graph.vertices, pairs)}
+    p_of = {v: pair.p for v, pair in zip(graph.vertices, pairs)}
+    factors = [v.factors for v in graph.vertices]
+
+    failures = reference_intertwining_failures(graph, q_of)
+    report = intertwining_check(system, g, num_factors)
+    assert report.passed == (failures == 0)
+    assert report.detail == intertwining_detail(graph, failures)
+    assert edelman_greene._intertwining(factors, [q.rows for q in q_of.values()], graph.index_set) == report
+
+    failures = reference_intertwining_failures(graph, p_of)
+    report = edelman_greene._intertwining(factors, [p.rows for p in p_of.values()], graph.index_set)
+    assert report.passed == (failures == 0)
+    assert report.detail == intertwining_detail(graph, failures)
+    return failures
+
+
+def test_positional_intertwining_matches_the_object_loop():
+    p_failures = 0
+    for n in (2, 3, 4):
+        system = SymmetricGroup(n)
+        for g in system.elements():
+            p_failures += assert_positional_loop_matches_object_loop(system, g, None)
+    assert p_failures > 0
+
+
+@requires_s5
+def test_positional_intertwining_matches_the_object_loop_s5():
+    s5 = SymmetricGroup(5)
+    p_failures = 0
+    for g in s5.elements():
+        if s5.length(g) >= 5:
+            p_failures += assert_positional_loop_matches_object_loop(s5, g, 5)
+    assert p_failures > 0
+
+
+@pytest.mark.parametrize("table, wrong", [("_lowered", crystal._raised), ("_raised", crystal._lowered)])
+def test_a_wrong_operator_side_fails_the_intertwining(monkeypatch, s3, table, wrong):
+    # f read from e's table, or e from f's: every image is still a vertex
+    monkeypatch.setattr(edelman_greene, table, wrong)
+    report = intertwining_check(s3, s3.longest_element, 3)
+    assert not report.passed and "failures" in report.detail
+
+
+@pytest.mark.parametrize("table, name", [("_lowered", "f"), ("_raised", "e")])
+def test_an_image_outside_the_vertices_is_refused(monkeypatch, s3, table, name):
+    monkeypatch.setattr(edelman_greene, table, lambda upper, lower: ((9,), lower))
+    with pytest.raises(ValueError, match=rf"{name}_\d maps \(.*\) outside the vertex set"):
+        intertwining_check(s3, s3.longest_element, 3)
+
+
+def signature(tableau, i):
+    # the per-colour bracketing: (surviving i cells, surviving i+1 cells)
+    # in reading order, bottom row up
+    opens, closers = [], []
+    for r in range(len(tableau.rows) - 1, -1, -1):
+        for c, v in enumerate(tableau.rows[r]):
+            if v == i + 1:
+                opens.append((r, c))
+            elif v == i:
+                if opens:
+                    opens.pop()
+                else:
+                    closers.append((r, c))
+    return closers, opens
+
+
+@pytest.mark.parametrize("shape, count", [((3, 2, 1), 280), ((2, 2, 1), 75)])
+def test_all_colour_bracket_matches_the_per_colour_signature(shape, count):
+    tableaux = generate_ssyt(shape, 5)
+    assert len(tableaux) == count
+    for t in tableaux:
+        brackets = _brackets(t.rows)
+        for i in range(7):  # colours 0 and 6 meet a single entry value, or none
+            closers, opens = signature(t, i)
+            expected = (closers[-1] if closers else None, opens[0] if opens else None, len(closers), len(opens))
+            assert brackets.get(i, _UNBRACKETED) == expected
 
 
 @requires_s6
