@@ -258,17 +258,18 @@ def eg_checks(max_rank: int) -> list[CheckReport]:
     n = min(max_rank, 4)
     system = SymmetricGroup(n)
     intertwine = components = biconditional = edge_identity = yamanouchi = shapes = True
+    top = n - 1
     for g in system.elements():
         # one crystal (a block per letter) and one insertion walk over its
-        # vertices serve every check on g; only the Q tableaux are kept
+        # vertices serve every check on g; P and Q stay packed
         graph = factorization_crystal(system, g)
-        q_of = {}
-        for fz, pair in zip(graph.vertices, eg.eg_insert_all(graph.vertices)):
-            q_of[fz] = pair.q
-            if pair.p.shape != pair.q.shape:
-                shapes = False
         factors = [fz.factors for fz in graph.vertices]
-        if not eg._intertwining(factors, [q.rows for q in q_of.values()], graph.index_set).passed:
+        qs = []
+        for p, q in eg._eg_walk(factors, top):
+            qs.append(q)
+            if tuple(map(int.bit_count, p)) != eg._q_shape(q, top):
+                shapes = False
+        if not eg._intertwining(factors, qs, graph.index_set, top).passed:
             intertwine = False
         if not eg._component_correspondence(system, g, graph).passed:
             components = False
@@ -276,8 +277,9 @@ def eg_checks(max_rank: int) -> list[CheckReport]:
             biconditional = False
         if not eg.ck_edge_operator_identity(system, g).passed:
             edge_identity = False
+        q_of = dict(zip(graph.vertices, qs))
         for fz, _ in graph.highest_weights():
-            if not eg.is_yamanouchi(q_of[fz]):
+            if not eg._is_yamanouchi(q_of[fz], top):
                 yamanouchi = False
     out.append(CheckReport(f"S{n}-EG-intertwining", intertwine))
     out.append(CheckReport(f"S{n}-CK-crystal-component-bijection", components))

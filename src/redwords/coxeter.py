@@ -392,6 +392,20 @@ class SymmetricGroup(CoxeterSystem):
     def is_right_descent(self, a, i: int) -> bool:
         return a[i - 1] > a[i]
 
+    def is_reduced(self, word: Word) -> bool:
+        """:meth:`CoxeterSystem.is_reduced` on one mutable one-line list
+        ``a``, the product of the letters walked so far: the letter l is an
+        ascent when a[l-1] < a[l], and applying it swaps those two entries,
+        so a word of length L costs O(L) after the O(n) copy."""
+        a = list(self.identity)
+        for i in word:
+            if i not in self._letters:
+                self._check_index(i)
+            if a[i - 1] > a[i]:
+                return False
+            a[i - 1], a[i] = a[i], a[i - 1]
+        return True
+
     def exchange(self, i: int, word: Word) -> Word:
         """:meth:`CoxeterSystem.exchange` on one mutable one-line list ``a``,
         the product of the letters walked so far, so a letter costs O(1) and

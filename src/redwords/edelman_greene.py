@@ -7,12 +7,19 @@ the row is left unchanged, otherwise b is replaced by a; either way b is
 bumped into the next row up.  New cells are recorded with the index of the
 block being inserted, so the recording tableau carries the crystal weight as
 its content.
+
+Every insertion runs through one integer walk, :func:`_eg_walk`: a row of
+the insertion tableau P is the bitmask of its letters, and the recording
+tableau Q is one int of per-row counts of each block index.  ``EGPair`` and
+``Tableau`` are built only by the public functions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
 from .coxeter import CoxeterSystem, Word, format_word
@@ -21,6 +28,7 @@ from .crystal import (
     DecreasingFactorization,
     _block_sequences,
     _lowered,
+    _position_components,
     _raised,
     _splice,
     _unchecked,
@@ -29,7 +37,7 @@ from .crystal import (
     factorization_crystal,
 )
 from .reports import CheckReport
-from .tableaux import _UNBRACKETED, Tableau, _brackets, _with_entry
+from .tableaux import Tableau
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,8 @@ def eg_insert_letter(row: tuple[int, ...], a: int) -> tuple[tuple[int, ...], Opt
 
     Returns (new row, bumped letter or None, special flag); the special flag
     marks the case where the row already contains both a and a+1 and is left
-    untouched.
+    untouched.  This is the row rule on tuples; the insertion walk
+    (:func:`_eg_walk`) applies it to bitmasks.
     """
     k = bisect_right(row, a)  # row[k] is the smallest entry larger than a
     if k == len(row):
@@ -54,6 +63,122 @@ def eg_insert_letter(row: tuple[int, ...], a: int) -> tuple[tuple[int, ...], Opt
     return row[:k] + (a,) + row[k + 1:], b, False
 
 
+def _eg_walk(sequences: Iterable[tuple[Word, ...]], top: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The insertion and recording tableaux of each block tuple in turn, as
+    ``(P rows, packed Q)``; every letter lies in 1..``top``.
+
+    Row r of P is the bitmask with bit a set for each letter a of the row,
+    so the row rule is a mask and a lowest set bit: the letters above a
+    are ``row & -(2 << a)``, and their lowest bit is the bumped letter b.  A
+    letter that meets itself in a row without its successor (a word that is
+    not reduced) raises ValueError rather than vanishing from the mask.
+
+    Q is one int: the count of block index j in row r sits in the field of
+    ``width = top.bit_length()`` bits at bit ``((j - 1) * top + r) * width``,
+    so block index j owns the ``top * width`` bits from ``(j - 1) * top *
+    width`` on.  Letters entering row r are at least r + 1, so there are at
+    most ``top`` rows, and a row of distinct letters from 1..``top`` holds
+    at most ``top`` cells, so each count fits its field.  A row of Q weakly
+    increases, so its counts fix it.
+
+    Blocks are inserted rightmost first, so a tuple that shares its first k
+    blocks with the one before it resumes from the tableaux those blocks
+    left: sorted tuples share the most.  Only the states along the current
+    tuple's blocks are kept.
+    """
+    width = top.bit_length()
+    stride = top * width
+    states = [((), 0)]  # states[k]: P and Q after the first k blocks
+    previous: tuple = ()
+    for factors in sequences:
+        shared = 0
+        for a, b in zip(previous, factors):
+            if a != b:
+                break
+            shared += 1
+        del states[shared + 1:]
+        p, q = states[shared]
+        rows = list(p)
+        for k in range(shared, len(factors)):
+            block = factors[k]
+            if block:
+                base = k * stride
+                for a in reversed(block):
+                    bit = 1 << a
+                    for r, row in enumerate(rows):
+                        above = row & -(bit << 1)  # the letters of the row above a
+                        if not row & bit:
+                            if not above:
+                                rows[r] = row | bit
+                                break
+                            lowest = above & -above  # b, the smallest of them
+                            rows[r] = row ^ lowest ^ bit
+                            bit = lowest
+                        elif above & bit << 1:
+                            bit <<= 1  # a and a+1 both sit in the row, which stays: a+1 is bumped
+                        else:
+                            a = bit.bit_length() - 1
+                            raise ValueError(
+                                f"letter {a} meets itself in row {r + 1} without {a + 1}: "
+                                "the word is not reduced")
+                    else:
+                        r = len(rows)
+                        rows.append(bit)
+                    q += 1 << (base + r * width)
+                p = tuple(rows)
+            states.append((p, q))
+        yield p, q
+        previous = factors
+
+
+def _pair(p: tuple[int, ...], q: int, top: int) -> EGPair:
+    """The tableaux of the walk's P rows ``p`` and packed Q ``q``.
+
+    Row r of Q is read from the fields of row r in every block index's
+    column, gathered by one mask and visited by their set bits, lowest
+    block index first.
+    """
+    if not p:  # no letters, so top may be 0
+        return EGPair(Tableau(()), Tableau(()))
+    width = top.bit_length()
+    stride = top * width
+    field = (1 << width) - 1
+    columns = -(-q.bit_length() // stride)
+    row_0 = field * (((1 << columns * stride) - 1) // ((1 << stride) - 1))  # row 0 of every column
+    q_rows = []
+    for r in range(len(p)):
+        fields = q >> r * width & row_0
+        row: list[int] = []
+        while fields:
+            j = ((fields & -fields).bit_length() - 1) // stride
+            count = fields >> j * stride & field
+            row += [j + 1] * count
+            fields ^= count << j * stride
+        q_rows.append(tuple(row))
+    return EGPair(Tableau(tuple(map(_letters, p))), Tableau(tuple(q_rows)))
+
+
+@lru_cache(maxsize=None)
+def _letters(row: int) -> tuple[int, ...]:
+    """The letters of a row bitmask, in increasing order; one table entry
+    per distinct row."""
+    out = []
+    while row:
+        lowest = row & -row
+        out.append(lowest.bit_length() - 1)
+        row ^= lowest
+    return tuple(out)
+
+
+def _largest_letter(factorization: DecreasingFactorization) -> int:
+    """The largest letter of ``factorization``, 0 when it has none; a letter
+    below 1 is refused."""
+    blocks = [block for block in factorization.factors if block]
+    if any(block[-1] < 1 for block in blocks):
+        raise ValueError(f"{factorization.compact()} has a letter below 1")
+    return max((block[0] for block in blocks), default=0)
+
+
 def eg_insert(factorization: DecreasingFactorization) -> EGPair:
     """Insertion and recording tableaux of a decreasing factorization."""
     return next(eg_insert_all((factorization,)))
@@ -62,52 +187,25 @@ def eg_insert(factorization: DecreasingFactorization) -> EGPair:
 def eg_insert_all(factorizations: Iterable[DecreasingFactorization]) -> Iterator[EGPair]:
     """The insertion and recording tableaux of each factorization in turn.
 
-    Blocks are inserted rightmost first, so a factorization that shares its
-    first k blocks (``factors[:k]``) with the one before it resumes from the
-    tableaux those blocks left: sorted by ``factors``, neighbours share the
-    most.  Only the states along the current factorization's blocks are
-    kept, not the tableaux of earlier factorizations.
+    One :func:`_eg_walk` runs over each stretch of factorizations with the
+    same largest letter, so a factorization resumes from the tableaux of
+    the leading blocks it shares with the one before it.
     """
-    states = [((), ())]  # states[k]: the rows of P and Q after the first k blocks
-    previous: tuple = ()
-    for factorization in factorizations:
-        factors = factorization.factors
-        shared = 0
-        for a, b in zip(previous, factors):
-            if a != b:
-                break
-            shared += 1
-        del states[shared + 1:]
-        p_rows, q_rows = states[shared]
-        for block_index in range(shared + 1, len(factors) + 1):
-            if factors[block_index - 1]:
-                p_rows, q_rows = _insert_block(p_rows, q_rows, factors[block_index - 1], block_index)
-            states.append((p_rows, q_rows))
-        yield EGPair(Tableau(p_rows), Tableau(q_rows))
-        previous = factors
-
-
-def _insert_block(p_rows, q_rows, block: Word, block_index: int):
-    """The P and Q rows after inserting ``block`` in increasing order, each
-    new cell recorded with ``block_index``."""
-    p = list(p_rows)
-    q = list(q_rows)
-    for a in reversed(block):
-        letter: Optional[int] = a
-        row = 0
-        while letter is not None:
-            if row == len(p):
-                p.append(())
-                q.append(())
-            p[row], letter, _ = eg_insert_letter(p[row], letter)
-            row += 1
-        q[row - 1] += (block_index,)
-    return tuple(p), tuple(q)
+    for top, group in groupby(factorizations, _largest_letter):
+        for p, q in _eg_walk((fz.factors for fz in group), top):
+            yield _pair(p, q, top)
 
 
 def eg_insert_word(system: CoxeterSystem, word: Word) -> EGPair:
-    """Insertion of a reduced word embedded with one letter per block."""
-    return eg_insert(DecreasingFactorization.from_word(system, word))
+    """Insertion of a reduced word embedded with one letter per block; a
+    word that is not reduced, or a letter that is not a generator of
+    ``system``, raises ValueError."""
+    word = tuple(word)
+    if not system.is_reduced(word):
+        raise ValueError(f"{format_word(word)} is not a reduced word of {system!r}")
+    top = max(system.index_set, default=0)
+    (p, q), = _eg_walk((tuple(zip(reversed(word))),), top)
+    return _pair(p, q, top)
 
 
 def p_transpose_reading_word(p: Tableau) -> Word:
@@ -171,20 +269,27 @@ class CKGraph:
         return digraph(name, map(format_word, self.vertices), edges)
 
 
-def ck_graph(system: CoxeterSystem, w) -> CKGraph:
-    words = system.reduced_words(w)
-    word_set = set(words)
-    edges = []
-    for u in words:
+def _ck_edges(system: CoxeterSystem, words: tuple[Word, ...]) -> Iterator[tuple[int, int, str]]:
+    """``(k, l, kind)`` for each single Coxeter-Knuth move from ``words[k]``
+    to a larger word ``words[l]``; a move to a word outside ``words``, the
+    reduced words of one element of ``system``, raises ValueError."""
+    position = {word: k for k, word in enumerate(words)}
+    for k, u in enumerate(words):
         for v, kind in ck_moves(u):
             if u < v:
-                if v not in word_set:
+                target = position.get(v)
+                if target is None:
                     raise ValueError(
                         f"Coxeter-Knuth move {format_word(u)} -> {format_word(v)} leaves the "
                         f"reduced words of {system!r}; the relations are those of type A"
                     )
-                edges.append((u, v, kind))
-    return CKGraph(words, tuple(sorted(set(edges))))
+                yield k, target, kind
+
+
+def ck_graph(system: CoxeterSystem, w) -> CKGraph:
+    words = system.reduced_words(w)
+    edges = {(words[k], words[target], kind) for k, target, kind in _ck_edges(system, words)}
+    return CKGraph(words, tuple(sorted(edges)))
 
 
 def ck_components(system: CoxeterSystem, w) -> tuple[frozenset[Word], ...]:
@@ -198,13 +303,21 @@ def ck_components(system: CoxeterSystem, w) -> tuple[frozenset[Word], ...]:
 
 def same_p_tableau_iff_ck_equivalent(system: CoxeterSystem, w) -> CheckReport:
     """Two reduced words insert to the same P tableau exactly when they are
-    Coxeter-Knuth equivalent."""
+    Coxeter-Knuth equivalent.
+
+    Each word is numbered by its place in ``reduced_words``.  The relation
+    classes come from a union-find over those numbers; one :func:`_eg_walk`
+    inserts the words as sorted singleton-block tuples, and the words are
+    grouped by their P rows.
+    """
     words = system.reduced_words(w)
+    ck_classes = _position_components(len(words), ((k, target) for k, target, _ in _ck_edges(system, words)))
+    singletons = sorted((tuple(zip(reversed(word))), k) for k, word in enumerate(words))
+    walk = _eg_walk((blocks for blocks, _ in singletons), max(system.index_set, default=0))
     by_p: dict = {}
-    for word in words:
-        by_p.setdefault(eg_insert_word(system, word).p, []).append(word)
-    p_classes = {frozenset(group) for group in by_p.values()}
-    ck_classes = set(ck_components(system, w))
+    for (_, k), (p, _) in zip(singletons, walk):
+        by_p.setdefault(p, []).append(k)
+    p_classes = sorted(sorted(group) for group in by_p.values())
     passed = p_classes == ck_classes
     detail = f"{len(p_classes)} insertion classes vs {len(ck_classes)} relation classes"
     return CheckReport("same-P-iff-CK", passed, detail)
@@ -286,62 +399,70 @@ def _moved(step, factors: tuple[Word, ...] | None, i: int) -> tuple[Word, ...] |
     return None if blocks is None else _splice(factors, i, *blocks)
 
 
-def q_tableaux(system: CoxeterSystem, w, num_factors: int | None = None) -> tuple[CrystalGraph, dict]:
-    """Crystal of ``w`` together with the recording tableau of every vertex."""
-    graph = factorization_crystal(system, w, num_factors)
-    return graph, {v: pair.q for v, pair in zip(graph.vertices, eg_insert_all(graph.vertices))}
-
-
 def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None) -> CheckReport:
     """Recording tableaux commute with the crystal operators.
 
     For every vertex and every index, applying e or f before or after taking
     the recording tableau gives the same answer, with None matching None.
     The factorizations are enumerated once, as sorted block tuples, and
-    inserted by one :func:`eg_insert_all` walk; no crystal graph is built
-    (see :func:`_intertwining`).
+    inserted by one :func:`_eg_walk`; no crystal graph and no tableau is
+    built (see :func:`_intertwining`).
     """
     if num_factors is None:
         num_factors = default_num_factors(system, w)
+    top = max(system.index_set, default=0)
     factors = sorted(_block_sequences(system, w, num_factors))
-    pairs = eg_insert_all(_unchecked(blocks, w) for blocks in factors)
-    return _intertwining(factors, [pair.q.rows for pair in pairs], range(1, num_factors))
+    qs = [q for _, q in _eg_walk(factors, top)]
+    return _intertwining(factors, qs, range(1, num_factors), top)
 
 
-def _intertwining(factors: list[tuple[Word, ...]], q_rows: list, colours: Iterable[int]) -> CheckReport:
+def _intertwining(factors: list[tuple[Word, ...]], qs: list[int], colours: Iterable[int], top: int) -> CheckReport:
     """:func:`intertwining_check` on the block tuples ``factors`` of every
-    factorization of one element into one number of blocks, the rows
-    ``q_rows[k]`` of the recording tableau of ``factors[k]``, and the
-    ``colours`` 1, ..., blocks - 1.
+    factorization of one element into one number of blocks, the packed
+    recording tableau ``qs[k]`` of ``factors[k]``, and the ``colours`` 1,
+    ..., blocks - 1.
 
-    Each vertex is numbered by its place in ``factors``.  For each colour i
-    the f side splices the blocks ``crystal._lowered`` returns into the
-    vertex's blocks and the e side those ``crystal._raised`` returns, so the
-    two sides test two operators; either image is looked up among the
-    vertices, and one outside them raises ValueError.  The tableau side
-    brackets each Q once for every colour (``tableaux._brackets``), and
-    the image's Q must be Q changed at the cell the bracketing names.
+    Q is packed as :func:`_eg_walk` packs it, letters in 1..``top``: the
+    count of block index j in row r is the field of ``top.bit_length()``
+    bits at bit ``((j - 1) * top + r) * top.bit_length()``, so the counts
+    of i and i+1 in every row are the two ``top``-field columns from bit
+    ``(i - 1) * top * top.bit_length()`` on.
+
+    For each colour i the f side splices the blocks ``crystal._lowered``
+    returns into the vertex's blocks and the e side those
+    ``crystal._raised`` returns, so the two sides test two operators; the Q
+    of either image is looked up by its blocks, and an image outside the
+    vertices raises ValueError.  The tableau side brackets the two columns
+    (:func:`_bracket_changes`, once per distinct pair of columns), and the
+    image's Q must be Q plus or minus one packed unit in the row the
+    bracketing names.
     """
-    position = {blocks: k for k, blocks in enumerate(factors)}
+    stride = top * top.bit_length()
+    columns = (1 << 2 * stride) - 1
+    changes_of: dict[int, tuple[Optional[int], Optional[int]]] = {}
+    q_of = dict(zip(factors, qs))
     colours = tuple(colours)
+    shifts = [(i, (i - 1) * stride) for i in colours]
+    sides = (("f", _lowered, 0), ("e", _raised, 1))
     failures = 0
-    for blocks, q in zip(factors, q_rows):
-        brackets = _brackets(q)
-        for i in colours:
-            last, first, _, _ = brackets.get(i, _UNBRACKETED)
+    for blocks, q in q_of.items():
+        for i, shift in shifts:
+            pair = q >> shift & columns
+            changes = changes_of.get(pair)
+            if changes is None:
+                changes = changes_of[pair] = _bracket_changes(pair, top)
             upper, lower = blocks[i], blocks[i - 1]
-            for name, moved, cell, value in (
-                ("f", _lowered(upper, lower), last, i + 1),
-                ("e", _raised(upper, lower), first, i),
-            ):
+            head, tail = blocks[:i - 1], blocks[i + 1:]
+            for name, step, side in sides:
+                moved = step(upper, lower)
+                change = changes[side]
                 if moved is None:
-                    failures += cell is not None
+                    failures += change is not None
                     continue
-                target = position.get(_splice(blocks, i, *moved))
-                if target is None:
+                image = q_of.get(head + (moved[1], moved[0]) + tail)  # moved is (upper, lower)
+                if image is None:
                     raise ValueError(f"{name}_{i} maps {_unchecked(blocks, None)} outside the vertex set")
-                if cell is None or q_rows[target] != _with_entry(q, cell, value):
-                    failures += 1
+                failures += change is None or image != q + (change << shift)
     return CheckReport(
         "EG-intertwining",
         failures == 0,
@@ -350,8 +471,63 @@ def _intertwining(factors: list[tuple[Word, ...]], q_rows: list, colours: Iterab
     )
 
 
-def is_yamanouchi(tableau: Tableau) -> bool:
-    """True when row r holds only the entry r+1 (the highest weight filling)."""
-    return all(
-        all(v == r + 1 for v in row) for r, row in enumerate(tableau.rows)
+def _bracket_changes(columns: int, top: int) -> tuple[Optional[int], Optional[int]]:
+    """What f_1 and e_1 add to a packed Q whose entries are all 1 or 2,
+    given as ``columns``: the ``top`` counts of 1, row 0 first, then those
+    of 2, each a field of ``top.bit_length()`` bits.  Colour i reads the
+    columns of i and i+1 shifted down to these.  Returns ``(f change, e
+    change)``, None where the operator does not apply.
+
+    The reading word runs over the rows bottom up, and a weakly increasing
+    row reads its 1s before its 2s.  A 2 opens a bracket and a later 1
+    closes the nearest open one, so one pass with two scalars serves both
+    operators: ``opened`` counts the unpaired 2s so far, and ``first`` is
+    the row of the earliest of them, reset whenever none is left.  f turns the
+    last unpaired 1, the rightmost 1 of its row, into 2 and e the first
+    unpaired 2, the leftmost 2 of its row, into 1, so each row still weakly
+    increases and one count moves between the row's two fields.
+    """
+    width = top.bit_length()
+    field = (1 << width) - 1
+    unit = (1 << top * width) - 1  # one less 1 and one more 2 in row 0
+    opened = 0
+    last = first = -1
+    for r in range(top - 1, -1, -1):
+        ones = columns >> r * width & field
+        twos = columns >> (top + r) * width & field
+        if ones > opened:
+            last = r
+            opened = 0
+        else:
+            opened -= ones
+        if not opened:
+            first = r if twos else -1
+        opened += twos
+    return (
+        None if last < 0 else unit << last * width,
+        None if first < 0 else -(unit << first * width),
     )
+
+
+def _q_shape(q: int, top: int) -> tuple[int, ...]:
+    """The row lengths of the packed recording tableau ``q`` (laid out as
+    :func:`_eg_walk` packs it, letters in 1..``top``)."""
+    width = top.bit_length()
+    stride = top * width
+    field = (1 << width) - 1
+    total = 0  # each row's count summed over the block indices, at most top
+    while q:
+        total += q & (1 << stride) - 1
+        q >>= stride
+    shape = []
+    while total:
+        shape.append(total & field)
+        total >>= width
+    return tuple(shape)
+
+
+def _is_yamanouchi(q: int, top: int) -> bool:
+    """True when row r of the packed recording tableau ``q`` holds only the
+    entry r+1 (the highest weight filling)."""
+    width = top.bit_length()
+    return q == sum(length << r * (top + 1) * width for r, length in enumerate(_q_shape(q, top)))

@@ -28,3 +28,12 @@ def s3():
 @pytest.fixture(scope="session")
 def s4():
     return SymmetricGroup(4)
+
+
+def packed_q(rows, top):
+    """A recording tableau with entries 1, 2, ... packed as
+    ``edelman_greene._eg_walk`` packs Q for letters in 1..top: each cell of
+    row r holding j adds one to the field of top.bit_length() bits at bit
+    ((j - 1) * top + r) * top.bit_length()."""
+    width = top.bit_length()
+    return sum(1 << ((j - 1) * top + r) * width for r, row in enumerate(rows) for j in row)

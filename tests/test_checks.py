@@ -9,12 +9,13 @@ library function made wrong must turn the checks that read it to FAIL and
 
 import functools
 import json
+import operator
 import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import requires_s5
+from conftest import packed_q, requires_s5
 from redwords import checks, edelman_greene, markov, stanley, tableaux
 from redwords.cli import main
 from redwords.coxeter import SymmetricGroup
@@ -99,26 +100,40 @@ def test_check_passes(rank, name):
 # one wrong library function per suite
 
 
-# suite -> (owner, attribute, the wrong version of the original, the checks
-# that must fail)
+def p_as_q(walk):
+    # the insertion tableau recorded as the recording tableau: P's letters
+    # packed as Q's block indices
+    return lambda sequences, top: (
+        (p, packed_q([edelman_greene._letters(row) for row in p], top)) for p, _ in walk(sequences, top)
+    )
+
+
+# fault -> (suite, owner, attribute, the wrong version of the original, the
+# checks that must fail)
 FAULTS = {
-    "coxeter": (SymmetricGroup, "reduced_word_count",
+    "coxeter": ("coxeter", SymmetricGroup, "reduced_word_count",
                 lambda count: lambda self, w: count(self, w) + 1,
                 {f"S{n}-reduced-words-vs-hooks" for n in (2, 3, 4)}),
-    "crystal": (DecreasingFactorization, "phi", lambda phi: lambda self, i: phi(self, i) + 1,
+    "crystal": ("crystal", DecreasingFactorization, "phi", lambda phi: lambda self, i: phi(self, i) + 1,
                 {"S3-crystal-string-lengths", "S4-crystal-string-lengths"}),
-    "tableaux": (tableaux, "crystal_f", lambda f: lambda tableau, i: None,
+    "tableaux": ("tableaux", tableaux, "crystal_f", lambda f: lambda tableau, i: None,
                  {"tableau-crystal-closure-is-all-ssyt"}),
-    "stanley": (stanley, "schur_expansion_via_eg",
+    "stanley": ("stanley", stanley, "schur_expansion_via_eg",
                 lambda route: lambda system, w: SymFuncExpansion.zero("schur"),
                 {"S4-schur-three-way-agreement"}),
-    # the insertion tableau recorded in place of the recording tableau, in
-    # the walk that every insertion runs through
-    "eg": (edelman_greene, "eg_insert_all",
-           lambda walk: lambda fzs: (edelman_greene.EGPair(pair.p, pair.p) for pair in walk(fzs)),
+    # both eg faults sit in the insertion walk that every insertion runs
+    # through: P recorded as Q, and P keyed by the set of its letters, one
+    # row, which merges the insertion classes 13 and 31 of s1 s3.  Keying P
+    # without its last row would leave S4-same-P-iff-CK passing: on every
+    # element of S4 and S5 the other rows and the element fix the last row
+    "eg": ("eg", edelman_greene, "_eg_walk", p_as_q,
            {"S4-EG-intertwining", "S4-highest-weight-Q-yamanouchi"}),
+    "eg-p-key": ("eg", edelman_greene, "_eg_walk",
+                 lambda walk: lambda sequences, top: (
+                     ((functools.reduce(operator.or_, p, 0),), q) for p, q in walk(sequences, top)),
+                 {"S4-same-P-iff-CK", "S4-P-Q-shapes-agree"}),
     # the uniform law in place of the closed form
-    "markov": (markov, "stationary_distribution",
+    "markov": ("markov", markov, "stationary_distribution",
                lambda law: lambda system, measure: dict.fromkeys(
                    law(system, measure),
                    Fraction(1, system.reduced_word_count(system.longest_element))),
@@ -127,9 +142,13 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("suite", checks.SUITES)
-def test_a_wrong_library_function_fails_its_checks(monkeypatch, capsys, suite):
-    owner, attribute, wrong, failing = FAULTS[suite]
+def test_every_suite_meets_a_fault():
+    assert {suite for suite, *_ in FAULTS.values()} == set(checks.SUITES)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_wrong_library_function_fails_its_checks(monkeypatch, capsys, fault):
+    suite, owner, attribute, wrong, failing = FAULTS[fault]
     monkeypatch.setattr(owner, attribute, wrong(getattr(owner, attribute)))
     code = main(["verify", "--suite", suite, "--max-rank", "4", "--json"])
     reports = json.loads(capsys.readouterr().out)

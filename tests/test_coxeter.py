@@ -322,6 +322,23 @@ def test_evaluate_rejects_letters_outside_index_set(s3):
         Dihedral(3).evaluate((1, 0))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_line_is_reduced_matches_the_generic_test(n):
+    # every word of length at most 5 over the generators, and a foreign
+    # letter refused by both with the same message
+    system = SymmetricGroup(n)
+    verdicts = set()
+    for length in range(6):
+        for word in itertools.product(system.index_set, repeat=length):
+            verdict = system.is_reduced(word)
+            assert verdict == CoxeterSystem.is_reduced(system, word)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    for test in (system.is_reduced, lambda word: CoxeterSystem.is_reduced(system, word)):
+        with pytest.raises(ValueError, match=rf"^letter {n} is not a generator of SymmetricGroup\({n}\)$"):
+            test((1, n))
+
+
 def test_runtime_invariants_are_not_asserts():
     # `python -O` strips assert statements, so invariants must raise
     sources = sorted(Path(coxeter.__file__).parent.glob("*.py"))

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import requires_s5, requires_s6
+from conftest import packed_q, requires_s5, requires_s6
 from redwords import crystal, edelman_greene
 from redwords.coxeter import Dihedral, SymmetricGroup
 from redwords.crystal import DecreasingFactorization, factorization_crystal, parse_factorization
@@ -21,11 +21,19 @@ from redwords.edelman_greene import (
     eg_insert_letter,
     eg_insert_word,
     intertwining_check,
-    is_yamanouchi,
     p_transpose_reading_word,
-    q_tableaux,
+    same_p_tableau_iff_ck_equivalent,
 )
-from redwords.tableaux import _UNBRACKETED, Tableau, _brackets, crystal_e, crystal_f, generate_ssyt, tableau_crystal
+from redwords.tableaux import (
+    _UNBRACKETED,
+    Tableau,
+    _brackets,
+    _with_entry,
+    crystal_e,
+    crystal_f,
+    generate_ssyt,
+    tableau_crystal,
+)
 
 
 def tab(*rows):
@@ -70,6 +78,39 @@ def test_insert_letter_matches_the_row_scan():
                 assert eg_insert_letter(row, a) == expected
                 specials += expected[2]
     assert specials > 0
+
+
+def mask(row):
+    return sum(1 << a for a in row)
+
+
+def walk_one(factors, top):
+    (p, q), = edelman_greene._eg_walk([factors], top)
+    return p, q
+
+
+def test_mask_row_rule_matches_insert_letter():
+    # every strictly increasing row over 1..7 and every letter 1..7: the
+    # row goes in as one block, appended to the first row in increasing
+    # order, and the letter as the next block, so the walk's first row is
+    # the row rule's result and its second row the bumped letter.  Where
+    # the tuple rule would repeat a letter in the row, the walk refuses
+    cases = refused = 0
+    for size in range(8):
+        for row in itertools.combinations(range(1, 8), size):
+            for a in range(1, 8):
+                new_row, bumped, _ = eg_insert_letter(row, a)
+                factors = (row[::-1], (a,)) if row else ((a,),)
+                if len(set(new_row)) < len(new_row):
+                    with pytest.raises(ValueError, match=f"letter {a} meets itself in row 1 without {a + 1}"):
+                        walk_one(factors, 7)
+                    refused += 1
+                else:
+                    p, _ = walk_one(factors, 7)
+                    assert p == (mask(new_row),) + (() if bumped is None else (1 << bumped,))
+                cases += 1
+    # a in the row without a+1: 2^5 rows for each a < 7, 2^6 for a = 7
+    assert cases == 896 and refused == 6 * 2 ** 5 + 2 ** 6
 
 
 # ----------------------------------------------------------------------
@@ -134,22 +175,58 @@ def reference_insert(factorization):
     return EGPair(Tableau(tuple(p_rows)), Tableau(tuple(q_rows)))
 
 
+def packed(pair, top):
+    # the walk's form of a pair of tableaux: P as row bitmasks, Q packed
+    return tuple(map(mask, pair.p.rows)), packed_q(pair.q.rows, top)
+
+
 @pytest.mark.parametrize("rank, num_factors", [(4, None), pytest.param(5, 5, marks=requires_s5)])
 def test_insertion_walk_matches_per_vertex_insertion(rank, num_factors):
     # the walk resumes from the blocks a vertex shares with the one before
-    # it; in the crystal's sorted order, in reverse order, one at a time and
-    # through q_tableaux it must give the reference insertion of each vertex
+    # it; in the crystal's sorted order, in reverse order and one at a time
+    # it must give the reference insertion of each vertex, packed as well
+    # as decoded, and the shape and highest weight tests read the packed Q
     system = SymmetricGroup(rank)
-    vertices = 0
+    top = rank - 1
+    vertices = highest = 0
     for g in system.elements():
-        graph, q_of = q_tableaux(system, g, num_factors)
+        graph = factorization_crystal(system, g, num_factors)
         expected = [reference_insert(v) for v in graph.vertices]
+        factors = [v.factors for v in graph.vertices]
+        walked = list(edelman_greene._eg_walk(factors, top))
+        assert walked == [packed(pair, top) for pair in expected]
+        assert list(edelman_greene._eg_walk(factors[::-1], top)) == walked[::-1]
         assert list(eg_insert_all(graph.vertices)) == expected
-        assert list(eg_insert_all(graph.vertices[::-1])) == expected[::-1]
         assert [eg_insert(v) for v in graph.vertices] == expected
-        assert [q_of[v] for v in graph.vertices] == [pair.q for pair in expected]
+        heads = {v for v, _ in graph.highest_weights()}
+        for v, (_, q), pair in zip(graph.vertices, walked, expected):
+            assert edelman_greene._q_shape(q, top) == pair.q.shape
+            yamanouchi = all(entry == r + 1 for r, row in enumerate(pair.q.rows) for entry in row)
+            assert edelman_greene._is_yamanouchi(q, top) == yamanouchi
+            assert yamanouchi or v not in heads
+            highest += v in heads
         vertices += len(graph.vertices)
-    assert vertices > (20_000 if rank == 5 else 500)
+    assert vertices > (20_000 if rank == 5 else 500) and highest > 0
+
+
+def test_non_reduced_input_is_refused(s4):
+    with pytest.raises(ValueError, match="11 is not a reduced word of SymmetricGroup"):
+        eg_insert_word(s4, (1, 1))
+    with pytest.raises(ValueError, match="2323 is not a reduced word"):
+        eg_insert_word(s4, (2, 3, 2, 3))
+    with pytest.raises(ValueError, match="letter 0 is not a generator of SymmetricGroup\\(4\\)"):
+        eg_insert_word(s4, (0,))
+    # a factorization that is not reduced: the letter meets itself
+    with pytest.raises(ValueError, match="letter 1 meets itself in row 1 without 2"):
+        eg_insert(DecreasingFactorization(((1,), (1,)), None))
+    # 1, 2, 1 leave rows 12 and 2; the next 1 bumps 2 into the second row
+    with pytest.raises(ValueError, match="letter 2 meets itself in row 2 without 3"):
+        walk_one(((1,), (2,), (1,), (1,)), 3)
+
+
+def test_eg_insert_refuses_a_letter_below_one():
+    with pytest.raises(ValueError, match="letter below 1"):
+        eg_insert(DecreasingFactorization(((1, 0),), None))
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +266,35 @@ def test_ck_components_pinned(s3, s4):
         frozenset({(1, 3)}),
         frozenset({(3, 1)}),
     )
+
+
+def reference_p_classes(system, w):
+    # each reduced word inserted on its own by the reference insertion
+    by_p = {}
+    for word in system.reduced_words(w):
+        by_p.setdefault(reference_insert(DecreasingFactorization.from_word(system, word)).p, set()).add(word)
+    return {frozenset(group) for group in by_p.values()}
+
+
+@pytest.mark.parametrize("rank", [4, pytest.param(5, marks=requires_s5)])
+def test_same_p_classes_match_per_word_insertion(rank):
+    # one walk over the sorted singleton-block tuples groups the words as
+    # inserting each word alone does, and the positional union-find gives
+    # the relation classes
+    system = SymmetricGroup(rank)
+    for g in system.elements():
+        p_classes = reference_p_classes(system, g)
+        ck_classes = ck_components(system, g)
+        assert p_classes == set(ck_classes)
+        report = same_p_tableau_iff_ck_equivalent(system, g)
+        assert report.passed
+        assert report.detail == f"{len(p_classes)} insertion classes vs {len(ck_classes)} relation classes"
+
+
+def test_same_p_outside_type_a_is_an_error():
+    d4 = Dihedral(4)
+    with pytest.raises(ValueError, match="type A"):
+        same_p_tableau_iff_ck_equivalent(d4, d4.longest_element)
 
 
 def test_ck_edge_operator_identity(s3):
@@ -270,7 +376,8 @@ def test_recording_tableau_is_the_crystal_isomorphism(s3):
     # (2, 1) on entries 1..3: walking the same arrows from both highest
     # weights pairs each factorization with its recording tableau
     started = time.monotonic()
-    left, q_of = q_tableaux(s3, s3.longest_element, 3)
+    left = factorization_crystal(s3, s3.longest_element, 3)
+    q_of = {v: pair.q for v, pair in zip(left.vertices, eg_insert_all(left.vertices))}
     right = tableau_crystal((2, 1), 3)
     (left_top, _), = left.highest_weights()
     (right_top, _), = right.highest_weights()
@@ -318,7 +425,9 @@ def intertwining_detail(graph, failures):
 
 def assert_positional_loop_matches_object_loop(system, g, num_factors):
     # the same verdict and failure count on Q, and again with P in place
-    # of Q (the insertion tableau fault of the verify suite)
+    # of Q (the insertion tableau fault of the verify suite), P's letters
+    # packed as Q's block indices
+    top = system.n - 1
     graph = factorization_crystal(system, g, num_factors)
     pairs = list(eg_insert_all(graph.vertices))
     q_of = {v: pair.q for v, pair in zip(graph.vertices, pairs)}
@@ -329,10 +438,12 @@ def assert_positional_loop_matches_object_loop(system, g, num_factors):
     report = intertwining_check(system, g, num_factors)
     assert report.passed == (failures == 0)
     assert report.detail == intertwining_detail(graph, failures)
-    assert edelman_greene._intertwining(factors, [q.rows for q in q_of.values()], graph.index_set) == report
+    qs = [packed_q(q.rows, top) for q in q_of.values()]
+    assert edelman_greene._intertwining(factors, qs, graph.index_set, top) == report
 
     failures = reference_intertwining_failures(graph, p_of)
-    report = edelman_greene._intertwining(factors, [p.rows for p in p_of.values()], graph.index_set)
+    ps = [packed_q(p.rows, top) for p in p_of.values()]
+    report = edelman_greene._intertwining(factors, ps, graph.index_set, top)
     assert report.passed == (failures == 0)
     assert report.detail == intertwining_detail(graph, failures)
     return failures
@@ -400,6 +511,32 @@ def test_all_colour_bracket_matches_the_per_colour_signature(shape, count):
             assert brackets.get(i, _UNBRACKETED) == expected
 
 
+@pytest.mark.parametrize("shape, count", [((3, 2, 1), 280), ((2, 2, 1), 75)])
+def test_packed_bracket_matches_the_all_colour_bracket(shape, count):
+    # each SSYT with entries up to 5 packed as Q for letters in 1..4: the
+    # change the two-column bracketing adds for f_i and e_i is the packed
+    # tableau changed at the cell tableaux._brackets names, less the packed
+    # tableau, and None exactly where that cell is None
+    top = 4
+    stride = top * top.bit_length()
+    tableaux = generate_ssyt(shape, 5)
+    assert len(tableaux) == count
+    changed = 0
+    for t in tableaux:
+        q = packed_q(t.rows, top)
+        brackets = _brackets(t.rows)
+        for i in range(1, 5):
+            last, first, _, _ = brackets.get(i, _UNBRACKETED)
+            f_change, e_change = edelman_greene._bracket_changes(q >> (i - 1) * stride & (1 << 2 * stride) - 1, top)
+            for cell, value, change in ((last, i + 1, f_change), (first, i, e_change)):
+                if cell is None:
+                    assert change is None
+                else:
+                    assert q + (change << (i - 1) * stride) == packed_q(_with_entry(t.rows, cell, value), top)
+                    changed += 1
+    assert changed > count
+
+
 @requires_s6
 def test_intertwining_s6_w0():
     # every factorization of the S6 longest element into 6 blocks, under
@@ -413,8 +550,9 @@ def test_intertwining_s6_w0():
 
 
 def test_highest_weight_q_is_yamanouchi():
-    assert is_yamanouchi(tab((1, 1), (2,)))
-    assert not is_yamanouchi(tab((1, 2), (2,)))
+    assert edelman_greene._is_yamanouchi(packed_q(((1, 1), (2,)), 3), 3)
+    assert not edelman_greene._is_yamanouchi(packed_q(((1, 2), (2,)), 3), 3)
+    assert not edelman_greene._is_yamanouchi(packed_q(((1,), (3,)), 3), 3)
 
 
 def test_reading_words_are_reduced(s4):
