@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import crystal
 from . import edelman_greene as eg
 from . import markov, stanley
 from .coxeter import Dihedral, Hypercube, SymmetricGroup
-from .crystal import factorization_crystal, stembridge_violations
+from .crystal import _splice, factorization_crystal, stembridge_violations
 from .partitions import hook_length_count, staircase
 from .reports import CheckReport
 from .symfunc import support_interval as expansion_interval
@@ -113,32 +114,40 @@ def _powerset(indices):
 
 
 def crystal_checks(max_rank: int) -> list[CheckReport]:
+    """The crystal identities on every element of S_n, n from 2 to
+    min(max_rank, 4), read on vertex positions: e-f-inverse compares each
+    colour's ``crystal._raised`` splices with the graph's e row, and
+    weight-steps compares the block lengths at the two ends of each f
+    arrow."""
     out = []
     for n in _ranks(min(max_rank, 4)):
         system = SymmetricGroup(n)
         inverse_ok = weight_ok = string_ok = target_ok = partition_ok = True
         for g in system.elements():
             graph = factorization_crystal(system, g)
-            for (u, i), v in graph.f_edges.items():
-                if v.e(i) != u:
-                    inverse_ok = False
-                # f_i moves one letter from block i to block i+1 and leaves
-                # every other block length alone
-                wu, wv = u.weight(), v.weight()
-                if (wv[i - 1] != wu[i - 1] - 1 or wv[i] != wu[i] + 1
-                        or wv[:i - 1] != wu[:i - 1] or wv[i + 1:] != wu[i + 1:]):
-                    weight_ok = False
-            for v in graph.vertices:
-                for i in graph.index_set:
-                    raised = v.e(i)
-                    if raised is not None and raised.f(i) != v:
+            factors = [v.factors for v in graph.vertices]
+            weights = [v.weight() for v in graph.vertices]
+            position = {blocks: k for k, blocks in enumerate(factors)}
+            for i, f_row, e_row in zip(graph.index_set, graph.f_rows, graph.e_rows):
+                for k, blocks in enumerate(factors):
+                    # e_i, raised from the blocks, is the inverse of the f rows
+                    raised = crystal._raised(blocks[i], blocks[i - 1])
+                    source = -1 if raised is None else position.get(_splice(blocks, i, *raised), -2)
+                    if source != e_row[k]:
                         inverse_ok = False
-            for u in graph.vertices:
+                    # f_i moves one letter from block i to block i+1 and
+                    # leaves every other block length alone
+                    target = f_row[k]
+                    if target >= 0:
+                        wu, wv = weights[k], weights[target]
+                        if (wv[i - 1] != wu[i - 1] - 1 or wv[i] != wu[i] + 1
+                                or wv[:i - 1] != wu[:i - 1] or wv[i + 1:] != wu[i + 1:]):
+                            weight_ok = False
+            for u, weight in zip(graph.vertices, weights):
                 try:
                     u.validate(system)
                 except ValueError:
                     target_ok = False
-                weight = u.weight()
                 for i in graph.index_set:
                     if u.phi(i) - u.epsilon(i) != weight[i - 1] - weight[i]:
                         string_ok = False

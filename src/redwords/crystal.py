@@ -15,6 +15,7 @@ left-to-right notation.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
@@ -298,31 +299,37 @@ def _pair_string_length(step: Callable[[Word, Word], tuple[Word, Word] | None], 
 # enumeration
 
 
-def _peels(system: CoxeterSystem, u) -> tuple[tuple[Word, object], ...]:
-    """The peel table of ``u``: each pair (block, u * v^-1) where the
-    decreasing block v peels off the right of ``u`` with the length dropping
-    by len(v), in (len(block), block) order, the empty block first.
+def _peels(system: CoxeterSystem, u) -> tuple[tuple[tuple[Word, object], ...], Word | None]:
+    """The peel table of ``u`` and the block spelling all of ``u``.
+
+    The table holds each pair (block, u * v^-1) where the decreasing block
+    v peels off the right of ``u`` with the length dropping by len(v), in
+    increasing block order, the empty block first.  The block spelling all
+    of ``u`` is the peel that leaves the identity, None when there is none:
+    a decreasing word is fixed by its letters, and every reduced word of u
+    has the same letters, so at most one block does.
 
     Filled on first use and kept on the system.  Letters come off the right
     smallest first, so each next letter is a larger right descent of what
     is left.  Each block is checked once, here, when the table is filled;
     the factorizations built from the table are not checked again.
     """
-    table = system._peel_table.get(u)
-    if table is None:
+    entry = system._peel_table.get(u)
+    if entry is None:
         found = [((), u)]
         stack = [((), u)]
         while stack:
             block, rest = stack.pop()
             for a in system.right_descents(rest):
                 if not block or a > block[0]:
-                    entry = ((a,) + block, system.right_multiplied(rest, a))
-                    _check_block(entry[0])
-                    found.append(entry)
-                    stack.append(entry)
-        found.sort(key=lambda entry: (len(entry[0]), entry[0]))
-        table = system._peel_table[u] = tuple(found)
-    return table
+                    peel = ((a,) + block, system.right_multiplied(rest, a))
+                    _check_block(peel[0])
+                    found.append(peel)
+                    stack.append(peel)
+        found.sort(key=lambda peel: peel[0])
+        whole = next((block for block, rest in found if rest == system.identity), None)
+        entry = system._peel_table[u] = (tuple(found), whole)
+    return entry
 
 
 def default_num_factors(system: CoxeterSystem, w) -> int:
@@ -336,39 +343,73 @@ def _block_sequences(
     num_factors: int | None,
     admissible: Callable[[Word, Word], bool] | None = None,
 ) -> Iterator[tuple[Word, ...]]:
-    """Blocks of every decreasing factorization of ``w``, rightmost first.
+    """Blocks of every decreasing factorization of ``w``, rightmost first,
+    in increasing order of the block tuples.
 
     ``admissible(block, previous)``, when given, must accept each block
     against the block to its right; a rejected block prunes every
     factorization that would contain it there.
+
+    One walk with an explicit stack over the peel tables: level d runs an
+    iterator over the table of what the first d blocks leave of ``w``, and
+    each level tries its blocks in increasing order, so the tuples come out
+    sorted.  A block is taken only while the letters left fit the blocks
+    left, and the last block is the one peel that spells all of what is
+    left, read from its table without a scan.
     """
     if num_factors is None:
         num_factors = default_num_factors(system, w)
     if num_factors < 1:
         raise ValueError("need at least one block")
-    yield from _block_sequences_of(system, w, system.length(w), num_factors, None, admissible)
-
-
-def _block_sequences_of(system: CoxeterSystem, u, length: int, k: int, previous: Word | None, admissible):
-    """The recursion of ``_block_sequences``: ``k`` blocks spelling ``u``,
-    the first to be checked against ``previous``.  It is a module-level
-    function, not a closure, so finished walks leave no reference cycle
-    that would keep the system and its memo tables alive."""
-    if length > k * len(system.index_set):
+    length = system.length(w)
+    rank = len(system.index_set)
+    if length > num_factors * rank:
         return
-    if k == 1:
-        # The last block spells all of u.  A decreasing word is fixed by its
-        # letters, and every reduced word of u has the same letters, so at
-        # most one block does, and it is the longest peel.
-        block, _ = _peels(system, u)[-1]
-        if len(block) == length and (admissible is None or previous is None or admissible(block, previous)):
+    if num_factors == 1:
+        block = _peels(system, w)[1]
+        if block is not None:
             yield (block,)
         return
-    for block, rest in _peels(system, u):
-        if admissible is not None and previous is not None and not admissible(block, previous):
-            continue
-        for tail in _block_sequences_of(system, rest, length - len(block), k - 1, block, admissible):
-            yield (block,) + tail
+    last = num_factors - 1
+    tables = system._peel_table
+    chosen: list[Word] = [()] * num_factors
+    stack = []  # (peels, letters, previous) of each level below the current one
+    d = 0
+    peels = iter(_peels(system, w)[0])
+    letters = length  # the letters that blocks d, ..., last spell
+    cap = last * rank  # the letters that blocks d+1, ..., last can hold
+    previous = None  # block d-1 when ``admissible`` is given, else None
+    while True:
+        for block, rest in peels:
+            if previous is not None and not admissible(block, previous):
+                continue
+            left = letters - len(block)
+            if left > cap:
+                continue
+            # the memo read inline, _peels only on a miss: a call per block
+            # made the unpruned walk about a quarter slower
+            entry = tables.get(rest) or _peels(system, rest)
+            if d + 1 < last:
+                chosen[d] = block
+                stack.append((peels, letters, previous))
+                peels = iter(entry[0])
+                letters = left
+                cap -= rank
+                d += 1
+                if admissible is not None:
+                    previous = block
+                break
+            whole = entry[1]
+            if whole is not None and (admissible is None or admissible(whole, block)):
+                chosen[d] = block
+                chosen[last] = whole
+                yield tuple(chosen)
+        else:
+            if not stack:
+                return
+            peels, letters, previous = stack.pop()
+            cap += rank
+            d -= 1
 
 
 def decreasing_factorizations(system: CoxeterSystem, w, num_factors: int | None = None) -> Iterator[DecreasingFactorization]:
@@ -388,7 +429,7 @@ def highest_weight_factorizations(system: CoxeterSystem, w, num_factors: int | N
     condition e_k = None and depends on no later block.
     """
     found = _block_sequences(system, w, num_factors, _all_upper_paired)
-    return [_unchecked(blocks, w) for blocks in sorted(found)]
+    return [_unchecked(blocks, w) for blocks in found]
 
 
 def weight_vector_count(system: CoxeterSystem, w, parts: tuple[int, ...]) -> int:
@@ -402,7 +443,7 @@ def weight_vector_count(system: CoxeterSystem, w, parts: tuple[int, ...]) -> int
         else:
             count = sum(
                 weight_vector_count(system, rest, parts[1:])
-                for block, rest in _peels(system, w)
+                for block, rest in _peels(system, w)[0]
                 if len(block) == parts[0]
             )
         system._weight_count_cache[key] = count
@@ -453,40 +494,38 @@ def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> tuple[fr
 class CrystalGraph:
     """Edge-labelled graph of a crystal: f_i arrows between vertices.
 
-    Vertices are any hashable values carrying a weight; ``f_edges`` maps
-    (vertex, i) to the target vertex, i one of ``index_set``.  The
-    vertices are numbered once, by their place in ``vertices``, and each
-    colour's f and e are stored as lists of positions, -1 where the
-    operator is undefined: :meth:`e`, :meth:`f`, :meth:`highest_weights`,
-    :meth:`components` and :func:`stembridge_violations` read those lists.
+    Vertices are any hashable values; ``weight`` gives the weight of each.
+    The vertices are numbered by their place in ``vertices``, and
+    ``f_rows[c][k]`` is the position of f_i of ``vertices[k]``, i the colour
+    ``index_set[c]``, or -1 where f_i is undefined.  The constructor derives
+    the e rows from the f rows; :meth:`e`, :meth:`f`,
+    :meth:`highest_weights`, :meth:`components` and
+    :func:`stembridge_violations` read the rows, and :attr:`f_edges` and
+    :attr:`weights` are views of them.
 
-    A vertex listed twice, an edge endpoint outside the vertices, a colour
-    outside ``index_set`` and an f_i that maps two vertices to one vertex
-    are each refused with ValueError.
+    A vertex listed twice, an f row that is not one position or -1 per
+    vertex, and an f_i that maps two vertices to one vertex are each refused
+    with ValueError; :meth:`from_edges` also refuses an edge endpoint
+    outside the vertices and a colour outside ``index_set``.
     """
 
     vertices: tuple
     index_set: tuple[int, ...]
-    f_edges: dict
-    weights: dict
+    f_rows: list[list[int]]
+    weight: Callable[[object], tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        size = len(self.vertices)
         position = {v: k for k, v in enumerate(self.vertices)}
-        if len(position) != len(self.vertices):
+        if len(position) != size:
             raise ValueError("a vertex is listed twice")
-        colour = {i: c for c, i in enumerate(self.index_set)}
-        f_rows = [[-1] * len(self.vertices) for _ in self.index_set]
-        for (u, i), v in self.f_edges.items():
-            source, target = position.get(u), position.get(v)
-            if source is None or target is None:
-                raise ValueError("edge endpoint outside the vertex set")
-            c = colour.get(i)
-            if c is None:
-                raise ValueError(f"edge colour {i} outside the index set {self.index_set}")
-            f_rows[c][source] = target
+        if len(self.f_rows) != len(self.index_set):
+            raise ValueError(f"{len(self.f_rows)} f rows for the index set {self.index_set}")
         e_rows = []
-        for i, f_row in zip(self.index_set, f_rows):
-            e_row = [-1] * len(f_row)
+        for i, f_row in zip(self.index_set, self.f_rows):
+            if len(f_row) != size or (f_row and not -1 <= min(f_row) <= max(f_row) < size):
+                raise ValueError("edge endpoint outside the vertex set")
+            e_row = [-1] * size
             for k, target in enumerate(f_row):
                 if target >= 0:
                     if e_row[target] >= 0:
@@ -494,9 +533,43 @@ class CrystalGraph:
                     e_row[target] = k
             e_rows.append(e_row)
         self._position = position
-        self._colour = colour
-        self._f = f_rows
-        self._e = e_rows
+        self._colour = {i: c for c, i in enumerate(self.index_set)}
+        self.e_rows = e_rows
+        self._edge_count = sum(size - row.count(-1) for row in e_rows)
+
+    @classmethod
+    def from_edges(
+        cls,
+        vertices: tuple,
+        index_set: tuple[int, ...],
+        f_edges: Mapping,
+        weight: Callable[[object], tuple[int, ...]],
+    ) -> "CrystalGraph":
+        """The graph whose ``f_edges`` maps (vertex, i) to the vertex f_i
+        sends it to, read once into f rows."""
+        position = {v: k for k, v in enumerate(vertices)}
+        colour = {i: c for c, i in enumerate(index_set)}
+        f_rows = [[-1] * len(vertices) for _ in index_set]
+        for (u, i), v in f_edges.items():
+            source, target = position.get(u), position.get(v)
+            if source is None or target is None:
+                raise ValueError("edge endpoint outside the vertex set")
+            c = colour.get(i)
+            if c is None:
+                raise ValueError(f"edge colour {i} outside the index set {index_set}")
+            f_rows[c][source] = target
+        return cls(vertices, index_set, f_rows, weight)
+
+    @property
+    def f_edges(self) -> "_EdgeView":
+        """The f-arrows as a read-only mapping (vertex, i) -> vertex, in
+        vertex order, then label order; its length is the arrow count."""
+        return _EdgeView(self)
+
+    @property
+    def weights(self) -> dict:
+        """The weight of every vertex."""
+        return {v: self.weight(v) for v in self.vertices}
 
     def _step(self, rows: list[list[int]], v, i: int):
         k = self._position.get(v)
@@ -507,10 +580,10 @@ class CrystalGraph:
         return None if target < 0 else self.vertices[target]
 
     def f(self, v, i: int):
-        return self._step(self._f, v, i)
+        return self._step(self.f_rows, v, i)
 
     def e(self, v, i: int):
-        return self._step(self._e, v, i)
+        return self._step(self.e_rows, v, i)
 
     def _arrows(self) -> Iterator[tuple[int, int, int]]:
         """(source position, label, target position) of every f-arrow,
@@ -518,7 +591,7 @@ class CrystalGraph:
         labels = sorted(self._colour.items())
         for k in range(len(self.vertices)):
             for i, c in labels:
-                target = self._f[c][k]
+                target = self.f_rows[c][k]
                 if target >= 0:
                     yield k, i, target
 
@@ -529,9 +602,9 @@ class CrystalGraph:
 
     def highest_weights(self) -> list[tuple[object, tuple[int, ...]]]:
         """Vertices with no incoming f-arrow of any colour, with weights."""
-        e_rows = self._e
+        e_rows = self.e_rows
         return [
-            (v, self.weights[v])
+            (v, self.weight(v))
             for k, v in enumerate(self.vertices)
             if all(row[k] < 0 for row in e_rows)
         ]
@@ -547,7 +620,7 @@ class CrystalGraph:
         """
         size = len(self.vertices)
         epsilon, phi = [], []
-        for f_row, e_row in zip(self._f, self._e):
+        for f_row, e_row in zip(self.f_rows, self.e_rows):
             eps_row, phi_row = [-1] * size, [-1] * size
             for head, above in enumerate(e_row):
                 if above >= 0:
@@ -574,27 +647,19 @@ class CrystalGraph:
         weight: Callable[[object], tuple[int, ...]],
     ) -> "CrystalGraph":
         """The graph of the lowering operator ``f(vertex, i)`` on ``vertices``,
-        where None means f_i does not apply.
-
-        Each edge stores the vertex equal to the image, not the image itself,
-        so the graph holds one object per vertex; an image outside
-        ``vertices`` raises ValueError.
-        """
-        canonical = {v: v for v in vertices}
+        where None means f_i does not apply; an image outside ``vertices``
+        raises ValueError."""
         f_edges = {}
         for v in vertices:
             for i in index_set:
                 image = f(v, i)
                 if image is not None:
-                    target = canonical.get(image)
-                    if target is None:
-                        raise ValueError(f"f_{i} maps {v} outside the vertex set")
-                    f_edges[(v, i)] = target
-        return cls(vertices, index_set, f_edges, {v: weight(v) for v in vertices})
+                    f_edges[(v, i)] = image
+        return cls.from_edges(vertices, index_set, f_edges, weight)
 
     def _component_positions(self) -> list[list[int]]:
         return _position_components(
-            len(self.vertices), ((k, t) for row in self._f for k, t in enumerate(row) if t >= 0)
+            len(self.vertices), ((k, t) for row in self.f_rows for k, t in enumerate(row) if t >= 0)
         )
 
     def components(self) -> tuple[frozenset, ...]:
@@ -603,14 +668,18 @@ class CrystalGraph:
         vertices = self.vertices
         return tuple(frozenset(vertices[k] for k in group) for group in self._component_positions())
 
+    def _component_labels(self) -> list[int]:
+        """The component index of each vertex position, the components
+        numbered by their first vertex."""
+        labels = [0] * len(self.vertices)
+        for label, group in enumerate(self._component_positions()):
+            for k in group:
+                labels[k] = label
+        return labels
+
     def component_of(self) -> dict:
         """Map from vertex to its component index."""
-        vertices = self.vertices
-        return {
-            vertices[k]: label
-            for label, group in enumerate(self._component_positions())
-            for k in group
-        }
+        return dict(zip(self.vertices, self._component_labels()))
 
     def to_dot(self, name: str = "crystal") -> str:
         from .dot import digraph
@@ -624,26 +693,52 @@ def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = No
     vertices sorted by their blocks.
 
     The graph :meth:`CrystalGraph.from_lowering` builds from
-    :meth:`DecreasingFactorization.f`, made without building each image: an
-    edge splices the blocks :func:`_lowered` returns into the source's
-    blocks and looks the result up among the vertices' blocks.
+    :meth:`DecreasingFactorization.f`, made without building each image:
+    the sorted block tuples are numbered, and each colour's f row splices
+    the blocks :func:`_lowered` returns into each tuple and looks the
+    result up among the tuples.
     """
     if num_factors is None:
         num_factors = default_num_factors(system, w)
     index_set = tuple(range(1, num_factors))
-    vertices = tuple(_unchecked(blocks, w) for blocks in sorted(_block_sequences(system, w, num_factors)))
-    by_factors = {v.factors: v for v in vertices}
-    f_edges = {}
-    for v in vertices:
-        factors = v.factors
-        for i in index_set:
-            blocks = _lowered(factors[i], factors[i - 1])
-            if blocks is not None:
-                target = by_factors.get(_splice(factors, i, *blocks))
-                if target is None:
-                    raise ValueError(f"f_{i} maps {v} outside the vertex set")
-                f_edges[(v, i)] = target
-    return CrystalGraph(vertices, index_set, f_edges, {v: v.weight() for v in vertices})
+    sequences = tuple(_block_sequences(system, w, num_factors))
+    position = {blocks: k for k, blocks in enumerate(sequences)}
+    f_rows = []
+    for i in index_set:
+        row = []
+        for blocks in sequences:
+            moved = _lowered(blocks[i], blocks[i - 1])
+            if moved is None:
+                row.append(-1)
+                continue
+            target = position.get(_splice(blocks, i, *moved))
+            if target is None:
+                raise ValueError(f"f_{i} maps {_unchecked(blocks, w)} outside the vertex set")
+            row.append(target)
+        f_rows.append(row)
+    vertices = tuple(_unchecked(blocks, w) for blocks in sequences)
+    return CrystalGraph(vertices, index_set, f_rows, DecreasingFactorization.weight)
+
+
+class _EdgeView(Mapping):
+    """The f-arrows of a :class:`CrystalGraph` read from its rows, as a
+    mapping (vertex, i) -> vertex."""
+
+    def __init__(self, graph: CrystalGraph) -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return self._graph._edge_count
+
+    def __iter__(self) -> Iterator[tuple[object, int]]:
+        vertices = self._graph.vertices
+        return ((vertices[k], i) for k, i, _ in self._graph._arrows())
+
+    def __getitem__(self, key: tuple[object, int]):
+        target = self._graph.f(*key)
+        if target is None:
+            raise KeyError(key)
+        return target
 
 
 # ----------------------------------------------------------------------
@@ -705,7 +800,7 @@ def stembridge_violations(graph: CrystalGraph) -> list[str]:
     its cycles alone, each named at its first vertex.
     """
     vertices = graph.vertices
-    e = graph._e
+    e = graph.e_rows
     eps, phi = graph._string_tables()
     bad: list[str] = []
     for c, i in enumerate(graph.index_set):
@@ -715,7 +810,7 @@ def stembridge_violations(graph: CrystalGraph) -> list[str]:
                 bad.append(f"f_{i} string through {vertices[k]} has no head (a cycle)")
                 while k not in on_cycle:
                     on_cycle.add(k)
-                    k = graph._f[c][k]
+                    k = graph.f_rows[c][k]
     if bad:
         return bad
 

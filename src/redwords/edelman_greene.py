@@ -331,18 +331,21 @@ def crystal_component_correspondence(system: CoxeterSystem, w) -> CheckReport:
 
 def _component_correspondence(system: CoxeterSystem, w, graph: CrystalGraph) -> CheckReport:
     """:func:`crystal_component_correspondence` on the crystal ``graph`` of
-    ``w`` with one block per letter."""
-    comp_of = graph.component_of()
+    ``w`` with one block per letter.
+
+    Each word is found among the vertices by its singleton-block tuple (the
+    lone empty block at the identity), and its class is the component of
+    that vertex's position.
+    """
+    labels = graph._component_labels()
+    position = {v.factors: k for k, v in enumerate(graph.vertices)}
     induced: dict[int, set[Word]] = {}
     for word in system.reduced_words(w):
-        if word:
-            vertex = DecreasingFactorization.from_word(system, word)
-        else:
-            vertex = DecreasingFactorization(((),), w)  # lone vertex at the identity
-        induced.setdefault(comp_of[vertex], set()).add(word)
+        blocks = tuple(zip(reversed(word))) or ((),)
+        induced.setdefault(labels[position[blocks]], set()).add(word)
     word_classes = {frozenset(g) for g in induced.values()}
     ck_classes = set(ck_components(system, w))
-    components = len(set(comp_of.values()))
+    components = len(set(labels))
     passed = components == len(ck_classes) and word_classes == ck_classes
     detail = f"{components} crystal components, {len(ck_classes)} word classes"
     return CheckReport("CK-vs-crystal-components", passed, detail)
@@ -411,7 +414,7 @@ def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None)
     if num_factors is None:
         num_factors = default_num_factors(system, w)
     top = max(system.index_set, default=0)
-    factors = sorted(_block_sequences(system, w, num_factors))
+    factors = list(_block_sequences(system, w, num_factors))
     qs = [q for _, q in _eg_walk(factors, top)]
     return _intertwining(factors, qs, range(1, num_factors), top)
 

@@ -294,8 +294,14 @@ def eigenvalues_by_value(lines: Iterable[SpectrumLine]) -> dict[Fraction, int]:
 def _charpoly_int(matrix: list[list[int]]) -> list[int]:
     """Monic characteristic polynomial coefficients of an integer matrix,
     highest degree first, by the Faddeev-LeVerrier recurrence (all divisions
-    exact)."""
+    exact).
+
+    Each step multiplies the work matrix on the left by ``matrix`` one row
+    at a time, as the combination of work rows that the row's nonzeros
+    name, so a step costs n times the nonzero count, not n^3.
+    """
     n = len(matrix)
+    nonzeros = [[(m, a) for m, a in enumerate(row) if a] for row in matrix]
     coeffs = [1]
     work = [row[:] for row in matrix]
     for k in range(1, n + 1):
@@ -308,14 +314,20 @@ def _charpoly_int(matrix: list[list[int]]) -> list[int]:
             break
         for j in range(n):
             work[j][j] += c
-        work = [
-            [
-                sum(matrix[r][m] * work[m][c2] for m in range(n))
-                for c2 in range(n)
-            ]
-            for r in range(n)
-        ]
+        work = [_row_combination(terms, work, n) for terms in nonzeros]
     return coeffs
+
+
+def _row_combination(terms: list[tuple[int, int]], rows: list[list[int]], n: int) -> list[int]:
+    """The sum of ``a * rows[m]`` over the pairs (m, a) of ``terms``, a
+    zero row of length n when there are none."""
+    if not terms:
+        return [0] * n
+    (m, a), *rest = terms
+    out = [a * x for x in rows[m]]
+    for m, a in rest:
+        out = [u + a * x for u, x in zip(out, rows[m])]
+    return out
 
 
 def charpoly(matrix: TransitionMatrix) -> tuple[Fraction, ...]:

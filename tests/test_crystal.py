@@ -205,6 +205,41 @@ def test_highest_weights_match_slow_filter(s4):
         assert highest_weight_factorizations(s4, g, num) == slow
 
 
+def cut_into_blocks(word, num_factors):
+    """Every way to cut ``word`` into ``num_factors`` consecutive strictly
+    decreasing pieces, empty pieces allowed, rightmost piece first."""
+    if num_factors == 1:
+        if all(a > b for a, b in zip(word, word[1:])):
+            yield (tuple(word),)
+        return
+    for k in range(len(word) + 1):
+        head, block = word[:k], word[k:]
+        if all(a > b for a, b in zip(block, block[1:])):
+            for rest in cut_into_blocks(head, num_factors - 1):
+                yield (tuple(block),) + rest
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_block_sequences_are_the_sorted_cuts_of_the_reduced_words(s4, pruned):
+    # the stack walk over the peel tables yields, in increasing order, the
+    # block tuples that cutting every reduced word into decreasing pieces
+    # gives; with the highest-weight pruning, those whose every block
+    # leaves no upper letter unpaired against the block to its right
+    admissible = crystal._all_upper_paired if pruned else None
+    tuples = 0
+    for system in (SymmetricGroup(2), SymmetricGroup(3), s4):
+        for g in system.elements():
+            for num_factors in (None, 1, 2, 3, 4, 6):
+                blocks = num_factors or crystal.default_num_factors(system, g)
+                cuts = {cut for word in system.reduced_words(g) for cut in cut_into_blocks(word, blocks)}
+                if pruned:
+                    cuts = {cut for cut in cuts if all(admissible(cut[d], cut[d - 1]) for d in range(1, blocks))}
+                walked = list(_block_sequences(system, g, num_factors, admissible))
+                assert walked == sorted(cuts)
+                tuples += len(walked)
+    assert tuples > (100 if pruned else 5_000)
+
+
 def test_s5_crystal_pinned():
     # the five-block crystal of the S5 longest element is one copy of the
     # staircase highest weight, matching its single Coxeter-Knuth class
@@ -404,6 +439,27 @@ def test_edge_targets_are_the_vertices_themselves():
         assert all(id(source) in ids for source, _ in graph.f_edges)
 
 
+def test_f_edges_and_weights_are_views_of_the_rows(s4):
+    # the mapping (vertex, i) -> vertex, read from the f rows, lists the
+    # images the operator gives, vertex by vertex, label by label; weights
+    # are those of the weight function, and from_edges reads the mapping
+    # back into the same rows
+    for graph, lower, weight in (
+        (factorization_crystal(s4, s4.longest_element, 4), DecreasingFactorization.f,
+         DecreasingFactorization.weight),
+        (tableau_crystal((2, 1), 3), crystal_f, lambda t: t.content(3)),
+    ):
+        edges = {(v, i): lower(v, i) for v in graph.vertices for i in graph.index_set if lower(v, i) is not None}
+        assert len(graph.f_edges) == len(edges) == len(graph.edges()) > 0
+        assert list(graph.f_edges.items()) == list(edges.items())
+        assert graph.f_edges == edges
+        assert graph.weights == {v: weight(v) for v in graph.vertices}
+        with pytest.raises(KeyError):
+            graph.f_edges[graph.vertices[0], 99]
+        again = CrystalGraph.from_edges(graph.vertices, graph.index_set, graph.f_edges, graph.weight)
+        assert again.f_rows == graph.f_rows and again.e_rows == graph.e_rows
+
+
 def test_lowering_outside_the_vertex_set_raises():
     with pytest.raises(ValueError):
         CrystalGraph.from_lowering((1, 2), (1,), lambda v, i: v + 1, lambda v: (v,))
@@ -558,7 +614,7 @@ def arrow_graph(index_set, arrows):
     """The graph of the given (source, colour, target) arrows, its vertices
     in order of first mention."""
     vertices = tuple(dict.fromkeys(v for u, _, w in arrows for v in (u, w)))
-    return CrystalGraph(vertices, index_set, {(u, i): v for u, i, v in arrows}, {v: () for v in vertices})
+    return CrystalGraph.from_edges(vertices, index_set, {(u, i): v for u, i, v in arrows}, lambda v: ())
 
 
 # Seven points of the plane, (a, b) named "ab": f_1 steps right along a
@@ -683,7 +739,19 @@ def test_string_tables_mark_a_cycle():
 ])
 def test_crystal_graph_refuses_a_malformed_graph(vertices, index_set, f_edges, message):
     with pytest.raises(ValueError, match=message):
-        CrystalGraph(vertices, index_set, f_edges, {v: () for v in vertices})
+        CrystalGraph.from_edges(vertices, index_set, f_edges, lambda v: ())
+
+
+@pytest.mark.parametrize("f_rows, message", [
+    pytest.param([[2, 2, -1]], "f_1 maps two vertices to c", id="merge"),
+    pytest.param([[3, -1, -1]], "outside the vertex set", id="past-the-end"),
+    pytest.param([[-2, -1, -1]], "outside the vertex set", id="below-minus-one"),
+    pytest.param([[1, -1]], "outside the vertex set", id="short-row"),
+    pytest.param([[1, -1, -1], [-1, -1, -1]], "2 f rows for the index set", id="extra-row"),
+])
+def test_crystal_graph_refuses_malformed_rows(f_rows, message):
+    with pytest.raises(ValueError, match=message):
+        CrystalGraph(("a", "b", "c"), (1,), f_rows, lambda v: ())
 
 
 def test_from_lowering_refuses_two_arrows_into_one_vertex():

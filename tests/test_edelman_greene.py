@@ -6,7 +6,7 @@ import pytest
 from conftest import packed_q, requires_s5, requires_s6
 from redwords import crystal, edelman_greene
 from redwords.coxeter import Dihedral, SymmetricGroup
-from redwords.crystal import DecreasingFactorization, factorization_crystal, parse_factorization
+from redwords.crystal import CrystalGraph, DecreasingFactorization, factorization_crystal, parse_factorization
 from redwords.edelman_greene import (
     BRAID,
     MIDDLE_FIRST,
@@ -289,6 +289,39 @@ def test_same_p_classes_match_per_word_insertion(rank):
         report = same_p_tableau_iff_ck_equivalent(system, g)
         assert report.passed
         assert report.detail == f"{len(p_classes)} insertion classes vs {len(ck_classes)} relation classes"
+
+
+def reference_word_classes(system, w, graph):
+    # each word embedded as a whole factorization and looked up by the
+    # component map of the graph's vertices
+    comp_of = graph.component_of()
+    by_component = {}
+    for word in system.reduced_words(w):
+        vertex = DecreasingFactorization.from_word(system, word) if word else DecreasingFactorization(((),), w)
+        by_component.setdefault(comp_of[vertex], set()).add(word)
+    return {frozenset(group) for group in by_component.values()}
+
+
+def test_component_correspondence_by_position_matches_the_object_lookup(s3, s4):
+    # each word's singleton-block tuple is looked up by position; the
+    # classes it induces are those of embedding each word as a
+    # factorization, and a graph with its arrows removed splits them
+    split = 0
+    for system in (SymmetricGroup(2), s3, s4):
+        for g in system.elements():
+            graph = factorization_crystal(system, g)
+            classes = reference_word_classes(system, g, graph)
+            ck_classes = ck_components(system, g)
+            assert classes == set(ck_classes)
+            report = edelman_greene._component_correspondence(system, g, graph)
+            assert report.passed
+            assert report.detail == f"{len(graph.components())} crystal components, {len(ck_classes)} word classes"
+            bare = CrystalGraph(graph.vertices, graph.index_set, [[-1] * len(graph.vertices) for _ in graph.index_set],
+                                graph.weight)
+            if any(len(c) > 1 for c in ck_classes):
+                assert not edelman_greene._component_correspondence(system, g, bare).passed
+                split += 1
+    assert split > 10
 
 
 def test_same_p_outside_type_a_is_an_error():

@@ -147,6 +147,75 @@ def test_charpoly_pinned(s3):
     assert charpoly(matrix) == (F(1), F(-1), F(0))  # x^2 - x
 
 
+def fraction_determinant(rows):
+    """The determinant by Gaussian elimination over the rationals."""
+    rows = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            ratio = rows[r][c] / rows[c][c]
+            rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def interpolated_charpoly(matrix):
+    """det(xI - A) at x = 0, ..., n, interpolated by Lagrange's formula;
+    monic, highest degree first."""
+    n = len(matrix)
+    coeffs = [F(0)] * (n + 1)  # lowest degree first
+    for j in range(n + 1):
+        value = fraction_determinant(
+            [[(j if r == c else 0) - matrix[r][c] for c in range(n)] for r in range(n)]
+        )
+        basis, scale = [F(1)], F(1)  # prod over m != j of (x - m), lowest degree first
+        for m in range(n + 1):
+            if m != j:
+                basis = [(basis[k - 1] if k else 0) - m * (basis[k] if k < len(basis) else 0)
+                         for k in range(len(basis) + 1)]
+                scale *= j - m
+        for k, b in enumerate(basis):
+            coeffs[k] += value * b / scale
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) for c in reversed(coeffs)]
+
+
+def sparse_integer_matrices():
+    """Seeded integer matrices of sizes 0-10, entries in -3..3, mostly zero,
+    each with a zero row and a row with no zero (from size 2), and one fully
+    dense matrix per size."""
+    rng = random.Random(20261020)
+    for n in range(11):
+        for density in (0.2, 0.35, 1.0):
+            matrix = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+                       for _ in range(n)] for _ in range(n)]
+            if n >= 2 and density < 1:
+                matrix[rng.randrange(n)] = [0] * n
+                matrix[rng.randrange(n)] = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+            yield matrix
+
+
+def test_charpoly_int_matches_interpolated_determinants():
+    # the sparse Faddeev-LeVerrier recurrence against det(xI - A) at n + 1
+    # points on non-stochastic integer matrices, zero and dense rows included
+    cases = list(sparse_integer_matrices())
+    assert any(row == [0] * len(m) for m in cases for row in m)
+    assert any(len(m) == 10 and all(all(row) for row in m) for m in cases)
+    for matrix in cases:
+        copy = [row[:] for row in matrix]
+        assert _charpoly_int(matrix) == interpolated_charpoly(matrix)
+        assert matrix == copy
+    assert _charpoly_int([]) == [1]
+    assert _charpoly_int([[0, 0], [0, 0]]) == [1, 0, 0]
+    assert _charpoly_int([[0, 1], [-1, 0]]) == [1, 0, 1]  # x^2 + 1
+
+
 def test_poly_from_eigenvalues():
     assert poly_from_eigenvalues({F(0): 1, F(1): 1}) == (F(1), F(-1), F(0))
     assert poly_from_eigenvalues({F(1, 2): 2}) == (F(1), F(-1), F(1, 4))
