@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed verification, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -17,7 +18,7 @@ from . import checks, markov, stanley
 from .coxeter import CoxeterSystem, Dihedral, Hypercube, SymmetricGroup, format_word, parse_word
 from .crystal import default_num_factors, factorization_crystal, parse_blocks, parse_factorization
 from .edelman_greene import ck_graph, eg_insert, p_transpose_reading_word
-from .partitions import check_partition, hook_content_count, hook_length_count
+from .partitions import check_partition, hook_content_count, hook_length_count, staircase
 from .tableaux import tableau_crystal
 
 _FRACTION = re.compile(r"^-?\d+(/\d+)?$")
@@ -100,6 +101,17 @@ def measure_for(labels, probs: list[Fraction]) -> markov.ProbabilityMeasure:
     return markov.ProbabilityMeasure.from_mapping(dict(zip(labels, probs)))
 
 
+def _reduced_word_count(system: CoxeterSystem, element) -> int:
+    """The reduced-word count behind the size refusals.  The w0 of S_n has
+    as many reduced words as the staircase has standard tableaux (Stanley),
+    so its count is a hook-length product and enumerates nothing;
+    ``reduced_word_count`` would memoise a count for each of the n!
+    elements below it."""
+    if isinstance(system, SymmetricGroup) and element == system.longest_element:
+        return hook_length_count(staircase(system.n))
+    return system.reduced_word_count(element)
+
+
 def _element_json(system, element):
     if isinstance(system, Hypercube):
         return sorted(element)
@@ -113,7 +125,7 @@ def _element_json(system, element):
 def cmd_red_words(args) -> int:
     system = build_system(args.type, args.rank)
     element = parse_element(system, args.element)
-    _refuse_above(system.reduced_word_count(element), MAX_LISTED_WORDS, args.element,
+    _refuse_above(_reduced_word_count(system, element), MAX_LISTED_WORDS, args.element,
                   "reduced words", "red-words")
     words = system.reduced_words(element)
     if args.json:
@@ -236,7 +248,7 @@ def cmd_eg_insert(args) -> int:
 def cmd_eg_ck_graph(args) -> int:
     system = build_system("A", args.rank)
     element = parse_element(system, args.element)
-    _refuse_above(system.reduced_word_count(element), MAX_GRAPH_VERTICES,
+    _refuse_above(_reduced_word_count(system, element), MAX_GRAPH_VERTICES,
                   f"the Coxeter-Knuth graph of {args.element}", "vertices", "eg ck-graph")
     graph = ck_graph(system, element)
     if args.dot:
@@ -328,7 +340,7 @@ def cmd_markov_exchange(args) -> int:
     measure = measure_for(system.index_set, parse_probs(args.probs))
     return _walk_command(
         args, "exchange", f"the walk of {system!r}",
-        lambda limit: system.reduced_word_count(system.longest_element),
+        lambda limit: _reduced_word_count(system, system.longest_element),
         lambda: markov.build_chain(system, measure), measure, system,
     )
 
@@ -474,9 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built on its first call: parsing
+    stores nothing on the parser, so one serves every call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError, ArithmeticError, OSError) as err:

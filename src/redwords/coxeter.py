@@ -392,6 +392,17 @@ class SymmetricGroup(CoxeterSystem):
     def is_right_descent(self, a, i: int) -> bool:
         return a[i - 1] > a[i]
 
+    def evaluate(self, word: Iterable[int]):
+        """:meth:`CoxeterSystem.evaluate` on one mutable one-line list: each
+        letter l swaps entries l and l+1 in place, and one tuple is built at
+        the end."""
+        a = list(self.identity)
+        for i in word:
+            if i not in self._letters:
+                self._check_index(i)
+            a[i - 1], a[i] = a[i], a[i - 1]
+        return tuple(a)
+
     def is_reduced(self, word: Word) -> bool:
         """:meth:`CoxeterSystem.is_reduced` on one mutable one-line list
         ``a``, the product of the letters walked so far: the letter l is an

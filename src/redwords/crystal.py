@@ -218,7 +218,7 @@ class DecreasingFactorization:
     # crystal operators
 
     def _check_op_index(self, i: int) -> None:
-        if not 1 <= i < self.num_factors:
+        if not 1 <= i < len(self.factors):
             raise ValueError(f"operator index {i} out of range for {self.num_factors} blocks")
 
     def pairing(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -703,21 +703,40 @@ def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = No
     index_set = tuple(range(1, num_factors))
     sequences = tuple(_block_sequences(system, w, num_factors))
     position = {blocks: k for k, blocks in enumerate(sequences)}
-    f_rows = []
-    for i in index_set:
-        row = []
-        for blocks in sequences:
-            moved = _lowered(blocks[i], blocks[i - 1])
-            if moved is None:
-                row.append(-1)
-                continue
-            target = position.get(_splice(blocks, i, *moved))
-            if target is None:
-                raise ValueError(f"f_{i} maps {_unchecked(blocks, w)} outside the vertex set")
-            row.append(target)
-        f_rows.append(row)
+    f_rows = _operator_rows(sequences, position, index_set, "f", _lowered)
     vertices = tuple(_unchecked(blocks, w) for blocks in sequences)
     return CrystalGraph(vertices, index_set, f_rows, DecreasingFactorization.weight)
+
+
+def _operator_rows(
+    sequences: tuple[tuple[Word, ...], ...],
+    position: Mapping[tuple[Word, ...], int],
+    index_set: Iterable[int],
+    name: str,
+    step: Callable[[Word, Word], tuple[Word, Word] | None],
+) -> list[list[int]]:
+    """One row per colour i of ``index_set``: entry k is the position, in
+    ``position``, of the blocks ``step`` (:func:`_lowered` or
+    :func:`_raised`) makes of blocks i+1 and i of ``sequences[k]`` spliced
+    back in, -1 where ``step`` returns None.  An image outside ``position``
+    raises ValueError naming the operator ``name``_i."""
+    find = position.get
+    rows = []
+    for i in index_set:
+        row = []
+        add = row.append
+        for blocks in sequences:
+            moved = step(blocks[i], blocks[i - 1])
+            if moved is None:
+                add(-1)
+                continue
+            upper, lower = moved
+            target = find(blocks[:i - 1] + (lower, upper) + blocks[i + 1:])  # _splice, inlined
+            if target is None:
+                raise ValueError(f"{name}_{i} maps {_unchecked(blocks, None)} outside the vertex set")
+            add(target)
+        rows.append(row)
+    return rows
 
 
 class _EdgeView(Mapping):

@@ -28,10 +28,10 @@ from .crystal import (
     DecreasingFactorization,
     _block_sequences,
     _lowered,
+    _operator_rows,
     _position_components,
     _raised,
     _splice,
-    _unchecked,
     connected_components,
     default_num_factors,
     factorization_crystal,
@@ -333,20 +333,23 @@ def _component_correspondence(system: CoxeterSystem, w, graph: CrystalGraph) -> 
     """:func:`crystal_component_correspondence` on the crystal ``graph`` of
     ``w`` with one block per letter.
 
-    Each word is found among the vertices by its singleton-block tuple (the
-    lone empty block at the identity), and its class is the component of
-    that vertex's position.
+    Each word is numbered by its place in ``reduced_words`` and found among
+    the vertices by its singleton-block tuple (the lone empty block at the
+    identity); its crystal class is the component of that vertex's
+    position.  The relation classes come from a union-find over the word
+    numbers, as in :func:`same_p_tableau_iff_ck_equivalent`.
     """
     labels = graph._component_labels()
     position = {v.factors: k for k, v in enumerate(graph.vertices)}
-    induced: dict[int, set[Word]] = {}
-    for word in system.reduced_words(w):
+    words = system.reduced_words(w)
+    induced: dict[int, list[int]] = {}
+    for k, word in enumerate(words):
         blocks = tuple(zip(reversed(word))) or ((),)
-        induced.setdefault(labels[position[blocks]], set()).add(word)
-    word_classes = {frozenset(g) for g in induced.values()}
-    ck_classes = set(ck_components(system, w))
+        induced.setdefault(labels[position[blocks]], []).append(k)
+    ck_classes = _position_components(len(words), ((k, target) for k, target, _ in _ck_edges(system, words)))
     components = len(set(labels))
-    passed = components == len(ck_classes) and word_classes == ck_classes
+    # both lists hold increasing word numbers, ordered by their least one
+    passed = components == len(ck_classes) and list(induced.values()) == ck_classes
     detail = f"{components} crystal components, {len(ck_classes)} word classes"
     return CheckReport("CK-vs-crystal-components", passed, detail)
 
@@ -408,22 +411,33 @@ def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None)
     For every vertex and every index, applying e or f before or after taking
     the recording tableau gives the same answer, with None matching None.
     The factorizations are enumerated once, as sorted block tuples, and
-    inserted by one :func:`_eg_walk`; no crystal graph and no tableau is
-    built (see :func:`_intertwining`).
+    inserted by one :func:`_eg_walk`.  The f rows are filled from
+    ``crystal._lowered`` and the e rows from ``crystal._raised``, each
+    splice looked up among the tuples, so the check tests two operators
+    and not one operator and its inverse; an image outside the tuples
+    raises ValueError.  No crystal graph and no tableau is built (see
+    :func:`_intertwining`).
     """
     if num_factors is None:
         num_factors = default_num_factors(system, w)
     top = max(system.index_set, default=0)
-    factors = list(_block_sequences(system, w, num_factors))
-    qs = [q for _, q in _eg_walk(factors, top)]
-    return _intertwining(factors, qs, range(1, num_factors), top)
+    colours = range(1, num_factors)
+    sequences = tuple(_block_sequences(system, w, num_factors))
+    position = {blocks: k for k, blocks in enumerate(sequences)}
+    f_rows = _operator_rows(sequences, position, colours, "f", _lowered)
+    e_rows = _operator_rows(sequences, position, colours, "e", _raised)
+    qs = [q for _, q in _eg_walk(sequences, top)]
+    return _intertwining(qs, f_rows, e_rows, colours, top)
 
 
-def _intertwining(factors: list[tuple[Word, ...]], qs: list[int], colours: Iterable[int], top: int) -> CheckReport:
-    """:func:`intertwining_check` on the block tuples ``factors`` of every
-    factorization of one element into one number of blocks, the packed
-    recording tableau ``qs[k]`` of ``factors[k]``, and the ``colours`` 1,
-    ..., blocks - 1.
+def _intertwining(
+    qs: list[int], f_rows: list[list[int]], e_rows: list[list[int]], colours: Iterable[int], top: int
+) -> CheckReport:
+    """:func:`intertwining_check` on vertex positions: ``qs[k]`` is the
+    packed recording tableau of vertex k, and ``f_rows[c][k]`` and
+    ``e_rows[c][k]`` are the positions f and e of the colour
+    ``colours[c]`` send vertex k to, -1 where undefined, as
+    :class:`~redwords.crystal.CrystalGraph` stores them.
 
     Q is packed as :func:`_eg_walk` packs it, letters in 1..``top``: the
     count of block index j in row r is the field of ``top.bit_length()``
@@ -431,45 +445,36 @@ def _intertwining(factors: list[tuple[Word, ...]], qs: list[int], colours: Itera
     of i and i+1 in every row are the two ``top``-field columns from bit
     ``(i - 1) * top * top.bit_length()`` on.
 
-    For each colour i the f side splices the blocks ``crystal._lowered``
-    returns into the vertex's blocks and the e side those
-    ``crystal._raised`` returns, so the two sides test two operators; the Q
-    of either image is looked up by its blocks, and an image outside the
-    vertices raises ValueError.  The tableau side brackets the two columns
-    (:func:`_bracket_changes`, once per distinct pair of columns), and the
-    image's Q must be Q plus or minus one packed unit in the row the
-    bracketing names.
+    The tableau side brackets the two columns (:func:`_bracket_changes`,
+    once per distinct pair of columns), and the image's Q must be Q plus
+    or minus one packed unit in the row the bracketing names; an undefined
+    image must meet an undefined bracketing move.
     """
     stride = top * top.bit_length()
     columns = (1 << 2 * stride) - 1
     changes_of: dict[int, tuple[Optional[int], Optional[int]]] = {}
-    q_of = dict(zip(factors, qs))
     colours = tuple(colours)
-    shifts = [(i, (i - 1) * stride) for i in colours]
-    sides = (("f", _lowered, 0), ("e", _raised, 1))
     failures = 0
-    for blocks, q in q_of.items():
-        for i, shift in shifts:
+    for i, f_row, e_row in zip(colours, f_rows, e_rows):
+        shift = (i - 1) * stride
+        for q, down, up in zip(qs, f_row, e_row):
             pair = q >> shift & columns
             changes = changes_of.get(pair)
             if changes is None:
                 changes = changes_of[pair] = _bracket_changes(pair, top)
-            upper, lower = blocks[i], blocks[i - 1]
-            head, tail = blocks[:i - 1], blocks[i + 1:]
-            for name, step, side in sides:
-                moved = step(upper, lower)
-                change = changes[side]
-                if moved is None:
-                    failures += change is not None
-                    continue
-                image = q_of.get(head + (moved[1], moved[0]) + tail)  # moved is (upper, lower)
-                if image is None:
-                    raise ValueError(f"{name}_{i} maps {_unchecked(blocks, None)} outside the vertex set")
-                failures += change is None or image != q + (change << shift)
+            f_change, e_change = changes
+            if down < 0:
+                failures += f_change is not None
+            else:
+                failures += f_change is None or qs[down] != q + (f_change << shift)
+            if up < 0:
+                failures += e_change is not None
+            else:
+                failures += e_change is None or qs[up] != q + (e_change << shift)
     return CheckReport(
         "EG-intertwining",
         failures == 0,
-        f"{len(factors)} vertices x {len(colours)} colours"
+        f"{len(qs)} vertices x {len(colours)} colours"
         + ("" if failures == 0 else f", {failures} failures"),
     )
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -485,13 +485,17 @@ def simulate(
         current = bisect_left(states, start)
         if current == len(states) or states[current] != start:
             raise ValueError(f"{start} is not a reduced word of the longest element")
-    rng = random.Random(seed)
-    weights = [float(p) for _, p in measure.weights]
-    columns = list(range(len(weights)))  # a list draws faster than a range
+    # the draws of random.Random(seed).choices(columns, weights, k=steps),
+    # made one at a time inside the walk: with cum the running sums of the
+    # float weights, a uniform u picks the column bisect_right(cum, u *
+    # cum[-1], 0, len(cum) - 1), which searches only ``bounds``, cum
+    # without its total ``mass``
+    uniform = random.Random(seed).random
+    *bounds, mass = itertools.accumulate(float(p) for _, p in measure.weights)
     counts = [0] * len(states)
     counts[current] = 1
-    for g in rng.choices(columns, weights=weights, k=steps):
-        current = table[current][g]
+    for _ in range(steps):
+        current = table[current][bisect_right(bounds, uniform() * mass)]
         counts[current] += 1
     total = steps + 1
     return {state: Fraction(c, total) for state, c in zip(states, counts) if c}

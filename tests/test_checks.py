@@ -20,7 +20,7 @@ from conftest import packed_q, requires_s5
 from redwords import checks, crystal, edelman_greene, markov, stanley, tableaux
 from redwords.cli import main
 from redwords.coxeter import SymmetricGroup
-from redwords.crystal import DecreasingFactorization
+from redwords.crystal import DecreasingFactorization, factorization_crystal
 from redwords.symfunc import SymFuncExpansion
 
 # Every check `verify --suite all --max-rank 4` runs, in order: a renamed,
@@ -111,6 +111,24 @@ def test_verify_prints_the_pinned_lines(capsys, rank):
 def test_check_passes(rank, name):
     reports = {report.name: report for report in registry(rank)[0]}
     assert reports[name].passed, str(reports[name])
+
+
+@pytest.mark.parametrize("suite, max_rank, builds", [("crystal", 4, 2 + 6 + 24), ("crystal", 1, 2 + 1), ("eg", 4, 24)])
+def test_each_crystal_is_built_once(monkeypatch, suite, max_rank, builds):
+    # one crystal per element of S2..S4, the crystal suite keeping the w0
+    # graph of its loop for the Stembridge axioms (at max rank 1 the loop
+    # visits S2 and the axioms are checked on S1), and one per element of
+    # S4 for the eg suite
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return factorization_crystal(*args)
+
+    monkeypatch.setattr(checks, "factorization_crystal", counted)
+    monkeypatch.setattr(edelman_greene, "factorization_crystal", counted)
+    assert all(report.passed for report in checks.SUITES[suite](max_rank))
+    assert len(calls) == builds
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from redwords import checks
+from redwords import checks, cli
 from redwords.cli import build_parser, build_system, main, parse_element, parse_probs
 from redwords.cli import InputError
 from redwords.symfunc import SymFuncExpansion
@@ -239,6 +239,28 @@ def test_oversized_inputs_are_refused_before_they_are_listed(tmp_path, capsys, a
     started = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - started < 2
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+W0_OF_S12_WORDS = 138018895500079485095943559213817088756940800  # hook-length count of (11, 10, ..., 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("red-words", "--rank", "12", "--element", "w0"),
+     f"w0 has {W0_OF_S12_WORDS} reduced words; red-words stops at 1000000"),
+    (("eg", "ck-graph", "--rank", "12", "--element", "w0"),
+     f"the Coxeter-Knuth graph of w0 has {W0_OF_S12_WORDS} vertices; eg ck-graph stops at 20000"),
+    (("markov", "exchange", "--rank", "12", "--probs", ",".join(["1/11"] * 11)),
+     f"the walk of SymmetricGroup(12) has {W0_OF_S12_WORDS} states; the exact report stops at 64 "
+     "(--dot draws larger walks)"),
+])
+def test_w0_is_refused_by_its_hook_count(capsys, argv, message):
+    # the w0 of S12 sits above 12! - 1 elements, so counting its reduced
+    # words by the recursion would memoise them all; the staircase's
+    # hook-length count enumerates nothing
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -591,6 +613,26 @@ def test_cli_options_are_pinned():
     options = _parser_options(build_parser())
     assert options == CLI_OPTIONS
     assert sum(len(opts) for opts in options.values()) == 37
+
+
+def test_main_reuses_one_parser_and_prints_as_a_first_call(capsys):
+    # main builds its parser on the first call and reads it on every later
+    # one: a refused input, then JSON, then text must each print exactly
+    # what they print as the first call of a process
+    argvs = [
+        ("red-words", "--rank", "12", "--element", "w0"),
+        ("verify", "--suite", "coxeter", "--json"),
+        ("verify", "--suite", "coxeter"),
+    ]
+    first = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        first.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in first] == [2, 0, 0]
+    cli._parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
+    assert cli._parser.cache_info().misses == 1
+    assert build_parser() is not build_parser()
 
 
 def test_verify_json(capsys):

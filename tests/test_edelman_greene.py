@@ -465,18 +465,17 @@ def assert_positional_loop_matches_object_loop(system, g, num_factors):
     pairs = list(eg_insert_all(graph.vertices))
     q_of = {v: pair.q for v, pair in zip(graph.vertices, pairs)}
     p_of = {v: pair.p for v, pair in zip(graph.vertices, pairs)}
-    factors = [v.factors for v in graph.vertices]
 
     failures = reference_intertwining_failures(graph, q_of)
     report = intertwining_check(system, g, num_factors)
     assert report.passed == (failures == 0)
     assert report.detail == intertwining_detail(graph, failures)
     qs = [packed_q(q.rows, top) for q in q_of.values()]
-    assert edelman_greene._intertwining(factors, qs, graph.index_set, top) == report
+    assert edelman_greene._intertwining(qs, graph.f_rows, graph.e_rows, graph.index_set, top) == report
 
     failures = reference_intertwining_failures(graph, p_of)
     ps = [packed_q(p.rows, top) for p in p_of.values()]
-    report = edelman_greene._intertwining(factors, ps, graph.index_set, top)
+    report = edelman_greene._intertwining(ps, graph.f_rows, graph.e_rows, graph.index_set, top)
     assert report.passed == (failures == 0)
     assert report.detail == intertwining_detail(graph, failures)
     return failures
@@ -507,6 +506,36 @@ def test_a_wrong_operator_side_fails_the_intertwining(monkeypatch, s3, table, wr
     monkeypatch.setattr(edelman_greene, table, wrong)
     report = intertwining_check(s3, s3.longest_element, 3)
     assert not report.passed and "failures" in report.detail
+
+
+def intertwining_on_rows(graph, top, e_rows=None):
+    # the verify suite's call: the crystal's own rows and its vertices' Q
+    # from one insertion walk
+    qs = [q for _, q in edelman_greene._eg_walk([v.factors for v in graph.vertices], top)]
+    e_rows = graph.e_rows if e_rows is None else e_rows
+    return edelman_greene._intertwining(qs, graph.f_rows, e_rows, graph.index_set, top)
+
+
+@pytest.mark.parametrize("rank, num_factors", [(4, None), (5, 5)])
+def test_intertwining_on_crystal_rows_matches_the_check(rank, num_factors):
+    # e read off the graph's rows (the inverse of f) and e filled from the
+    # raising table give one report on every element
+    system = SymmetricGroup(rank)
+    for g in system.elements():
+        graph = factorization_crystal(system, g, num_factors)
+        assert intertwining_on_rows(graph, rank - 1) == intertwining_check(system, g, num_factors)
+
+
+def test_a_wrong_e_row_fails_the_intertwining_on_rows(s4):
+    # one e row with a defined entry and an undefined one swapped
+    graph = factorization_crystal(s4, s4.longest_element)
+    assert intertwining_on_rows(graph, 3).passed
+    e_rows = [row[:] for row in graph.e_rows]
+    row = e_rows[0]
+    k, undefined = next(k for k, t in enumerate(row) if t >= 0), row.index(-1)
+    row[k], row[undefined] = row[undefined], row[k]
+    report = intertwining_on_rows(graph, 3, e_rows)
+    assert not report.passed and report.detail.endswith(", 2 failures")
 
 
 @pytest.mark.parametrize("table, name", [("_lowered", "f"), ("_raised", "e")])

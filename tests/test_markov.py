@@ -621,6 +621,36 @@ def test_simulate_seeded_occupation_pinned(s4):
     ]
 
 
+def reference_simulate(system, measure, steps, seed, start):
+    # the sampler as a list of draws made by random.choices, then walked
+    # through the chain's move table
+    chain = build_chain(system, measure)
+    states, table = chain.states, chain.table
+    current = states.index(start)
+    weights = [float(p) for _, p in measure.weights]
+    counts = [0] * len(states)
+    counts[current] = 1
+    for g in random.Random(seed).choices(range(len(weights)), weights, k=steps):
+        current = table[current][g]
+        counts[current] += 1
+    return {state: F(c, steps + 1) for state, c in zip(states, counts) if c}
+
+
+@pytest.mark.parametrize("system", [
+    SymmetricGroup(3), SymmetricGroup(4), SymmetricGroup(5), Hypercube(3), Hypercube(4), Dihedral(4),
+], ids=repr)
+def test_simulate_makes_the_draws_of_random_choices(system):
+    # bit-identical trajectories: the same occupation counts as the
+    # reference for every seed, start and step count
+    states = build_chain(system, ProbabilityMeasure.uniform(system.index_set)).states
+    for seed in (1, 7, 20240101):
+        measure = ProbabilityMeasure.random_rational(system.index_set, seed)
+        start = states[seed % len(states)]
+        for steps in (0, 1, 20_000):
+            assert simulate(system, measure, steps, seed, start) == reference_simulate(
+                system, measure, steps, seed, start)
+
+
 def test_simulate_rejects_foreign_measure_and_start(s3):
     with pytest.raises(ValueError):
         simulate(s3, ProbabilityMeasure.uniform((1, 2, 3)), 10, seed=1)
