@@ -87,7 +87,11 @@ def parse_probs(text: str) -> list[Fraction]:
 
 def parse_shape(text: str):
     try:
-        return check_partition(int(tok) for tok in text.split(","))
+        parts = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise InputError(f"shape must be comma-separated positive integers such as 3,2,1, got {text!r}") from None
+    try:
+        return check_partition(parts)
     except ValueError as err:
         raise InputError(str(err)) from None
 

@@ -47,23 +47,6 @@ def _bracket(upper: Word, lower: Word) -> tuple[list[int], list[int]]:
     return unpaired, stack
 
 
-def bracket_unpaired(upper: Iterable[int], lower: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Pair letters of ``upper`` into ``lower`` and return the leftovers.
-
-    Letters of ``upper`` are processed in decreasing order; each is paired
-    with the smallest strictly larger letter of ``lower`` not yet used.
-    Returns (unpaired upper letters, unpaired lower letters), both sorted
-    increasingly.
-
-    >>> bracket_unpaired((3, 1), (4, 2))
-    ((), ())
-    >>> bracket_unpaired((4, 2), (3, 1))
-    ((4,), (1,))
-    """
-    left, right = _bracket(sorted(upper, reverse=True), sorted(set(lower), reverse=True))
-    return tuple(left[::-1]), tuple(right[::-1])
-
-
 def _check_block(block: Word) -> None:
     for k in range(len(block) - 1):
         if block[k] <= block[k + 1]:
@@ -168,12 +151,6 @@ class DecreasingFactorization:
         ordered = tuple(tuple(b) for b in blocks)[::-1]
         return cls(ordered, target)
 
-    @classmethod
-    def from_word(cls, system: CoxeterSystem, word: Word) -> "DecreasingFactorization":
-        """Embed a word as singleton blocks, one letter per block."""
-        factors = tuple((letter,) for letter in reversed(tuple(word)))
-        return cls(factors, system.evaluate(word))
-
     # ------------------------------------------------------------------
     # basic data
 
@@ -220,12 +197,6 @@ class DecreasingFactorization:
     def _check_op_index(self, i: int) -> None:
         if not 1 <= i < len(self.factors):
             raise ValueError(f"operator index {i} out of range for {self.num_factors} blocks")
-
-    def pairing(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Unpaired letters between blocks i+1 (upper) and i (lower)."""
-        self._check_op_index(i)
-        left, right = _bracket(self.factors[i], self.factors[i - 1])
-        return tuple(left[::-1]), tuple(right[::-1])
 
     def e(self, i: int) -> Optional["DecreasingFactorization"]:
         """Raising operator: move a letter from block i+1 down to block i.
@@ -474,22 +445,6 @@ def _position_components(size: int, pairs: Iterable[tuple[int, int]]) -> list[li
     return list(groups.values())
 
 
-def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> tuple[frozenset, ...]:
-    """Components of the undirected graph with the given edge pairs, by
-    union-find, ordered by their first vertex in ``vertices``.
-
-    Each vertex is numbered once, by its first place in ``vertices``, and
-    each endpoint hashed once, when its pair is read; the union-find runs
-    on those numbers.
-    """
-    position: dict = {}
-    for v in vertices:
-        position.setdefault(v, len(position))
-    order = tuple(position)
-    groups = _position_components(len(order), ((position[u], position[v]) for u, v in pairs))
-    return tuple(frozenset(order[k] for k in group) for group in groups)
-
-
 @dataclass(eq=False)
 class CrystalGraph:
     """Edge-labelled graph of a crystal: f_i arrows between vertices.
@@ -676,10 +631,6 @@ class CrystalGraph:
             for k in group:
                 labels[k] = label
         return labels
-
-    def component_of(self) -> dict:
-        """Map from vertex to its component index."""
-        return dict(zip(self.vertices, self._component_labels()))
 
     def to_dot(self, name: str = "crystal") -> str:
         from .dot import digraph

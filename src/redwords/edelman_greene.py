@@ -16,7 +16,6 @@ tableau Q is one int of per-row counts of each block index.  ``EGPair`` and
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -32,9 +31,7 @@ from .crystal import (
     _position_components,
     _raised,
     _splice,
-    connected_components,
     default_num_factors,
-    factorization_crystal,
 )
 from .reports import CheckReport
 from .tableaux import Tableau
@@ -44,23 +41,6 @@ from .tableaux import Tableau
 class EGPair:
     p: Tableau
     q: Tableau
-
-
-def eg_insert_letter(row: tuple[int, ...], a: int) -> tuple[tuple[int, ...], Optional[int], bool]:
-    """Insert ``a`` into a strictly increasing row.
-
-    Returns (new row, bumped letter or None, special flag); the special flag
-    marks the case where the row already contains both a and a+1 and is left
-    untouched.  This is the row rule on tuples; the insertion walk
-    (:func:`_eg_walk`) applies it to bitmasks.
-    """
-    k = bisect_right(row, a)  # row[k] is the smallest entry larger than a
-    if k == len(row):
-        return row + (a,), None, False
-    b = row[k]
-    if b == a + 1 and k and row[k - 1] == a:
-        return row, b, True
-    return row[:k] + (a,) + row[k + 1:], b, False
 
 
 def _eg_walk(sequences: Iterable[tuple[Word, ...]], top: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -259,7 +239,10 @@ class CKGraph:
     def components(self) -> tuple[frozenset[Word], ...]:
         """Coxeter-Knuth classes, ordered by their least word (the vertices
         are in lexicographic order)."""
-        return connected_components(self.vertices, ((u, v) for u, v, _ in self.edges))
+        vertices = self.vertices
+        position = {v: k for k, v in enumerate(vertices)}
+        groups = _position_components(len(vertices), ((position[u], position[v]) for u, v, _ in self.edges))
+        return tuple(frozenset(vertices[k] for k in group) for group in groups)
 
     def to_dot(self, name: str = "ck") -> str:
         from .dot import digraph
@@ -323,14 +306,9 @@ def same_p_tableau_iff_ck_equivalent(system: CoxeterSystem, w) -> CheckReport:
     return CheckReport("same-P-iff-CK", passed, detail)
 
 
-def crystal_component_correspondence(system: CoxeterSystem, w) -> CheckReport:
-    """Coxeter-Knuth classes match crystal components through the embedding
-    of words as singleton-block factorizations."""
-    return _component_correspondence(system, w, factorization_crystal(system, w))
-
-
 def _component_correspondence(system: CoxeterSystem, w, graph: CrystalGraph) -> CheckReport:
-    """:func:`crystal_component_correspondence` on the crystal ``graph`` of
+    """Coxeter-Knuth classes match crystal components through the embedding
+    of words as singleton-block factorizations, on the crystal ``graph`` of
     ``w`` with one block per letter.
 
     Each word is numbered by its place in ``reduced_words`` and found among

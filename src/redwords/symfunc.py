@@ -82,14 +82,6 @@ class SymFuncExpansion:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SymFuncExpansion":
-        terms = {
-            tuple(item["partition"]): int(item["coeff"])
-            for item in data["terms"]
-        }
-        return cls.from_dict(data["basis"], terms)
-
 
 def omega(expansion: SymFuncExpansion) -> SymFuncExpansion:
     """The transpose involution, acting on the schur basis."""

@@ -26,10 +26,6 @@ class Tableau:
         if not all(self.rows):
             raise ValueError("empty rows are not allowed")
 
-    @classmethod
-    def from_rows(cls, rows) -> "Tableau":
-        return cls(tuple(tuple(r) for r in rows))
-
     @property
     def shape(self) -> Partition:
         return tuple(len(r) for r in self.rows)
@@ -56,12 +52,6 @@ class Tableau:
                 return False
         return True
 
-    def is_standard(self) -> bool:
-        """Entries are exactly 1..n and the filling is semistandard; distinct
-        entries make its rows strictly increasing."""
-        entries = sorted(v for _, _, v in self.cells())
-        return entries == list(range(1, self.size + 1)) and self.is_semistandard()
-
     def transpose(self) -> "Tableau":
         if not self.rows:
             return self
@@ -69,13 +59,6 @@ class Tableau:
         for c in range(len(self.rows[0])):
             cols.append(tuple(row[c] for row in self.rows if len(row) > c))
         return Tableau(tuple(cols))
-
-    def row_reading_word(self) -> tuple[int, ...]:
-        """Bottom row up, each row left to right."""
-        out: list[int] = []
-        for row in reversed(self.rows):
-            out.extend(row)
-        return tuple(out)
 
     def column_reading_word(self) -> tuple[int, ...]:
         """Columns left to right, each read bottom to top."""
@@ -223,40 +206,36 @@ def _strip_removals(shape: Partition, size: int) -> list[Partition]:
 Cell = tuple[int, int]
 
 
-def _brackets(rows: tuple[tuple[int, ...], ...]) -> dict[int, tuple[Optional[Cell], Optional[Cell], int, int]]:
+def _brackets(rows: tuple[tuple[int, ...], ...]) -> dict[int, tuple[Optional[Cell], Optional[Cell]]]:
     """The bracketing of every colour in one pass over the reading word.
 
     For colour i an entry i+1 opens a bracket and a later entry i closes the
     nearest open one; an entry v opens for colour v-1 and closes for colour
     v, so one pass serves them all.  Returns, for each colour i that meets
-    an entry i or i+1, ``(last unpaired i cell, first unpaired i+1 cell,
-    phi_i, epsilon_i)``: f_i changes the entry of the former cell into i+1
-    and e_i that of the latter into i, and a cell is None where its operator
-    does not apply.  Colours left out meet no such entry, so their
-    bracketing is ``(None, None, 0, 0)``.
+    an entry i or i+1, ``(last unpaired i cell, first unpaired i+1 cell)``:
+    f_i changes the entry of the former cell into i+1 and e_i that of the
+    latter into i, and a cell is None where its operator does not apply.
+    Colours left out meet no such entry, so their bracketing is
+    ``(None, None)``.
     """
-    state: dict[int, list] = {}  # colour -> [last unpaired i cell, phi, unpaired i+1 cells]
+    state: dict[int, list] = {}  # colour -> [last unpaired i cell, unpaired i+1 cells]
     for r in range(len(rows) - 1, -1, -1):
         for c, v in enumerate(rows[r]):
             own = state.get(v)
             if own is None:
-                own = state[v] = [None, 0, []]
-            if own[2]:
-                own[2].pop()
+                own = state[v] = [None, []]
+            if own[1]:
+                own[1].pop()
             else:
                 own[0] = (r, c)
-                own[1] += 1
             below = state.get(v - 1)
             if below is None:
-                below = state[v - 1] = [None, 0, []]
-            below[2].append((r, c))
-    return {
-        i: (last, opens[0] if opens else None, phi, len(opens))
-        for i, (last, phi, opens) in state.items()
-    }
+                below = state[v - 1] = [None, []]
+            below[1].append((r, c))
+    return {i: (last, opens[0] if opens else None) for i, (last, opens) in state.items()}
 
 
-_UNBRACKETED = (None, None, 0, 0)
+_UNBRACKETED = (None, None)
 
 
 def _with_entry(rows: tuple[tuple[int, ...], ...], cell: Cell, value: int) -> tuple[tuple[int, ...], ...]:
@@ -267,7 +246,7 @@ def _with_entry(rows: tuple[tuple[int, ...], ...], cell: Cell, value: int) -> tu
 
 def _crystal_images(tableau: Tableau, i: int) -> tuple[Optional[Tableau], Optional[Tableau]]:
     """``(f_i image, e_i image)`` from one bracketing of the reading word."""
-    last, first, _, _ = _brackets(tableau.rows).get(i, _UNBRACKETED)
+    last, first = _brackets(tableau.rows).get(i, _UNBRACKETED)
     lowered = None if last is None else Tableau(_with_entry(tableau.rows, last, i + 1))
     raised = None if first is None else Tableau(_with_entry(tableau.rows, first, i))
     return lowered, raised
@@ -281,14 +260,6 @@ def crystal_f(tableau: Tableau, i: int) -> Optional[Tableau]:
 def crystal_e(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Change the first unbracketed i+1 of the reading word into i."""
     return _crystal_images(tableau, i)[1]
-
-
-def tableau_epsilon(tableau: Tableau, i: int) -> int:
-    return _brackets(tableau.rows).get(i, _UNBRACKETED)[3]
-
-
-def tableau_phi(tableau: Tableau, i: int) -> int:
-    return _brackets(tableau.rows).get(i, _UNBRACKETED)[2]
 
 
 def tableau_crystal(shape: Partition, max_entry: int) -> CrystalGraph:

@@ -126,7 +126,6 @@ def test_each_crystal_is_built_once(monkeypatch, suite, max_rank, builds):
         return factorization_crystal(*args)
 
     monkeypatch.setattr(checks, "factorization_crystal", counted)
-    monkeypatch.setattr(edelman_greene, "factorization_crystal", counted)
     assert all(report.passed for report in checks.SUITES[suite](max_rank))
     assert len(calls) == builds
 

@@ -171,8 +171,7 @@ def test_stanley_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "stanley", "--rank", "4",
                            "--element", "1232", "--basis", "schur", "--json")
     assert code == 0
-    parsed = SymFuncExpansion.from_json_dict(json.loads(out))
-    assert parsed == SymFuncExpansion.from_dict("schur", {(2, 1, 1): 1})
+    assert json.loads(out) == SymFuncExpansion.from_dict("schur", {(2, 1, 1): 1}).to_json_dict()
 
 
 def test_crystal_graph_dot(capsys):
@@ -272,10 +271,12 @@ def test_tableaux_count(capsys):
 
 
 def test_tableaux_count_names_the_rejected_shape(capsys):
-    for text, shape in (("0", "(0,)"), ("1,2", "(1, 2)"), ("-1", "(-1,)")):
+    syntax = "shape must be comma-separated positive integers such as 3,2,1, got "
+    for text, message in (("0", "not a partition: (0,)"), ("1,2", "not a partition: (1, 2)"),
+                          ("-1", "not a partition: (-1,)"), ("", syntax + "''"), ("a", syntax + "'a'")):
         code, out, err = run_cli(capsys, "tableaux", "count", "--shape", text)
         assert code == 2 and out == ""
-        assert err.strip() == f"error: not a partition: {shape}"
+        assert err.strip() == f"error: {message}"
 
 
 def test_tableaux_crystal_dot(capsys):

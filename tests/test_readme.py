@@ -1,4 +1,4 @@
-"""The README's command-line examples, run as written."""
+"""The README's command-line examples and library quickstart, run as written."""
 
 import contextlib
 import io
@@ -46,3 +46,15 @@ def test_readme_command(tmp_path, monkeypatch, argv, expected):
     assert code == 0, err.getvalue()
     if expected is not None:
         assert out.getvalue().strip() == expected
+
+
+def test_readme_library_quickstart():
+    # the block runs as written, and each print gives its ``# ...`` comment
+    section = README.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = [line.partition("#")[2].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert expected == ["16", "s[3,2,1]", "1"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == expected
