@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import crystal
 from . import edelman_greene as eg
-from . import markov, stanley
+from . import markov, stanley, tableaux
 from .coxeter import Dihedral, Hypercube, SymmetricGroup
 from .crystal import _splice, factorization_crystal, stembridge_violations
 from .partitions import hook_length_count, staircase
@@ -210,7 +210,7 @@ def tableaux_checks(max_rank: int) -> list[CheckReport]:
         if stembridge_violations(graph):
             axioms_ok = False
         for (u, i), v in graph.f_edges.items():
-            if graph.e(v, i) != u or not v.is_semistandard():
+            if tableaux.crystal_e(v, i) != u or not v.is_semistandard():
                 axioms_ok = False
     out.append(CheckReport("tableau-crystal-closure-is-all-ssyt", closure_ok))
     out.append(CheckReport("tableau-crystal-axioms", axioms_ok))
@@ -327,7 +327,6 @@ def markov_checks(max_rank: int) -> list[CheckReport]:
             if not matrix.is_strongly_connected():
                 connected = False
             lines = markov.spectrum(system, measure)
-            # markov.charpoly_matches_spectrum on the spectrum and chain in hand
             expected = markov.poly_from_eigenvalues(markov.eigenvalues_by_value(lines))
             if markov.charpoly(matrix) != expected:
                 charmatch = False

@@ -22,6 +22,8 @@ from .partitions import check_partition, hook_content_count, hook_length_count, 
 from .tableaux import tableau_crystal
 
 _FRACTION = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII digits only: int() alone also reads "1_0", " +2" and other scripts' digits
+_INTEGER = re.compile(r"-?[0-9]+")
 
 # Largest exchange walk that `markov exchange` reports on: the report holds
 # the dense matrix and its exact characteristic polynomial, which is O(n^4).
@@ -86,12 +88,11 @@ def parse_probs(text: str) -> list[Fraction]:
 
 
 def parse_shape(text: str):
+    tokens = text.split(",")
+    if not all(_INTEGER.fullmatch(tok) for tok in tokens):
+        raise InputError(f"shape must be comma-separated positive integers such as 3,2,1, got {text!r}")
     try:
-        parts = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise InputError(f"shape must be comma-separated positive integers such as 3,2,1, got {text!r}") from None
-    try:
-        return check_partition(parts)
+        return check_partition([int(tok) for tok in tokens])
     except ValueError as err:
         raise InputError(str(err)) from None
 

@@ -34,7 +34,7 @@ from .crystal import (
     default_num_factors,
 )
 from .reports import CheckReport
-from .tableaux import Tableau
+from .tableaux import Tableau, _signature
 
 
 @dataclass(frozen=True)
@@ -464,31 +464,17 @@ def _bracket_changes(columns: int, top: int) -> tuple[Optional[int], Optional[in
     columns of i and i+1 shifted down to these.  Returns ``(f change, e
     change)``, None where the operator does not apply.
 
-    The reading word runs over the rows bottom up, and a weakly increasing
-    row reads its 1s before its 2s.  A 2 opens a bracket and a later 1
-    closes the nearest open one, so one pass with two scalars serves both
-    operators: ``opened`` counts the unpaired 2s so far, and ``first`` is
-    the row of the earliest of them, reset whenever none is left.  f turns the
-    last unpaired 1, the rightmost 1 of its row, into 2 and e the first
-    unpaired 2, the leftmost 2 of its row, into 1, so each row still weakly
-    increases and one count moves between the row's two fields.
+    The rows come from the tableau crystal's own signature rule
+    (:func:`~redwords.tableaux._signature`): f moves one count of the f
+    row from its 1 field to its 2 field, and e one count of the e row
+    back.
     """
     width = top.bit_length()
     field = (1 << width) - 1
     unit = (1 << top * width) - 1  # one less 1 and one more 2 in row 0
-    opened = 0
-    last = first = -1
-    for r in range(top - 1, -1, -1):
-        ones = columns >> r * width & field
-        twos = columns >> (top + r) * width & field
-        if ones > opened:
-            last = r
-            opened = 0
-        else:
-            opened -= ones
-        if not opened:
-            first = r if twos else -1
-        opened += twos
+    last, first = _signature(
+        [(columns >> r * width & field, columns >> (top + r) * width & field) for r in range(top)]
+    )
     return (
         None if last < 0 else unit << last * width,
         None if first < 0 else -(unit << first * width),

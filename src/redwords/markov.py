@@ -372,14 +372,6 @@ def eigenvalue_multiplicity_in_charpoly(
     return mult
 
 
-def charpoly_matches_spectrum(system: CoxeterSystem, measure: ProbabilityMeasure) -> bool:
-    """Exact equality of the characteristic polynomial with the closed-form
-    factorization, collisions between subsets merged first."""
-    return charpoly(build_chain(system, measure)) == poly_from_eigenvalues(
-        eigenvalues_by_value(spectrum(system, measure))
-    )
-
-
 # ----------------------------------------------------------------------
 # stationary distribution
 
@@ -588,15 +580,6 @@ class NaturalPoset:
                         larger[ideal | bit] = larger.get(ideal | bit, 0) + count
             ways = larger
             yield sum(ways.values())
-
-    def linear_extension_count(self) -> int:
-        """len(linear_extensions()) without listing them.
-
-        >>> NaturalPoset.antichain(8).linear_extension_count()
-        40320
-        """
-        *_, count = self.prefix_counts()
-        return count
 
     def linear_extensions(self) -> tuple[tuple[int, ...], ...]:
         """All orderings compatible with the poset, lexicographically."""

@@ -8,10 +8,11 @@ runs over rows from the bottom row up, left to right within each row.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .crystal import CrystalGraph
 from .partitions import Partition, check_partition, conjugate, partitions_of
@@ -203,63 +204,66 @@ def _strip_removals(shape: Partition, size: int) -> list[Partition]:
 # crystal operators via the signature rule
 
 
-Cell = tuple[int, int]
+def _signature(counts: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The signature rule for one colour i, read off row counts.
 
-
-def _brackets(rows: tuple[tuple[int, ...], ...]) -> dict[int, tuple[Optional[Cell], Optional[Cell]]]:
-    """The bracketing of every colour in one pass over the reading word.
-
-    For colour i an entry i+1 opens a bracket and a later entry i closes the
-    nearest open one; an entry v opens for colour v-1 and closes for colour
-    v, so one pass serves them all.  Returns, for each colour i that meets
-    an entry i or i+1, ``(last unpaired i cell, first unpaired i+1 cell)``:
-    f_i changes the entry of the former cell into i+1 and e_i that of the
-    latter into i, and a cell is None where its operator does not apply.
-    Colours left out meet no such entry, so their bracketing is
-    ``(None, None)``.
+    ``counts[r]`` is the pair (number of i, number of i+1) of row r, top
+    row first.  The reading word runs over the rows bottom up, and a
+    weakly increasing row reads its i's before its i+1's.  An i+1 opens a
+    bracket and a later i closes the nearest open one, so one pass with
+    two scalars serves both operators: ``opened`` counts the unpaired
+    i+1's so far, and ``first`` is the row of the earliest of them, reset
+    whenever none is left.  Returns ``(f row, e row)``, -1 where the
+    operator does not apply: f_i turns the last unpaired i, the rightmost
+    i of the f row, into i+1, and e_i the first unpaired i+1, the leftmost
+    i+1 of the e row, into i, so each row still weakly increases.
     """
-    state: dict[int, list] = {}  # colour -> [last unpaired i cell, unpaired i+1 cells]
-    for r in range(len(rows) - 1, -1, -1):
-        for c, v in enumerate(rows[r]):
-            own = state.get(v)
-            if own is None:
-                own = state[v] = [None, []]
-            if own[1]:
-                own[1].pop()
-            else:
-                own[0] = (r, c)
-            below = state.get(v - 1)
-            if below is None:
-                below = state[v - 1] = [None, []]
-            below[1].append((r, c))
-    return {i: (last, opens[0] if opens else None) for i, (last, opens) in state.items()}
+    opened = 0
+    last = first = -1
+    for r in range(len(counts) - 1, -1, -1):
+        ones, twos = counts[r]
+        if ones > opened:
+            last = r
+            opened = 0
+        else:
+            opened -= ones
+        if not opened:
+            first = r if twos else -1
+        opened += twos
+    return last, first
 
 
-_UNBRACKETED = (None, None)
+def _with_entry(rows: tuple[tuple[int, ...], ...], r: int, c: int, value: int) -> Tableau:
+    """The tableau of ``rows`` with ``value`` in cell (r, c); only row r is
+    rebuilt."""
+    return Tableau(rows[:r] + (rows[r][:c] + (value,) + rows[r][c + 1:],) + rows[r + 1:])
 
 
-def _with_entry(rows: tuple[tuple[int, ...], ...], cell: Cell, value: int) -> tuple[tuple[int, ...], ...]:
-    """``rows`` with ``value`` in ``cell``; only that cell's row is rebuilt."""
-    r, c = cell
-    return rows[:r] + (rows[r][:c] + (value,) + rows[r][c + 1:],) + rows[r + 1:]
-
-
-def _crystal_images(tableau: Tableau, i: int) -> tuple[Optional[Tableau], Optional[Tableau]]:
-    """``(f_i image, e_i image)`` from one bracketing of the reading word."""
-    last, first = _brackets(tableau.rows).get(i, _UNBRACKETED)
-    lowered = None if last is None else Tableau(_with_entry(tableau.rows, last, i + 1))
-    raised = None if first is None else Tableau(_with_entry(tableau.rows, first, i))
-    return lowered, raised
+def _signature_rows(tableau: Tableau, i: int) -> tuple[int, int]:
+    """:func:`_signature` of ``tableau`` for colour i, which must be at
+    least 1; the count rule needs weakly increasing rows."""
+    if i < 1:
+        raise ValueError(f"colour must be at least 1, got {i}")
+    rows = tableau.rows
+    if any(a > b for row in rows for a, b in zip(row, row[1:])):
+        raise ValueError(f"rows must weakly increase, got {tableau}")
+    return _signature([(row.count(i), row.count(i + 1)) for row in rows])
 
 
 def crystal_f(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Change the last unbracketed i of the reading word into i+1."""
-    return _crystal_images(tableau, i)[0]
+    r = _signature_rows(tableau, i)[0]
+    if r < 0:
+        return None
+    return _with_entry(tableau.rows, r, bisect_right(tableau.rows[r], i) - 1, i + 1)
 
 
 def crystal_e(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Change the first unbracketed i+1 of the reading word into i."""
-    return _crystal_images(tableau, i)[1]
+    r = _signature_rows(tableau, i)[1]
+    if r < 0:
+        return None
+    return _with_entry(tableau.rows, r, bisect_left(tableau.rows[r], i + 1), i)
 
 
 def tableau_crystal(shape: Partition, max_entry: int) -> CrystalGraph:

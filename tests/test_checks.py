@@ -165,6 +165,8 @@ FAULTS = {
                            "crystal-weight-steps", "crystal-string-lengths", "highest-weights-are-partitions")}),
     "tableaux": ("tableaux", tableaux, "crystal_f", lambda f: lambda tableau, i: None,
                  {"tableau-crystal-closure-is-all-ssyt"}),
+    "tableaux-e": ("tableaux", tableaux, "crystal_e", lambda e: lambda tableau, i: None,
+                   {"tableau-crystal-axioms"}),
     "stanley": ("stanley", stanley, "schur_expansion_via_eg",
                 lambda route: lambda system, w: SymFuncExpansion.zero("schur"),
                 {"S4-schur-three-way-agreement"}),

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import functools
 import io
@@ -277,6 +278,14 @@ def test_tableaux_count_names_the_rejected_shape(capsys):
         code, out, err = run_cli(capsys, "tableaux", "count", "--shape", text)
         assert code == 2 and out == ""
         assert err.strip() == f"error: {message}"
+
+
+def test_tableaux_count_reads_only_ascii_integers(capsys):
+    # int() alone reads each of these: as 10, as 3 and 2, and as 3
+    for text in ("1_0", " 3,+2", "\u0663"):
+        code, out, err = run_cli(capsys, "tableaux", "count", "--shape", text)
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: shape must be comma-separated positive integers such as 3,2,1, got {text!r}"
 
 
 def test_tableaux_crystal_dot(capsys):
@@ -681,6 +690,17 @@ def test_verify_passes_under_python_optimize(suite):
     assert lines and all(line.startswith("PASS ") for line in lines)
     passed, total = summary.split()[0].split("/")
     assert passed == total == str(len(lines))
+
+
+def test_no_library_module_holds_an_assert_statement():
+    # `python -O` strips assert statements, so no runtime invariant may rest on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(checks.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # ----------------------------------------------------------------------

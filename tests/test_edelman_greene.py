@@ -24,10 +24,7 @@ from redwords.edelman_greene import (
     same_p_tableau_iff_ck_equivalent,
 )
 from redwords.tableaux import (
-    _UNBRACKETED,
     Tableau,
-    _brackets,
-    _with_entry,
     crystal_e,
     crystal_f,
     generate_ssyt,
@@ -550,24 +547,32 @@ def signature(tableau, i):
     return closers, opens
 
 
+def with_entry(tableau, cell, value):
+    rows = [list(row) for row in tableau.rows]
+    rows[cell[0]][cell[1]] = value
+    return tuple(map(tuple, rows))
+
+
 @pytest.mark.parametrize("shape, count", [((3, 2, 1), 280), ((2, 2, 1), 75)])
 def test_all_colour_bracket_matches_the_per_colour_signature(shape, count):
+    # crystal_f and crystal_e under every colour: f_i changes the last
+    # surviving i into i+1 and e_i the first surviving i+1 into i; colour
+    # 6 meets the single entry value 5
     tableaux = generate_ssyt(shape, 5)
     assert len(tableaux) == count
     for t in tableaux:
-        brackets = _brackets(t.rows)
-        for i in range(7):  # colours 0 and 6 meet a single entry value, or none
+        for i in range(1, 7):
             closers, opens = signature(t, i)
-            expected = (closers[-1] if closers else None, opens[0] if opens else None)
-            assert brackets.get(i, _UNBRACKETED) == expected
+            assert crystal_f(t, i) == (tab(*with_entry(t, closers[-1], i + 1)) if closers else None)
+            assert crystal_e(t, i) == (tab(*with_entry(t, opens[0], i)) if opens else None)
 
 
 @pytest.mark.parametrize("shape, count", [((3, 2, 1), 280), ((2, 2, 1), 75)])
 def test_packed_bracket_matches_the_all_colour_bracket(shape, count):
     # each SSYT with entries up to 5 packed as Q for letters in 1..4: the
     # change the two-column bracketing adds for f_i and e_i is the packed
-    # tableau changed at the cell tableaux._brackets names, less the packed
-    # tableau, and None exactly where that cell is None
+    # tableau changed at the cell the signature names, less the packed
+    # tableau, and None exactly where there is no such cell
     top = 4
     stride = top * top.bit_length()
     tableaux = generate_ssyt(shape, 5)
@@ -575,15 +580,15 @@ def test_packed_bracket_matches_the_all_colour_bracket(shape, count):
     changed = 0
     for t in tableaux:
         q = packed_q(t.rows, top)
-        brackets = _brackets(t.rows)
         for i in range(1, 5):
-            last, first = brackets.get(i, _UNBRACKETED)
+            closers, opens = signature(t, i)
+            cells = (closers[-1] if closers else None, opens[0] if opens else None)
             f_change, e_change = edelman_greene._bracket_changes(q >> (i - 1) * stride & (1 << 2 * stride) - 1, top)
-            for cell, value, change in ((last, i + 1, f_change), (first, i, e_change)):
+            for cell, value, change in zip(cells, (i + 1, i), (f_change, e_change)):
                 if cell is None:
                     assert change is None
                 else:
-                    assert q + (change << (i - 1) * stride) == packed_q(_with_entry(t.rows, cell, value), top)
+                    assert q + (change << (i - 1) * stride) == packed_q(with_entry(t, cell, value), top)
                     changed += 1
     assert changed > count
 

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from redwords.partitions import partitions_of
@@ -72,6 +73,20 @@ def test_crystal_f_pinned_edges():
     assert crystal_f(tab((1, 2), (2,)), 2) == tab((1, 3), (2,))
     top = yamanouchi_tableau((2, 1))
     assert crystal_e(top, 1) is None and crystal_e(top, 2) is None
+
+
+def test_crystal_operators_refuse_a_colour_below_one():
+    # colour 0 once turned the 1 of 1 2/2 into 0
+    for operator in (crystal_f, crystal_e):
+        with pytest.raises(ValueError, match="colour must be at least 1, got 0"):
+            operator(tab((1, 2), (2,)), 0)
+
+
+def test_crystal_operators_refuse_a_decreasing_row():
+    # the reading word 2 1 brackets its two letters, the row counts do not
+    for operator in (crystal_f, crystal_e):
+        with pytest.raises(ValueError, match="rows must weakly increase"):
+            operator(tab((2, 1)), 1)
 
 
 def test_crystal_full_b21():
