@@ -16,7 +16,7 @@ from . import crystal
 from . import edelman_greene as eg
 from . import markov, stanley, tableaux
 from .coxeter import Dihedral, Hypercube, SymmetricGroup
-from .crystal import _splice, factorization_crystal, stembridge_violations
+from .crystal import _moved, factorization_crystal, stembridge_violations
 from .partitions import hook_length_count, staircase
 from .reports import CheckReport
 from .symfunc import support_interval as expansion_interval
@@ -116,7 +116,7 @@ def _powerset(indices):
 def crystal_checks(max_rank: int) -> list[CheckReport]:
     """The crystal identities on every element of S_n, n from 2 to
     min(max_rank, 4), read on vertex positions: e-f-inverse compares each
-    colour's ``crystal._raised`` splices with the graph's e row, and
+    colour's ``crystal._raised`` block step with the graph's e row, and
     weight-steps compares the block lengths at the two ends of each f
     arrow."""
     out = []
@@ -135,8 +135,8 @@ def crystal_checks(max_rank: int) -> list[CheckReport]:
             for i, f_row, e_row in zip(graph.index_set, graph.f_rows, graph.e_rows):
                 for k, blocks in enumerate(factors):
                     # e_i, raised from the blocks, is the inverse of the f rows
-                    raised = crystal._raised(blocks[i], blocks[i - 1])
-                    source = -1 if raised is None else position.get(_splice(blocks, i, *raised), -2)
+                    raised = _moved(crystal._raised, blocks, i)
+                    source = -1 if raised is None else position.get(raised, -2)
                     if source != e_row[k]:
                         inverse_ok = False
                     # f_i moves one letter from block i to block i+1 and

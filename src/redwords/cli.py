@@ -21,7 +21,7 @@ from .edelman_greene import ck_graph, eg_insert, p_transpose_reading_word
 from .partitions import check_partition, hook_content_count, hook_length_count, staircase
 from .tableaux import tableau_crystal
 
-_FRACTION = re.compile(r"^-?\d+(/\d+)?$")
+_FRACTION = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 # ASCII digits only: int() alone also reads "1_0", " +2" and other scripts' digits
 _INTEGER = re.compile(r"-?[0-9]+")
 
@@ -39,6 +39,13 @@ MAX_LISTED_WORDS = 1_000_000
 
 class InputError(ValueError):
     pass
+
+
+def _integer(text: str) -> int:
+    """The argparse ``type`` of every integer option."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def build_system(kind: str, rank: int) -> CoxeterSystem:
@@ -172,6 +179,7 @@ def cmd_crystal_graph(args) -> int:
         print(graph.to_dot("crystal"), end="")
         return 0
     order = {v: k for k, v in enumerate(graph.vertices)}
+    highest = graph.highest_weights()
     payload = {
         "vertices": [str(v) for v in graph.vertices],
         "edges": [
@@ -179,7 +187,7 @@ def cmd_crystal_graph(args) -> int:
             for u, i, v in graph.edges()
         ],
         "highest_weights": [
-            {"vertex": str(v), "weight": list(w)} for v, w in graph.highest_weights()
+            {"vertex": str(v), "weight": list(w)} for v, w in highest
         ],
         "components": len(graph.components()),
     }
@@ -188,7 +196,7 @@ def cmd_crystal_graph(args) -> int:
     else:
         print(f"{len(graph.vertices)} vertices, {len(graph.f_edges)} edges, "
               f"{payload['components']} component(s)")
-        for v, w in graph.highest_weights():
+        for v, w in highest:
             print(f"highest weight {v} of weight {tuple(w)}")
     return 0
 
@@ -398,14 +406,14 @@ def _add_system_args(parser):
     parser.add_argument("--type", default="A", help="A | hypercube | dihedral")
     parser.add_argument(
         "--rank",
-        type=int,
+        type=_integer,
         required=True,
         help="n of S_n for type A; coordinate count for hypercube; m for dihedral",
     )
 
 
 def _add_symmetric_group_args(parser):
-    parser.add_argument("--rank", type=int, required=True, help="n of S_n")
+    parser.add_argument("--rank", type=_integer, required=True, help="n of S_n")
     parser.add_argument("--element", required=True)
 
 
@@ -437,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     crystal_sub = p.add_subparsers(dest="subcommand", required=True)
     g = crystal_sub.add_parser("graph", help="crystal on decreasing factorizations")
     _add_symmetric_group_args(g)
-    g.add_argument("--factors", type=int, default=None)
+    g.add_argument("--factors", type=_integer, default=None)
     g.add_argument("--dot", action="store_true")
     g.add_argument("--json", action="store_true")
     g.set_defaults(func=cmd_crystal_graph)
@@ -450,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_tableaux_count)
     c = tab_sub.add_parser("crystal", help="crystal on semistandard tableaux")
     c.add_argument("--shape", required=True)
-    c.add_argument("--entries", type=int, required=True)
+    c.add_argument("--entries", type=_integer, required=True)
     c.add_argument("--dot", action="store_true")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_tableaux_crystal)
@@ -484,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the executable identity suite")
     p.add_argument("--suite", default="all", help=f"all or one of {sorted(checks.SUITES)}")
-    p.add_argument("--max-rank", type=int, default=4)
+    p.add_argument("--max-rank", type=_integer, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -127,20 +127,10 @@ class DecreasingFactorization:
 
     factors: tuple[Word, ...]
     target: object
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for block in self.factors:
             _check_block(block)
-
-    def __hash__(self) -> int:
-        # Computed on first use: the Schur routes build many factorizations
-        # and hash none of them.
-        h = self._hash
-        if h is None:
-            h = hash((self.factors, self.target))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -206,8 +196,8 @@ class DecreasingFactorization:
         below b present in block i+1.
         """
         self._check_op_index(i)
-        blocks = _raised(self.factors[i], self.factors[i - 1])
-        return None if blocks is None else self._spliced(i, *blocks)
+        factors = _moved(_raised, self.factors, i)
+        return None if factors is None else _unchecked(factors, self.target)
 
     def f(self, i: int) -> Optional["DecreasingFactorization"]:
         """Lowering operator, inverse to :meth:`e` on every edge.
@@ -217,14 +207,8 @@ class DecreasingFactorization:
         block i.  Returns None when every letter of block i is paired.
         """
         self._check_op_index(i)
-        blocks = _lowered(self.factors[i], self.factors[i - 1])
-        return None if blocks is None else self._spliced(i, *blocks)
-
-    def _spliced(self, i: int, upper: Word, lower: Word) -> "DecreasingFactorization":
-        """This factorization with blocks i+1 and i replaced by blocks that
-        :func:`_raised` or :func:`_lowered` produced and checked; the others
-        were checked when ``self`` was built."""
-        return _unchecked(_splice(self.factors, i, upper, lower), self.target)
+        factors = _moved(_lowered, self.factors, i)
+        return None if factors is None else _unchecked(factors, self.target)
 
     def epsilon(self, i: int) -> int:
         """Number of times :meth:`e` applies at index i.
@@ -242,9 +226,14 @@ class DecreasingFactorization:
         return _pair_string_length(_lowered, self.factors[i], self.factors[i - 1])
 
 
-def _splice(factors: tuple[Word, ...], i: int, upper: Word, lower: Word) -> tuple[Word, ...]:
-    """``factors`` with blocks i+1 and i replaced by ``upper`` and ``lower``."""
-    return factors[:i - 1] + (lower, upper) + factors[i + 1:]
+def _moved(step, factors: tuple[Word, ...] | None, i: int) -> tuple[Word, ...] | None:
+    """The blocks after ``step`` (:func:`_raised` or :func:`_lowered`) acts
+    on blocks i+1 and i of ``factors``, the new pair spliced back in; None
+    when it does not apply or ``factors`` is None."""
+    if factors is None:
+        return None
+    moved = step(factors[i], factors[i - 1])
+    return None if moved is None else factors[:i - 1] + (moved[1], moved[0]) + factors[i + 1:]
 
 
 def _unchecked(factors: tuple[Word, ...], target) -> DecreasingFactorization:
@@ -252,7 +241,6 @@ def _unchecked(factors: tuple[Word, ...], target) -> DecreasingFactorization:
     out = object.__new__(DecreasingFactorization)
     object.__setattr__(out, "factors", factors)
     object.__setattr__(out, "target", target)
-    object.__setattr__(out, "_hash", None)
     return out
 
 
@@ -455,13 +443,15 @@ class CrystalGraph:
     ``index_set[c]``, or -1 where f_i is undefined.  The constructor derives
     the e rows from the f rows; :meth:`e`, :meth:`f`,
     :meth:`highest_weights`, :meth:`components` and
-    :func:`stembridge_violations` read the rows, and :attr:`f_edges` and
-    :attr:`weights` are views of them.
+    :func:`stembridge_violations` read the rows, and :attr:`f_edges` is a
+    view of them.  :meth:`from_lowering` fills the f rows from an operator,
+    and :func:`factorization_crystal` from the one block step
+    :func:`_moved`, inlined in :func:`_operator_rows`.
 
     A vertex listed twice, an f row that is not one position or -1 per
     vertex, and an f_i that maps two vertices to one vertex are each refused
-    with ValueError; :meth:`from_edges` also refuses an edge endpoint
-    outside the vertices and a colour outside ``index_set``.
+    with ValueError; :meth:`from_lowering` also refuses an image outside
+    the vertices.
     """
 
     vertices: tuple
@@ -492,39 +482,11 @@ class CrystalGraph:
         self.e_rows = e_rows
         self._edge_count = sum(size - row.count(-1) for row in e_rows)
 
-    @classmethod
-    def from_edges(
-        cls,
-        vertices: tuple,
-        index_set: tuple[int, ...],
-        f_edges: Mapping,
-        weight: Callable[[object], tuple[int, ...]],
-    ) -> "CrystalGraph":
-        """The graph whose ``f_edges`` maps (vertex, i) to the vertex f_i
-        sends it to, read once into f rows."""
-        position = {v: k for k, v in enumerate(vertices)}
-        colour = {i: c for c, i in enumerate(index_set)}
-        f_rows = [[-1] * len(vertices) for _ in index_set]
-        for (u, i), v in f_edges.items():
-            source, target = position.get(u), position.get(v)
-            if source is None or target is None:
-                raise ValueError("edge endpoint outside the vertex set")
-            c = colour.get(i)
-            if c is None:
-                raise ValueError(f"edge colour {i} outside the index set {index_set}")
-            f_rows[c][source] = target
-        return cls(vertices, index_set, f_rows, weight)
-
     @property
     def f_edges(self) -> "_EdgeView":
         """The f-arrows as a read-only mapping (vertex, i) -> vertex, in
         vertex order, then label order; its length is the arrow count."""
         return _EdgeView(self)
-
-    @property
-    def weights(self) -> dict:
-        """The weight of every vertex."""
-        return {v: self.weight(v) for v in self.vertices}
 
     def _step(self, rows: list[list[int]], v, i: int):
         k = self._position.get(v)
@@ -604,13 +566,18 @@ class CrystalGraph:
         """The graph of the lowering operator ``f(vertex, i)`` on ``vertices``,
         where None means f_i does not apply; an image outside ``vertices``
         raises ValueError."""
-        f_edges = {}
-        for v in vertices:
-            for i in index_set:
+        position = {v: k for k, v in enumerate(vertices)}
+        f_rows = []
+        for i in index_set:
+            row = []
+            for v in vertices:
                 image = f(v, i)
-                if image is not None:
-                    f_edges[(v, i)] = image
-        return cls.from_edges(vertices, index_set, f_edges, weight)
+                target = -1 if image is None else position.get(image)
+                if target is None:
+                    raise ValueError(f"f_{i} maps {v} outside the vertex set")
+                row.append(target)
+            f_rows.append(row)
+        return cls(vertices, index_set, f_rows, weight)
 
     def _component_positions(self) -> list[list[int]]:
         return _position_components(
@@ -645,8 +612,8 @@ def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = No
 
     The graph :meth:`CrystalGraph.from_lowering` builds from
     :meth:`DecreasingFactorization.f`, made without building each image:
-    the sorted block tuples are numbered, and each colour's f row splices
-    the blocks :func:`_lowered` returns into each tuple and looks the
+    the sorted block tuples are numbered, and each colour's f row moves
+    each tuple by :func:`_lowered` (see :func:`_moved`) and looks the
     result up among the tuples.
     """
     if num_factors is None:
@@ -682,7 +649,7 @@ def _operator_rows(
                 add(-1)
                 continue
             upper, lower = moved
-            target = find(blocks[:i - 1] + (lower, upper) + blocks[i + 1:])  # _splice, inlined
+            target = find(blocks[:i - 1] + (lower, upper) + blocks[i + 1:])  # _moved, inlined
             if target is None:
                 raise ValueError(f"{name}_{i} maps {_unchecked(blocks, None)} outside the vertex set")
             add(target)
@@ -784,15 +751,16 @@ def stembridge_violations(graph: CrystalGraph) -> list[str]:
     if bad:
         return bad
 
+    # the ordered colour pairs i != j, and the adjacent ones, listed once
     colours = tuple(enumerate(graph.index_set))
+    others = [(c, i, [(d, j) for d, j in colours if j != i]) for c, i in colours]
+    adjacent = [(c, i, d, j) for c, i in colours for d, j in colours if abs(i - j) == 1]
     for x, vertex in enumerate(vertices):
-        for c, i in colours:
+        for c, i, pairs in others:
             y = e[c][x]
             if y < 0:
                 continue
-            for d, j in colours:
-                if j == i:
-                    continue
+            for d, j in pairs:
                 d_eps = eps[d][y] - eps[d][x]
                 d_phi = phi[d][y] - phi[d][x]
                 if abs(i - j) >= 2:
@@ -805,25 +773,22 @@ def stembridge_violations(graph: CrystalGraph) -> list[str]:
                     bad.append(
                         f"adjacent colours {i},{j} give (d_eps,d_phi)=({d_eps},{d_phi}) at {vertex}"
                     )
-        for c, i in colours:
-            for d, j in colours:
-                if abs(i - j) != 1:
-                    continue
-                yi = e[c][x]
-                yj = e[d][x]
-                if yi < 0 or yj < 0:
-                    continue
-                di = eps[d][yi] - eps[d][x]
-                dj = eps[c][yj] - eps[c][x]
-                if di == 0:
-                    top = e[d][yi]
-                    if top != e[c][yj] or top < 0:
-                        bad.append(f"square closure fails for colours {i},{j} at {vertex}")
-                if di == 1 and dj == 1:
-                    a = _raised_along(e, x, (c, d, d, c))
-                    b = _raised_along(e, x, (d, c, c, d))
-                    if a < 0 or a != b:
-                        bad.append(f"double-string closure fails for colours {i},{j} at {vertex}")
+        for c, i, d, j in adjacent:
+            yi = e[c][x]
+            yj = e[d][x]
+            if yi < 0 or yj < 0:
+                continue
+            di = eps[d][yi] - eps[d][x]
+            dj = eps[c][yj] - eps[c][x]
+            if di == 0:
+                top = e[d][yi]
+                if top != e[c][yj] or top < 0:
+                    bad.append(f"square closure fails for colours {i},{j} at {vertex}")
+            if di == 1 and dj == 1:
+                a = _raised_along(e, x, (c, d, d, c))
+                b = _raised_along(e, x, (d, c, c, d))
+                if a < 0 or a != b:
+                    bad.append(f"double-string closure fails for colours {i},{j} at {vertex}")
     return bad
 
 

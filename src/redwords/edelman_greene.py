@@ -27,10 +27,10 @@ from .crystal import (
     DecreasingFactorization,
     _block_sequences,
     _lowered,
+    _moved,
     _operator_rows,
     _position_components,
     _raised,
-    _splice,
     default_num_factors,
 )
 from .reports import CheckReport
@@ -336,10 +336,9 @@ def ck_edge_operator_identity(system: CoxeterSystem, w) -> CheckReport:
     """On each relation edge the word with the left-hand pattern maps to the
     other by f_m f_{m+1} e_m e_{m+1}, m determined by the window position.
 
-    The operators act on the word's singleton blocks through the block-pair
-    tables (:func:`~redwords.crystal._raised`, :func:`~redwords.crystal._lowered`),
-    four splices per window, and the result must be the partner's singleton
-    blocks.  The partner must also be a reduced word of ``w``, so it spells
+    The operators act on the word's singleton blocks through the one block
+    step :func:`~redwords.crystal._moved`, four per window, and the result
+    must be the partner's singleton blocks.  The partner must also be a reduced word of ``w``, so it spells
     the same element.
     """
     words = system.reduced_words(w)
@@ -371,16 +370,6 @@ def ck_edge_operator_identity(system: CoxeterSystem, w) -> CheckReport:
         not failures,
         f"{len(failures)} failing windows" if failures else "all windows verified",
     )
-
-
-def _moved(step, factors: tuple[Word, ...] | None, i: int) -> tuple[Word, ...] | None:
-    """The blocks after ``step`` (``_raised`` or ``_lowered``) acts on blocks
-    i+1 and i of ``factors``; None when it does not apply or ``factors`` is
-    None."""
-    if factors is None:
-        return None
-    blocks = step(factors[i], factors[i - 1])
-    return None if blocks is None else _splice(factors, i, *blocks)
 
 
 def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None) -> CheckReport:

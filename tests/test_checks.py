@@ -181,6 +181,9 @@ FAULTS = {
                  lambda walk: lambda sequences, top: (
                      ((functools.reduce(operator.or_, p, 0),), q) for p, q in walk(sequences, top)),
                  {"S4-same-P-iff-CK", "S4-P-Q-shapes-agree"}),
+    # the block step of the CK edge identity leaves its blocks unmoved
+    "eg-block-step": ("eg", edelman_greene, "_moved", lambda moved: lambda step, factors, i: factors,
+                      {"S4-CK-edge-operator-identity"}),
     # the uniform law in place of the closed form
     "markov": ("markov", markov, "stationary_distribution",
                lambda law: lambda system, measure: dict.fromkeys(

@@ -288,6 +288,27 @@ def test_tableaux_count_reads_only_ascii_integers(capsys):
         assert err.strip() == f"error: shape must be comma-separated positive integers such as 3,2,1, got {text!r}"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("red-words", "--rank", "٣", "--element", "w0"), "٣"),
+    (("red-words", "--rank", "3_0", "--element", "1"), "3_0"),
+    (("verify", "--suite", "coxeter", "--max-rank", "٢"), "٢"),
+    (("crystal", "graph", "--rank", "3", "--element", "w0", "--factors", "２"), "２"),
+    (("tableaux", "crystal", "--shape", "2,1", "--entries", " +3"), " +3"),
+])
+def test_integer_options_read_only_ascii_integers(capsys, argv, text):
+    # int() alone reads each of these, the second as 30 (a listing of S30)
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert f"invalid int value: {text!r}" in capsys.readouterr().err
+
+
+def test_a_negative_rank_is_read_and_refused(capsys):
+    code, out, err = run_cli(capsys, "red-words", "--rank", "-1", "--element", "w0")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: type A needs rank >= 2 (the n of S_n)"
+
+
 def test_tableaux_crystal_dot(capsys):
     code, out, _ = run_cli(capsys, "tableaux", "crystal", "--shape", "2,1",
                            "--entries", "3", "--dot")
@@ -453,9 +474,11 @@ def test_markov_exchange_rejects_bad_probs(capsys):
     code, _, err = run_cli(capsys, "markov", "exchange", "--type", "A", "--rank", "3",
                            "--probs", "1/3,1/3,1/3")
     assert code == 2 and "expected 2 probabilities" in err
-    code, _, err = run_cli(capsys, "markov", "exchange", "--type", "A", "--rank", "3",
-                           "--probs", "0.5,0.5")
-    assert code == 2 and "exact fraction" in err
+    # a decimal, and digits of another script, which \d alone would read
+    for probs, token in (("0.5,0.5", "0.5"), ("١/٢,1/2", "١/٢")):
+        code, _, err = run_cli(capsys, "markov", "exchange", "--type", "A", "--rank", "3",
+                               "--probs", probs)
+        assert code == 2 and err.strip() == f"error: probability {token!r} must be an exact fraction like 1/3"
 
 
 def test_markov_exchange_rejects_a_zero_denominator(capsys):
