@@ -19,8 +19,8 @@ construction apart from internal memo tables, so values can be shared freely.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from math import factorial
-from typing import Iterable
 
 Word = tuple[int, ...]
 
@@ -47,6 +47,7 @@ def format_word(word: Iterable[int]) -> str:
 def parse_word(text: str) -> Word:
     """The word that :func:`format_word` prints as ``text``: comma separated
     letters, with at most one trailing comma, or else one digit per letter.
+    Letters are written in the ASCII digits 0-9 alone.
 
     >>> parse_word("121"), parse_word("9,10,9"), parse_word("10,"), parse_word("")
     ((1, 2, 1), (9, 10, 9), (10,), ())
@@ -55,7 +56,7 @@ def parse_word(text: str) -> Word:
         tokens = (text[:-1] if text.endswith(",") else text).split(",")
     else:
         tokens = list(text)
-    if not all(token.isdecimal() for token in tokens):
+    if not all(token.isascii() and token.isdecimal() for token in tokens):
         raise ValueError(f"not a word of letters: {text!r}")
     return tuple(int(token) for token in tokens)
 

@@ -15,12 +15,11 @@ left-to-right notation.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
 
 from .coxeter import CoxeterSystem, Word, format_word, parse_word
+from .reports import Frozen
 
 
 def _bracket(upper: Word, lower: Word) -> tuple[list[int], list[int]]:
@@ -115,8 +114,7 @@ def _checked(upper: Word, lower: Word) -> tuple[Word, Word]:
     return upper, lower
 
 
-@dataclass(frozen=True, slots=True)
-class DecreasingFactorization:
+class DecreasingFactorization(Frozen):
     """A tuple of strictly decreasing blocks multiplying to ``target``.
 
     ``factors[k]`` is block k+1 counted from the right; each block is a
@@ -125,12 +123,21 @@ class DecreasingFactorization:
     it.
     """
 
-    factors: tuple[Word, ...]
-    target: object
+    __slots__ = _fields = ("factors", "target")
 
-    def __post_init__(self) -> None:
-        for block in self.factors:
+    def __init__(self, factors: tuple[Word, ...], target) -> None:
+        for block in factors:
             _check_block(block)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "target", target)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.factors, self.target) == (other.factors, other.target)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors, self.target))
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -188,7 +195,7 @@ class DecreasingFactorization:
         if not 1 <= i < len(self.factors):
             raise ValueError(f"operator index {i} out of range for {self.num_factors} blocks")
 
-    def e(self, i: int) -> Optional["DecreasingFactorization"]:
+    def e(self, i: int) -> DecreasingFactorization | None:
         """Raising operator: move a letter from block i+1 down to block i.
 
         Returns None when every letter of block i+1 is paired.  The moved
@@ -199,7 +206,7 @@ class DecreasingFactorization:
         factors = _moved(_raised, self.factors, i)
         return None if factors is None else _unchecked(factors, self.target)
 
-    def f(self, i: int) -> Optional["DecreasingFactorization"]:
+    def f(self, i: int) -> DecreasingFactorization | None:
         """Lowering operator, inverse to :meth:`e` on every edge.
 
         Moves a letter from block i up to block i+1: the moved letter a rises
@@ -433,7 +440,6 @@ def _position_components(size: int, pairs: Iterable[tuple[int, int]]) -> list[li
     return list(groups.values())
 
 
-@dataclass(eq=False)
 class CrystalGraph:
     """Edge-labelled graph of a crystal: f_i arrows between vertices.
 
@@ -454,33 +460,37 @@ class CrystalGraph:
     the vertices.
     """
 
-    vertices: tuple
-    index_set: tuple[int, ...]
-    f_rows: list[list[int]]
-    weight: Callable[[object], tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        size = len(self.vertices)
-        position = {v: k for k, v in enumerate(self.vertices)}
+    def __init__(self, vertices: tuple, index_set: tuple[int, ...], f_rows: list[list[int]],
+                 weight: Callable[[object], tuple[int, ...]]) -> None:
+        size = len(vertices)
+        position = {v: k for k, v in enumerate(vertices)}
         if len(position) != size:
             raise ValueError("a vertex is listed twice")
-        if len(self.f_rows) != len(self.index_set):
-            raise ValueError(f"{len(self.f_rows)} f rows for the index set {self.index_set}")
+        if len(f_rows) != len(index_set):
+            raise ValueError(f"{len(f_rows)} f rows for the index set {index_set}")
         e_rows = []
-        for i, f_row in zip(self.index_set, self.f_rows):
+        for i, f_row in zip(index_set, f_rows):
             if len(f_row) != size or (f_row and not -1 <= min(f_row) <= max(f_row) < size):
                 raise ValueError("edge endpoint outside the vertex set")
             e_row = [-1] * size
             for k, target in enumerate(f_row):
                 if target >= 0:
                     if e_row[target] >= 0:
-                        raise ValueError(f"f_{i} maps two vertices to {self.vertices[target]}")
+                        raise ValueError(f"f_{i} maps two vertices to {vertices[target]}")
                     e_row[target] = k
             e_rows.append(e_row)
+        self.vertices = vertices
+        self.index_set = index_set
+        self.f_rows = f_rows
+        self.weight = weight
         self._position = position
         self._colour = {i: c for c, i in enumerate(self.index_set)}
         self.e_rows = e_rows
         self._edge_count = sum(size - row.count(-1) for row in e_rows)
+
+    def __repr__(self) -> str:
+        return (f"CrystalGraph(vertices={self.vertices!r}, index_set={self.index_set!r}, "
+                f"f_rows={self.f_rows!r}, weight={self.weight!r})")
 
     @property
     def f_edges(self) -> "_EdgeView":
@@ -682,7 +692,7 @@ class _EdgeView(Mapping):
 # parsing
 
 
-_FACTOR_TOKEN = re.compile(r"\(([\d,]*)\)|1")
+_FACTOR_TOKEN = re.compile(r"\(([0-9,]*)\)|1")
 
 
 def parse_blocks(text: str) -> list[tuple[int, ...]]:

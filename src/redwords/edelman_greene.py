@@ -16,10 +16,9 @@ tableau Q is one int of per-row counts of each block index.  ``EGPair`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterable, Iterator, Optional
 
 from .coxeter import CoxeterSystem, Word, format_word
 from .crystal import (
@@ -33,14 +32,24 @@ from .crystal import (
     _raised,
     default_num_factors,
 )
-from .reports import CheckReport
+from .reports import CheckReport, Frozen
 from .tableaux import Tableau, _signature
 
 
-@dataclass(frozen=True)
-class EGPair:
-    p: Tableau
-    q: Tableau
+class EGPair(Frozen):
+    __slots__ = _fields = ("p", "q")
+
+    def __init__(self, p: Tableau, q: Tableau) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
 
 def _eg_walk(sequences: Iterable[tuple[Word, ...]], top: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -229,12 +238,22 @@ def ck_neighbors(word: Word) -> frozenset[Word]:
     return frozenset(w for w, _ in ck_moves(word))
 
 
-@dataclass(frozen=True)
-class CKGraph:
+class CKGraph(Frozen):
     """Reduced words of one element joined by single Coxeter-Knuth moves."""
 
-    vertices: tuple[Word, ...]
-    edges: tuple[tuple[Word, Word, str], ...]
+    __slots__ = _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[Word, ...], edges: tuple[tuple[Word, Word, str], ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertices, self.edges) == (other.vertices, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
 
     def components(self) -> tuple[frozenset[Word], ...]:
         """Coxeter-Knuth classes, ordered by their least word (the vertices
@@ -419,7 +438,7 @@ def _intertwining(
     """
     stride = top * top.bit_length()
     columns = (1 << 2 * stride) - 1
-    changes_of: dict[int, tuple[Optional[int], Optional[int]]] = {}
+    changes_of: dict[int, tuple[int | None, int | None]] = {}
     colours = tuple(colours)
     failures = 0
     for i, f_row, e_row in zip(colours, f_rows, e_rows):
@@ -446,7 +465,7 @@ def _intertwining(
     )
 
 
-def _bracket_changes(columns: int, top: int) -> tuple[Optional[int], Optional[int]]:
+def _bracket_changes(columns: int, top: int) -> tuple[int | None, int | None]:
     """What f_1 and e_1 add to a packed Q whose entries are all 1 or 2,
     given as ``columns``: the ``top`` counts of 1, row 0 first, then those
     of 2, each a field of ``top.bit_length()`` bits.  Colour i reads the

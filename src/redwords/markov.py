@@ -22,28 +22,26 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coxeter import CoxeterSystem, Hypercube, Word, format_word
+from .reports import Frozen
 
 
-@dataclass(frozen=True)
-class ProbabilityMeasure:
+class ProbabilityMeasure(Frozen):
     """Exact rational weights on an index set, summing to one, and their
     ``numerators`` over ``denominator``, the lcm of their denominators."""
 
-    weights: tuple[tuple[int, Fraction], ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("weights",)
+    __slots__ = _fields + ("denominator", "numerators")
 
-    def __post_init__(self) -> None:
+    def __init__(self, weights: tuple[tuple[int, Fraction], ...]) -> None:
         seen = set()
-        for i, p in self.weights:
+        for i, p in weights:
             if not isinstance(p, Fraction):
                 raise ValueError(f"weight of {i} must be a Fraction, got {p!r}")
             if p < 0 or p > 1:
@@ -51,11 +49,20 @@ class ProbabilityMeasure:
             if i in seen:
                 raise ValueError(f"duplicate index {i}")
             seen.add(i)
-        denominator, numerators = _over_common_denominator(p for _, p in self.weights)
+        denominator, numerators = _over_common_denominator(p for _, p in weights)
         if sum(numerators) != denominator:
             raise ValueError(f"weights sum to {Fraction(sum(numerators), denominator)}, not 1")
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "numerators", tuple(numerators))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.weights == other.weights
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.weights,))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, Fraction | int]) -> "ProbabilityMeasure":
@@ -90,7 +97,6 @@ class ProbabilityMeasure:
         return frozenset(i for i, p in self.weights if p > 0)
 
 
-@dataclass(eq=False)
 class TransitionMatrix:
     """Column-stochastic matrix over an ordered state list, stored as the
     walk's move table and its measure: the g-th choice of ``measure`` has
@@ -102,9 +108,13 @@ class TransitionMatrix:
     ``entries`` are derived from the table on each access.
     """
 
-    states: tuple
-    measure: ProbabilityMeasure
-    table: Sequence[Sequence[int]] = field(repr=False)
+    def __init__(self, states: tuple, measure: ProbabilityMeasure, table: Sequence[Sequence[int]]) -> None:
+        self.states = states
+        self.measure = measure
+        self.table = table
+
+    def __repr__(self) -> str:
+        return f"TransitionMatrix(states={self.states!r}, measure={self.measure!r})"
 
     @cached_property
     def labels(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -239,11 +249,22 @@ def _over_common_denominator(values: Iterable) -> tuple[int, list[int]]:
 # spectrum
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
-    subset: tuple[int, ...]
-    eigenvalue: Fraction
-    multiplicity: int
+class SpectrumLine(Frozen):
+    __slots__ = _fields = ("subset", "eigenvalue", "multiplicity")
+
+    def __init__(self, subset: tuple[int, ...], eigenvalue: Fraction, multiplicity: int) -> None:
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "eigenvalue", eigenvalue)
+        object.__setattr__(self, "multiplicity", multiplicity)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.subset, self.eigenvalue, self.multiplicity)
+                    == (other.subset, other.eigenvalue, other.multiplicity))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.subset, self.eigenvalue, self.multiplicity))
 
 
 def spectrum(system: CoxeterSystem, measure: ProbabilityMeasure) -> tuple[SpectrumLine, ...]:
@@ -512,8 +533,7 @@ def tsetlin_chain(n: int, measure: ProbabilityMeasure) -> TransitionMatrix:
     return build_chain(Hypercube(n), measure)
 
 
-@dataclass(frozen=True)
-class NaturalPoset:
+class NaturalPoset(Frozen):
     """Poset on {1..n} whose order respects the integer labels.
 
     Relations are (smaller, larger) pairs; a pair (i, j) with i >= j is
@@ -524,23 +544,32 @@ class NaturalPoset:
     closes them transitively, since every label below i is smaller than i.
     """
 
-    n: int
-    relations: frozenset[tuple[int, int]]
-    below: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("n", "relations")
+    __slots__ = _fields + ("below",)
 
-    def __post_init__(self) -> None:
-        if any(type(x) is not int for x in (self.n, *itertools.chain(*self.relations))):
+    def __init__(self, n: int, relations: frozenset[tuple[int, int]]) -> None:
+        if any(type(x) is not int for x in (n, *itertools.chain(*relations))):
             raise ValueError("the size and every relation entry must be integers")
-        if self.n < 0:
-            raise ValueError(f"the size must be at least 0, got {self.n}")
-        below = [0] * self.n
-        for i, j in sorted(self.relations):
-            if not (1 <= i < j <= self.n):
+        if n < 0:
+            raise ValueError(f"the size must be at least 0, got {n}")
+        below = [0] * n
+        for i, j in sorted(relations):
+            if not (1 <= i < j <= n):
                 raise ValueError(
-                    f"relation ({i}, {j}) violates the natural labelling on 1..{self.n}"
+                    f"relation ({i}, {j}) violates the natural labelling on 1..{n}"
                 )
             below[j - 1] |= below[i - 1] | 1 << (i - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "below", tuple(below))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.relations) == (other.n, other.relations)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.relations))
 
     @classmethod
     def from_relations(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "NaturalPoset":

@@ -7,29 +7,36 @@ and hash structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import Partition, dominates, is_partition, removable_corners, conjugate
+from .reports import Frozen
 
 BASES = ("monomial", "schur")
 
 
-@dataclass(frozen=True)
-class SymFuncExpansion:
-    basis: str
-    terms: tuple[tuple[Partition, int], ...]
+class SymFuncExpansion(Frozen):
+    __slots__ = _fields = ("basis", "terms")
 
-    def __post_init__(self) -> None:
-        if self.basis not in BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        for shape, coeff in self.terms:
+    def __init__(self, basis: str, terms: tuple[tuple[Partition, int], ...]) -> None:
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        for shape, coeff in terms:
             if not is_partition(shape):
                 raise ValueError(f"bad partition {shape!r}")
             if not isinstance(coeff, int) or coeff == 0:
                 raise ValueError(f"coefficients must be nonzero integers, got {coeff!r}")
-        keys = [shape for shape, _ in self.terms]
+        keys = [shape for shape, _ in terms]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("terms must be sorted with distinct keys")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.basis, self.terms) == (other.basis, other.terms)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.terms))
 
     @classmethod
     def from_dict(cls, basis: str, terms: dict[Partition, int]) -> "SymFuncExpansion":

@@ -9,23 +9,31 @@ runs over rows from the bottom row up, left to right within each row.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence
 
 from .crystal import CrystalGraph
 from .partitions import Partition, check_partition, conjugate, partitions_of
+from .reports import Frozen
 from .symfunc import SymFuncExpansion
 
 
-@dataclass(frozen=True)
-class Tableau:
-    rows: tuple[tuple[int, ...], ...]
+class Tableau(Frozen):
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self) -> None:
-        if not all(self.rows):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        if not all(rows):
             raise ValueError("empty rows are not allowed")
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @property
     def shape(self) -> Partition:
@@ -105,7 +113,7 @@ def _admit_any(state, v: int):
     return state
 
 
-def _admit_within(remaining: tuple[int, ...], v: int) -> Optional[tuple[int, ...]]:
+def _admit_within(remaining: tuple[int, ...], v: int) -> tuple[int, ...] | None:
     """Spend one v from the remaining content, or None when none is left."""
     if not remaining[v - 1]:
         return None
@@ -250,7 +258,7 @@ def _signature_rows(tableau: Tableau, i: int) -> tuple[int, int]:
     return _signature([(row.count(i), row.count(i + 1)) for row in rows])
 
 
-def crystal_f(tableau: Tableau, i: int) -> Optional[Tableau]:
+def crystal_f(tableau: Tableau, i: int) -> Tableau | None:
     """Change the last unbracketed i of the reading word into i+1."""
     r = _signature_rows(tableau, i)[0]
     if r < 0:
@@ -258,7 +266,7 @@ def crystal_f(tableau: Tableau, i: int) -> Optional[Tableau]:
     return _with_entry(tableau.rows, r, bisect_right(tableau.rows[r], i) - 1, i + 1)
 
 
-def crystal_e(tableau: Tableau, i: int) -> Optional[Tableau]:
+def crystal_e(tableau: Tableau, i: int) -> Tableau | None:
     """Change the first unbracketed i+1 of the reading word into i."""
     r = _signature_rows(tableau, i)[1]
     if r < 0:

@@ -369,6 +369,19 @@ def test_eg_insert_rejects_malformed_blocks(capsys, blocks):
     assert err == f"error: cannot parse factorization {blocks!r} at {blocks!r}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("red-words", "--rank", "4", "--element", "\u0661\u0662\u0661"),
+     "element must be 'w0' or a word of letters, got '\u0661\u0662\u0661'"),
+    (("eg", "insert", "--factors", "(\u0663)(2)"),
+     "cannot parse factorization '(\u0663)(2)' at '(\u0663)(2)'"),
+], ids=["red-words", "eg-insert"])
+def test_words_and_blocks_read_only_ascii_digits(capsys, argv, message):
+    # int() alone reads the Arabic-Indic digits as 121 and as (3)(2)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_eg_insert_multi_digit_letters(capsys):
     # the rank is inferred from the largest letter, 10, so S11
     code, out, _ = run_cli(capsys, "eg", "insert", "--factors", "(10,1)", "--json")

@@ -1,6 +1,10 @@
 """The package's public surface, pinned: a change to ``redwords.__all__``
 has to change this test too."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import redwords
 
 PUBLIC = (
@@ -21,3 +25,15 @@ PUBLIC = (
 def test_all_is_the_pinned_sorted_surface():
     assert tuple(redwords.__all__) == PUBLIC == tuple(sorted(PUBLIC))
     assert [name for name in PUBLIC if not hasattr(redwords, name)] == []
+
+
+def test_import_loads_no_dataclasses_typing_or_inspect():
+    # these three cost most of a cold start; no module of the package needs them
+    src = Path(redwords.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import redwords, redwords.cli, redwords.checks; "
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
