@@ -124,6 +124,16 @@ def _reduced_word_count(system: CoxeterSystem, element) -> int:
     return system.reduced_word_count(element)
 
 
+def _factorization_count(system: SymmetricGroup, element, blocks: int) -> int:
+    """The vertex count behind the ``crystal graph`` refusal.  F_w0 of S_n
+    is the Schur function of the staircase, so the w0 count is the
+    staircase's hook-content count and lists no factorization; any other
+    element is counted through its Schur expansion."""
+    if element == system.longest_element:
+        return hook_content_count(staircase(system.n), blocks)
+    return stanley.factorization_count(system, element, blocks)
+
+
 def _element_json(system, element):
     if isinstance(system, Hypercube):
         return sorted(element)
@@ -170,7 +180,7 @@ def cmd_crystal_graph(args) -> int:
     element = parse_element(system, args.element)
     blocks = default_num_factors(system, element) if args.factors is None else args.factors
     _refuse_above(
-        stanley.factorization_count(system, element, blocks), MAX_GRAPH_VERTICES,
+        _factorization_count(system, element, blocks), MAX_GRAPH_VERTICES,
         f"the crystal of {args.element} on {blocks} blocks", "vertices", "crystal graph",
         " (--factors sets the block count)",
     )

@@ -77,6 +77,9 @@ class CoxeterSystem:
         # peel table, and (element, block lengths) -> factorization count
         self._peel_table: dict = {}
         self._weight_count_cache: dict = {}
+        # (element, block count) -> its crystal graph while a caller holds
+        # it, a weak table made on the first build (see factorization_crystal)
+        self._crystals = None
         # element -> its Schur expansion by highest weights
         # (see stanley.schur_expansion)
         self._schur_cache: dict = {}

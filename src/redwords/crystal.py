@@ -15,7 +15,7 @@ left-to-right notation.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 
 from .coxeter import CoxeterSystem, Word, format_word, parse_word
@@ -625,19 +625,34 @@ def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = No
     the sorted block tuples are numbered, and each colour's f row moves
     each tuple by :func:`_lowered` (see :func:`_moved`) and looks the
     result up among the tuples.
+
+    The system keeps a weak table of the graphs it has built, keyed by
+    ``(w, num_factors)``: while a caller still holds the graph of a key,
+    the call returns that same object, and no graph outlives its last
+    caller.  The table is made on the first build, so importing the
+    package does not load ``weakref``.
     """
     if num_factors is None:
         num_factors = default_num_factors(system, w)
-    index_set = tuple(range(1, num_factors))
-    sequences = tuple(_block_sequences(system, w, num_factors))
-    position = {blocks: k for k, blocks in enumerate(sequences)}
-    f_rows = _operator_rows(sequences, position, index_set, "f", _lowered)
-    vertices = tuple(_unchecked(blocks, w) for blocks in sequences)
-    return CrystalGraph(vertices, index_set, f_rows, DecreasingFactorization.weight)
+    live = system._crystals
+    if live is None:
+        from weakref import WeakValueDictionary
+
+        live = system._crystals = WeakValueDictionary()
+    key = (w, num_factors)
+    graph = live.get(key)
+    if graph is None:
+        index_set = tuple(range(1, num_factors))
+        sequences = tuple(_block_sequences(system, w, num_factors))
+        position = {blocks: k for k, blocks in enumerate(sequences)}
+        f_rows = _operator_rows(sequences, position, index_set, "f", _lowered)
+        vertices = tuple(_unchecked(blocks, w) for blocks in sequences)
+        graph = live[key] = CrystalGraph(vertices, index_set, f_rows, DecreasingFactorization.weight)
+    return graph
 
 
 def _operator_rows(
-    sequences: tuple[tuple[Word, ...], ...],
+    sequences: Sequence[tuple[Word, ...]],
     position: Mapping[tuple[Word, ...], int],
     index_set: Iterable[int],
     name: str,

@@ -10,8 +10,13 @@ its content.
 
 Every insertion runs through one integer walk, :func:`_eg_walk`: a row of
 the insertion tableau P is the bitmask of its letters, and the recording
-tableau Q is one int of per-row counts of each block index.  ``EGPair`` and
-``Tableau`` are built only by the public functions.
+tableau Q is one int of per-row counts of each block index.  From its second
+tuple on, a walk memoises each (P rows, block) it inserts, since the
+vertices of one crystal share few insertion tableaux.  ``EGPair`` and
+``Tableau`` are built only by the public functions, and an ``EGPair`` keeps
+Q packed until ``.q`` is read.  :func:`intertwining_check` reads its block
+tuples and f rows from ``factorization_crystal``, so a caller that still
+holds that crystal does not build it twice.
 """
 
 from __future__ import annotations
@@ -24,24 +29,39 @@ from .coxeter import CoxeterSystem, Word, format_word
 from .crystal import (
     CrystalGraph,
     DecreasingFactorization,
-    _block_sequences,
     _lowered,
     _moved,
     _operator_rows,
     _position_components,
     _raised,
-    default_num_factors,
+    factorization_crystal,
 )
 from .reports import CheckReport, Frozen
 from .tableaux import Tableau, _signature
 
 
 class EGPair(Frozen):
-    __slots__ = _fields = ("p", "q")
+    """The insertion and recording tableaux of one factorization.
+
+    The insertion functions keep Q packed as :func:`_eg_walk` leaves it
+    and decode it on the first read of ``q``; equality, hashing, ``repr``,
+    ``copy`` and ``pickle`` see only the two tableaux.
+    """
+
+    __slots__ = ("p", "_q", "_packed")
+    _fields = ("p", "q")
 
     def __init__(self, p: Tableau, q: Tableau) -> None:
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_q", q)
+
+    @property
+    def q(self) -> Tableau:
+        q = self._q
+        if q is None:
+            q = _q_tableau(*self._packed)
+            object.__setattr__(self, "_q", q)
+        return q
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -74,11 +94,18 @@ def _eg_walk(sequences: Iterable[tuple[Word, ...]], top: int) -> Iterator[tuple[
     blocks with the one before it resumes from the tableaux those blocks
     left: sorted tuples share the most.  Only the states along the current
     tuple's blocks are kept.
+
+    The vertices of one crystal share few insertion tableaux, so the walk
+    also keeps, for its own life, a table from (P rows, block) to the P
+    rows after the block and the Q cells it adds, packed as at block index
+    1.  The first tuple neither reads nor fills it, so a one-tuple walk
+    costs what the row rule costs; a block that raises stores nothing.
     """
     width = top.bit_length()
     stride = top * width
     states = [((), 0)]  # states[k]: P and Q after the first k blocks
     previous: tuple = ()
+    inserted = None  # (P rows, block) -> (P rows after it, its Q cells), from the second tuple on
     for factors in sequences:
         shared = 0
         for a, b in zip(previous, factors):
@@ -87,55 +114,75 @@ def _eg_walk(sequences: Iterable[tuple[Word, ...]], top: int) -> Iterator[tuple[
             shared += 1
         del states[shared + 1:]
         p, q = states[shared]
-        rows = list(p)
+        rows = None  # the rows of p as a list, made on the first miss
         for k in range(shared, len(factors)):
             block = factors[k]
             if block:
-                base = k * stride
-                for a in reversed(block):
-                    bit = 1 << a
-                    for r, row in enumerate(rows):
-                        above = row & -(bit << 1)  # the letters of the row above a
-                        if not row & bit:
-                            if not above:
-                                rows[r] = row | bit
-                                break
-                            lowest = above & -above  # b, the smallest of them
-                            rows[r] = row ^ lowest ^ bit
-                            bit = lowest
-                        elif above & bit << 1:
-                            bit <<= 1  # a and a+1 both sit in the row, which stays: a+1 is bumped
+                hit = None if inserted is None else inserted.get((p, block))
+                if hit is None:
+                    if rows is None:
+                        rows = list(p)
+                    cells = 0
+                    for a in reversed(block):
+                        bit = 1 << a
+                        for r, row in enumerate(rows):
+                            above = row & -(bit << 1)  # the letters of the row above a
+                            if not row & bit:
+                                if not above:
+                                    rows[r] = row | bit
+                                    break
+                                lowest = above & -above  # b, the smallest of them
+                                rows[r] = row ^ lowest ^ bit
+                                bit = lowest
+                            elif above & bit << 1:
+                                bit <<= 1  # a and a+1 both sit in the row, which stays: a+1 is bumped
+                            else:
+                                a = bit.bit_length() - 1
+                                raise ValueError(
+                                    f"letter {a} meets itself in row {r + 1} without {a + 1}: "
+                                    "the word is not reduced")
                         else:
-                            a = bit.bit_length() - 1
-                            raise ValueError(
-                                f"letter {a} meets itself in row {r + 1} without {a + 1}: "
-                                "the word is not reduced")
-                    else:
-                        r = len(rows)
-                        rows.append(bit)
-                    q += 1 << (base + r * width)
-                p = tuple(rows)
+                            r = len(rows)
+                            rows.append(bit)
+                        cells += 1 << r * width
+                    hit = (tuple(rows), cells)
+                    if inserted is not None:
+                        inserted[p, block] = hit
+                else:
+                    rows = None
+                p, cells = hit
+                q += cells << k * stride
             states.append((p, q))
         yield p, q
         previous = factors
+        if inserted is None:
+            inserted = {}
 
 
 def _pair(p: tuple[int, ...], q: int, top: int) -> EGPair:
-    """The tableaux of the walk's P rows ``p`` and packed Q ``q``.
+    """The pair of the walk's P rows ``p`` and packed Q ``q``, P as a
+    tableau and Q left packed until it is read."""
+    if not p:  # no letters, so top may be 0
+        return EGPair(Tableau(()), Tableau(()))
+    pair = EGPair(Tableau(tuple(map(_letters, p))), None)
+    object.__setattr__(pair, "_packed", (q, top, len(p)))
+    return pair
+
+
+def _q_tableau(q: int, top: int, height: int) -> Tableau:
+    """The recording tableau of the packed Q ``q`` with ``height`` rows.
 
     Row r of Q is read from the fields of row r in every block index's
     column, gathered by one mask and visited by their set bits, lowest
     block index first.
     """
-    if not p:  # no letters, so top may be 0
-        return EGPair(Tableau(()), Tableau(()))
     width = top.bit_length()
     stride = top * width
     field = (1 << width) - 1
     columns = -(-q.bit_length() // stride)
     row_0 = field * (((1 << columns * stride) - 1) // ((1 << stride) - 1))  # row 0 of every column
     q_rows = []
-    for r in range(len(p)):
+    for r in range(height):
         fields = q >> r * width & row_0
         row: list[int] = []
         while fields:
@@ -144,7 +191,7 @@ def _pair(p: tuple[int, ...], q: int, top: int) -> EGPair:
             row += [j + 1] * count
             fields ^= count << j * stride
         q_rows.append(tuple(row))
-    return EGPair(Tableau(tuple(map(_letters, p))), Tableau(tuple(q_rows)))
+    return Tableau(tuple(q_rows))
 
 
 @lru_cache(maxsize=None)
@@ -396,24 +443,22 @@ def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None)
 
     For every vertex and every index, applying e or f before or after taking
     the recording tableau gives the same answer, with None matching None.
-    The factorizations are enumerated once, as sorted block tuples, and
-    inserted by one :func:`_eg_walk`.  The f rows are filled from
-    ``crystal._lowered`` and the e rows from ``crystal._raised``, each
-    splice looked up among the tuples, so the check tests two operators
-    and not one operator and its inverse; an image outside the tuples
-    raises ValueError.  No crystal graph and no tableau is built (see
+    The block tuples and the f rows are those of
+    ``factorization_crystal(system, w, num_factors)``, the graph a caller
+    still holding it gets back without a rebuild, and one
+    :func:`_eg_walk` inserts the tuples.  The e rows are filled from
+    ``crystal._raised``, each splice looked up among the tuples, so the
+    check tests two operators and not one operator and its inverse; an
+    image outside the tuples raises ValueError.  No tableau is built (see
     :func:`_intertwining`).
     """
-    if num_factors is None:
-        num_factors = default_num_factors(system, w)
+    graph = factorization_crystal(system, w, num_factors)
     top = max(system.index_set, default=0)
-    colours = range(1, num_factors)
-    sequences = tuple(_block_sequences(system, w, num_factors))
+    sequences = [v.factors for v in graph.vertices]
     position = {blocks: k for k, blocks in enumerate(sequences)}
-    f_rows = _operator_rows(sequences, position, colours, "f", _lowered)
-    e_rows = _operator_rows(sequences, position, colours, "e", _raised)
+    e_rows = _operator_rows(sequences, position, graph.index_set, "e", _raised)
     qs = [q for _, q in _eg_walk(sequences, top)]
-    return _intertwining(qs, f_rows, e_rows, colours, top)
+    return _intertwining(qs, graph.f_rows, e_rows, graph.index_set, top)
 
 
 def _intertwining(

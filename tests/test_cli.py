@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from redwords import checks, cli
+from redwords import checks, cli, stanley
 from redwords.cli import build_parser, build_system, main, parse_element, parse_probs
 from redwords.cli import InputError
 from redwords.symfunc import SymFuncExpansion
@@ -253,15 +253,30 @@ W0_OF_S12_WORDS = 138018895500079485095943559213817088756940800  # hook-length c
     (("markov", "exchange", "--rank", "12", "--probs", ",".join(["1/11"] * 11)),
      f"the walk of SymmetricGroup(12) has {W0_OF_S12_WORDS} states; the exact report stops at 64 "
      "(--dot draws larger walks)"),
+    # F_w0 = s_(7, 6, ..., 1): its Schur expansion by highest weights took
+    # about 20 s to reach this count
+    (("crystal", "graph", "--rank", "8", "--element", "w0"),
+     "the crystal of w0 on 28 blocks has 4489980733530693225676800 vertices; crystal graph stops "
+     "at 20000 (--factors sets the block count)"),
 ])
 def test_w0_is_refused_by_its_hook_count(capsys, argv, message):
     # the w0 of S12 sits above 12! - 1 elements, so counting its reduced
     # words by the recursion would memoise them all; the staircase's
-    # hook-length count enumerates nothing
+    # hook-length (or hook-content) count enumerates nothing
     started = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - started < 1
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_the_w0_crystal_count_is_the_factorization_count():
+    # the staircase's hook-content count, which the crystal graph refusal
+    # reads at w0, against the count through the Schur expansion
+    for n in (3, 4, 5):
+        system = build_system("A", n)
+        w0 = system.longest_element
+        for blocks in range(1, 7):
+            assert cli._factorization_count(system, w0, blocks) == stanley.factorization_count(system, w0, blocks)
 
 
 def test_tableaux_count(capsys):

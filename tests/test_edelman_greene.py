@@ -195,6 +195,56 @@ def test_insertion_walk_matches_per_vertex_insertion(rank, num_factors):
     assert vertices > (20_000 if rank == 5 else 500) and highest > 0
 
 
+def assert_walk_matches_lone_walks(system, w, num_factors):
+    # the walk's (P, block) table, filled from the second tuple on, gives
+    # each tuple what walking it alone from empty tableaux gives
+    top = max(system.index_set)
+    factors = [v.factors for v in factorization_crystal(system, w, num_factors).vertices]
+    assert list(edelman_greene._eg_walk(factors, top)) == [walk_one(blocks, top) for blocks in factors]
+    return len(factors)
+
+
+def test_memoised_walk_matches_lone_walks_s5():
+    s5 = SymmetricGroup(5)
+    vertices = sum(assert_walk_matches_lone_walks(s5, g, 5) for g in s5.elements())
+    assert vertices == 24047  # F_w at five ones, summed over the 120 elements
+
+
+@requires_s6
+def test_memoised_walk_matches_lone_walks_s6_w0():
+    s6 = SymmetricGroup(6)
+    assert assert_walk_matches_lone_walks(s6, s6.longest_element, 6) == 32768
+
+
+def test_a_walk_refuses_a_later_tuple_as_a_lone_walk_does():
+    # the table is in use from the second tuple on; a block that is not
+    # reduced there raises the lone walk's error
+    message = "letter 1 meets itself in row 1 without 2: the word is not reduced"
+    with pytest.raises(ValueError, match=message):
+        walk_one(((1,), (1,)), 3)
+    walk = edelman_greene._eg_walk([((1,), (2,)), ((1,), (3,)), ((2,), (1,)), ((1,), (1,))], 3)
+    assert [next(walk) for _ in range(3)] == [walk_one(blocks, 3) for blocks in [((1,), (2,)), ((1,), (3,)), ((2,), (1,))]]
+    with pytest.raises(ValueError, match=message):
+        next(walk)
+
+
+def test_a_pair_decodes_q_on_first_read(s4):
+    # eg_insert_word keeps Q packed; the pair is the value of its two
+    # tableaux before and after the decoding, copied and pickled as well
+    import copy
+    import pickle
+
+    word = s4.reduced_words(s4.longest_element)[7]
+    expected = reference_insert(DecreasingFactorization(tuple(zip(reversed(word))), s4.longest_element))
+    for read_q_first in (False, True):
+        pair = eg_insert_word(s4, word)
+        if read_q_first:
+            assert pair.q == expected.q
+        for other in (pair, copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+            assert other == expected and hash(other) == hash(expected) and repr(other) == repr(expected)
+            assert (other.p, other.q) == (expected.p, expected.q)
+
+
 def test_non_reduced_input_is_refused(s4):
     with pytest.raises(ValueError, match="11 is not a reduced word of SymmetricGroup"):
         eg_insert_word(s4, (1, 1))
@@ -390,6 +440,32 @@ def test_intertwining_small(s3):
     assert intertwining_check(s3, s3.longest_element, 3).passed
 
 
+def test_intertwining_reads_a_held_crystal(monkeypatch, s4):
+    # the same report with the crystal held as without; while a caller
+    # holds it, factorization_crystal gives that object back and the check
+    # fills only its e rows, and no graph outlives its last holder
+    w0 = s4.longest_element
+    alone = intertwining_check(s4, w0, 4)
+    assert alone.passed and not s4._crystals
+    graph = factorization_crystal(s4, w0, 4)
+    assert factorization_crystal(s4, w0, 4) is graph and factorization_crystal(s4, w0, 3) is not graph
+    fill = crystal._operator_rows
+    filled = []
+
+    def counted(sequences, position, index_set, name, step):
+        filled.append(name)
+        return fill(sequences, position, index_set, name, step)
+
+    monkeypatch.setattr(crystal, "_operator_rows", counted)
+    monkeypatch.setattr(edelman_greene, "_operator_rows", counted)
+    assert intertwining_check(s4, w0, 4) == alone
+    assert filled == ["e"]
+    del graph
+    assert not s4._crystals
+    assert intertwining_check(s4, w0, 4) == alone
+    assert filled == ["e", "f", "e"]
+
+
 def test_recording_tableau_is_the_crystal_isomorphism(s3):
     # the three-block crystal of w0 in S3 and the tableau crystal of shape
     # (2, 1) on entries 1..3: walking the same arrows from both highest
@@ -488,8 +564,9 @@ def test_positional_intertwining_matches_the_object_loop_s5():
 
 @pytest.mark.parametrize("table, wrong", [("_lowered", crystal._raised), ("_raised", crystal._lowered)])
 def test_a_wrong_operator_side_fails_the_intertwining(monkeypatch, s3, table, wrong):
-    # f read from e's table, or e from f's: every image is still a vertex
-    monkeypatch.setattr(edelman_greene, table, wrong)
+    # f read from e's table, or e from f's: every image is still a vertex;
+    # f comes from the crystal, so its table is patched there
+    monkeypatch.setattr(crystal if table == "_lowered" else edelman_greene, table, wrong)
     report = intertwining_check(s3, s3.longest_element, 3)
     assert not report.passed and "failures" in report.detail
 
@@ -526,7 +603,8 @@ def test_a_wrong_e_row_fails_the_intertwining_on_rows(s4):
 
 @pytest.mark.parametrize("table, name", [("_lowered", "f"), ("_raised", "e")])
 def test_an_image_outside_the_vertices_is_refused(monkeypatch, s3, table, name):
-    monkeypatch.setattr(edelman_greene, table, lambda upper, lower: ((9,), lower))
+    # f is refused where the crystal fills its rows, e where the check does
+    monkeypatch.setattr(crystal if table == "_lowered" else edelman_greene, table, lambda upper, lower: ((9,), lower))
     with pytest.raises(ValueError, match=rf"{name}_\d maps \(.*\) outside the vertex set"):
         intertwining_check(s3, s3.longest_element, 3)
 

@@ -28,12 +28,13 @@ def test_all_is_the_pinned_sorted_surface():
 
 
 def test_import_loads_no_dataclasses_typing_or_inspect():
-    # these three cost most of a cold start; no module of the package needs them
+    # these three cost most of a cold start; no module of the package needs
+    # them.  weakref (2-3 ms more) waits for the first crystal graph
     src = Path(redwords.__file__).resolve().parents[1]
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); "
         "import redwords, redwords.cli, redwords.checks; "
-        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'typing', 'inspect', 'weakref'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
