@@ -2,9 +2,9 @@
 
 Every theorem the library implements is restated here as a CheckReport
 producer; the CLI prints one line per report and exits nonzero on any
-failure.  The test suite asserts each report by name.  Enumeration
-scope is capped by ``max_rank``, the n of the largest symmetric group
-visited, as given.
+failure.  The test suite asserts each report by name.  ``max_rank``
+bounds the n of the symmetric groups visited, and :data:`PLAN` caps it
+for each check family, so every ``max_rank`` costs at most the caps.
 """
 
 from __future__ import annotations
@@ -22,8 +22,31 @@ from .reports import CheckReport
 from .symfunc import support_interval as expansion_interval
 from .tableaux import generate_ssyt_with_content, tableau_crystal, yamanouchi_tableau
 
-def _ranks(max_rank: int) -> range:
-    return range(2, max(2, max_rank) + 1)
+# Each check family and the symmetric groups it visits, as (first n, last
+# n): it checks S_n for n from first to the smaller of last and max_rank.
+# No suite reads max_rank but through this table.  The tableaux suite checks
+# fixed shapes, and the markov suite fixed walks on S3, Hypercube(3) and
+# Dihedral(4), at any max_rank.
+PLAN = {
+    "generator-relations": (2, 40),  # S2 to S40 in about 12 ms
+    # the count of w0 memoises all n! elements below it: S8 takes 0.4 s and
+    # 24 MB, S9 3.8 s and 100 MB (one process each, 2 CPUs)
+    "reduced-words-vs-hooks": (2, 8),
+    "reduced-words": (2, 4),  # evaluate, exchange totality, parabolic involutions
+    "crystal": (2, 4),  # and the Stembridge axioms on w0 at the last n
+    "stanley": (2, 4),  # at the last n alone
+    "stanley-sample": (5, 5),  # 20 seeded elements
+    "eg": (2, 4),  # at the last n alone
+    "markov": (4, 4),  # the exchange walks beside the fixed S3
+}
+
+
+def _ranks(family: str, max_rank: int) -> range:
+    """The n of every S_n that ``family`` checks at ``max_rank``."""
+    if max_rank < 2:
+        raise ValueError(f"max_rank must be at least 2, got {max_rank}")
+    first, last = PLAN[family]
+    return range(first, min(max_rank, last) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -32,31 +55,35 @@ def _ranks(max_rank: int) -> range:
 
 def coxeter_checks(max_rank: int) -> list[CheckReport]:
     out = []
-    for n in _ranks(max_rank):
+    relations = _ranks("generator-relations", max_rank)
+    hooks = _ranks("reduced-words-vs-hooks", max_rank)
+    enumerated = _ranks("reduced-words", max_rank)
+    for n in sorted({*relations, *hooks, *enumerated}):
         system = SymmetricGroup(n)
-        ok = True
-        for i in system.index_set:
-            si = system.generator(i)
-            if system.multiply(si, si) != system.identity:
-                ok = False
-            if i + 1 in system.index_set:
-                sj = system.generator(i + 1)
-                lhs = system.multiply(system.multiply(si, sj), si)
-                rhs = system.multiply(system.multiply(sj, si), sj)
-                if lhs != rhs:
+        if n in relations:
+            ok = True
+            for i in system.index_set:
+                si = system.generator(i)
+                if system.multiply(si, si) != system.identity:
                     ok = False
-        out.append(CheckReport(f"S{n}-generator-relations", ok))
-
-        count = system.reduced_word_count(system.longest_element)
-        hook = hook_length_count(staircase(n))
-        out.append(
-            CheckReport(
-                f"S{n}-reduced-words-vs-hooks",
-                count == hook,
-                f"enumeration {count}, hook formula {hook}",
+                if i + 1 in system.index_set:
+                    sj = system.generator(i + 1)
+                    lhs = system.multiply(system.multiply(si, sj), si)
+                    rhs = system.multiply(system.multiply(sj, si), sj)
+                    if lhs != rhs:
+                        ok = False
+            out.append(CheckReport(f"S{n}-generator-relations", ok))
+        if n in hooks:
+            count = system.reduced_word_count(system.longest_element)
+            hook = hook_length_count(staircase(n))
+            out.append(
+                CheckReport(
+                    f"S{n}-reduced-words-vs-hooks",
+                    count == hook,
+                    f"enumeration {count}, hook formula {hook}",
+                )
             )
-        )
-        if n <= 4:
+        if n in enumerated:
             ok = all(
                 system.length(system.evaluate(word)) == len(word)
                 and system.evaluate(word) == g
@@ -114,21 +141,20 @@ def _powerset(indices):
 
 
 def crystal_checks(max_rank: int) -> list[CheckReport]:
-    """The crystal identities on every element of S_n, n from 2 to
-    min(max_rank, 4), read on vertex positions: e-f-inverse compares each
-    colour's ``crystal._raised`` block step with the graph's e row, and
-    weight-steps compares the block lengths at the two ends of each f
-    arrow."""
+    """The crystal identities on every element of S_n, for the n that
+    :data:`PLAN` gives the crystal family, read on vertex positions:
+    e-f-inverse compares each colour's ``crystal._raised`` block step with
+    the graph's e row, and weight-steps compares the block lengths at the
+    two ends of each f arrow."""
     out = []
-    stembridge_rank = min(max_rank, 4)
-    w0_graph = None  # the crystal of w0 in S_<stembridge_rank>, kept from the loop
-    for n in _ranks(stembridge_rank):
+    ranks = _ranks("crystal", max_rank)
+    for n in ranks:
         system = SymmetricGroup(n)
         inverse_ok = weight_ok = string_ok = target_ok = partition_ok = True
         for g in system.elements():
             graph = factorization_crystal(system, g)
-            if n == stembridge_rank and g == system.longest_element:
-                w0_graph = graph
+            if g == system.longest_element:
+                w0_graph = graph  # the last n's meets the Stembridge axioms
             factors = [v.factors for v in graph.vertices]
             weights = [v.weight() for v in graph.vertices]
             position = {blocks: k for k, blocks in enumerate(factors)}
@@ -166,13 +192,10 @@ def crystal_checks(max_rank: int) -> list[CheckReport]:
         out.append(CheckReport(f"S{n}-crystal-string-lengths", string_ok))
         out.append(CheckReport(f"S{n}-crystal-targets-preserved", target_ok))
         out.append(CheckReport(f"S{n}-highest-weights-are-partitions", partition_ok))
-    if w0_graph is None:  # a max_rank below 2, whose S_max_rank the loop skips
-        system = SymmetricGroup(stembridge_rank)
-        w0_graph = factorization_crystal(system, system.longest_element)
     violations = stembridge_violations(w0_graph)
     out.append(
         CheckReport(
-            f"S{stembridge_rank}-stembridge-local-axioms",
+            f"S{ranks[-1]}-stembridge-local-axioms",
             not violations,
             violations[0] if violations else f"{len(w0_graph.vertices)} vertices",
         )
@@ -181,7 +204,6 @@ def crystal_checks(max_rank: int) -> list[CheckReport]:
 
 
 def tableaux_checks(max_rank: int) -> list[CheckReport]:
-    """Fixed shapes: ``max_rank`` is taken, like every suite takes it, and unused."""
     out = []
     shapes = [(2, 1), (3, 1), (2, 2), (3, 2, 1), (4, 2)]
     ok = all(
@@ -223,7 +245,7 @@ def tableaux_checks(max_rank: int) -> list[CheckReport]:
 
 def stanley_checks(max_rank: int) -> list[CheckReport]:
     out = []
-    n = min(max_rank, 4)
+    n = _ranks("stanley", max_rank)[-1]
     system = SymmetricGroup(n)
     three_way = squarefree = positivity = interval = True
     duality = skew = True
@@ -253,23 +275,23 @@ def stanley_checks(max_rank: int) -> list[CheckReport]:
     out.append(CheckReport(f"S{n}-dominance-interval-support", interval))
     out.append(CheckReport(f"S{n}-omega-duality", duality))
     out.append(CheckReport(f"S{n}-skew-by-s1", skew))
-    if max_rank >= 5:
-        s5 = SymmetricGroup(5)
+    for n in _ranks("stanley-sample", max_rank):
+        system = SymmetricGroup(n)
         rng = random.Random(20240517)
-        sample = rng.sample(s5.elements(), 20)
+        sample = rng.sample(system.elements(), 20)
         ok = all(
-            stanley.schur_expansion(s5, g)
-            == stanley.schur_expansion_via_eg(s5, g)
-            == stanley.schur_expansion_via_linear_algebra(s5, g)
+            stanley.schur_expansion(system, g)
+            == stanley.schur_expansion_via_eg(system, g)
+            == stanley.schur_expansion_via_linear_algebra(system, g)
             for g in sample
         )
-        out.append(CheckReport("S5-sampled-three-way-agreement", ok, "20 seeded draws"))
+        out.append(CheckReport(f"S{n}-sampled-three-way-agreement", ok, "20 seeded draws"))
     return out
 
 
 def eg_checks(max_rank: int) -> list[CheckReport]:
     out = []
-    n = min(max_rank, 4)
+    n = _ranks("eg", max_rank)[-1]
     system = SymmetricGroup(n)
     intertwine = components = biconditional = edge_identity = yamanouchi = shapes = True
     top = n - 1
@@ -310,10 +332,12 @@ def eg_checks(max_rank: int) -> list[CheckReport]:
 
 def markov_checks(max_rank: int) -> list[CheckReport]:
     out = []
-    systems = [SymmetricGroup(3)]
-    if max_rank >= 4:
-        systems.append(SymmetricGroup(4))
-    systems.extend([Hypercube(3), Dihedral(4)])
+    systems = [
+        SymmetricGroup(3),
+        *map(SymmetricGroup, _ranks("markov", max_rank)),
+        Hypercube(3),
+        Dihedral(4),
+    ]
     for system in systems:
         measures = [markov.ProbabilityMeasure.uniform(system.index_set)] + [
             markov.ProbabilityMeasure.random_rational(system.index_set, seed)
@@ -399,7 +423,12 @@ def run_suite(suite: str = "all", max_rank: int = 4) -> list[CheckReport]:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {['all', *SUITES]}")
+    _ranks("generator-relations", max_rank)  # refuse a max_rank below 2 before any suite runs
     out: list[CheckReport] = []
     for name in names:
-        out.extend(SUITES[name](max_rank))
+        try:
+            out.extend(SUITES[name](max_rank))
+        except (ValueError, ArithmeticError) as err:
+            # a suite that raises prints one FAIL line, and the others still run
+            out.append(CheckReport(f"{name}-suite", False, f"{type(err).__name__}: {err}"))
     return out

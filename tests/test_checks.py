@@ -11,6 +11,7 @@ import functools
 import hashlib
 import json
 import operator
+import re
 import time
 from fractions import Fraction
 
@@ -113,11 +114,10 @@ def test_check_passes(rank, name):
     assert reports[name].passed, str(reports[name])
 
 
-@pytest.mark.parametrize("suite, max_rank, builds", [("crystal", 4, 2 + 6 + 24), ("crystal", 1, 2 + 1), ("eg", 4, 24)])
+@pytest.mark.parametrize("suite, max_rank, builds", [("crystal", 4, 2 + 6 + 24), ("eg", 4, 24)])
 def test_each_crystal_is_built_once(monkeypatch, suite, max_rank, builds):
     # one crystal per element of S2..S4, the crystal suite keeping the w0
-    # graph of its loop for the Stembridge axioms (at max rank 1 the loop
-    # visits S2 and the axioms are checked on S1), and one per element of
+    # graph of its loop for the Stembridge axioms, and one per element of
     # S4 for the eg suite
     calls = []
 
@@ -128,6 +128,53 @@ def test_each_crystal_is_built_once(monkeypatch, suite, max_rank, builds):
     monkeypatch.setattr(checks, "factorization_crystal", counted)
     assert all(report.passed for report in checks.SUITES[suite](max_rank))
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("max_rank", [1, 0, -3])
+def test_run_suite_refuses_a_max_rank_below_2(max_rank):
+    with pytest.raises(ValueError, match=f"max_rank must be at least 2, got {max_rank}"):
+        checks.run_suite("all", max_rank)
+
+
+# the rank-4 names of each check family of the plan but the S5 sample
+FAMILY_NAMES = {
+    "generator-relations": r"S\d+-generator-relations",
+    "reduced-words-vs-hooks": r"S\d+-reduced-words-vs-hooks",
+    "reduced-words": r"S\d+-(reduced-words-evaluate|exchange-totality|parabolic-involutions)",
+    "crystal": r"S\d+-(crystal-.*|highest-weights-are-partitions|stembridge-local-axioms)",
+    "stanley": r"S\d+-(schur-.*|squarefree-.*|dominance-.*|omega-duality|skew-by-s1)",
+    "eg": r"S\d+-(EG-.*|CK-.*|same-P-iff-CK|P-Q-shapes-agree|highest-weight-Q-yamanouchi)",
+    "markov": r"SymmetricGroup\(\d+\)-.*",
+}
+
+
+@pytest.mark.parametrize("family", [family for family in checks.PLAN if family != "stanley-sample"])
+def test_the_suites_read_their_caps_from_the_plan(monkeypatch, family):
+    # a family capped at S3 prints at max rank 4 what it prints at max rank
+    # 3, and every other family prints what it prints at max rank 4
+    def split(reports):
+        names = [report.name for report in reports]
+        ours = [name for name in names if re.fullmatch(FAMILY_NAMES[family], name)]
+        return ours, [name for name in names if name not in ours]
+
+    at_rank_3, _ = split(registry(3)[0])
+    at_rank_4, unchanged = split(registry(4)[0])
+    first, _ = checks.PLAN[family]
+    monkeypatch.setitem(checks.PLAN, family, (first, 3))
+    capped, others = split(checks.run_suite("all", 4))
+    assert capped == at_rank_3 != at_rank_4
+    assert others == unchanged
+
+
+def test_a_raising_suite_prints_one_fail_line(monkeypatch, capsys):
+    # every stationary vector refused: the markov suite's solver raises, and
+    # its one FAIL line carries the message while the other suites print
+    monkeypatch.setattr(markov.TransitionMatrix, "fixes", lambda self, vector: False)
+    assert main(["verify", "--suite", "all", "--max-rank", "4"]) == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL  markov-suite: ArithmeticError: no stationary solution found"
+    assert [line.split(": ")[0] for line in lines[:-1]] == [f"PASS  {name}" for name in RANK_4_CHECKS[:48]]
+    assert summary == "48/49 checks passed"
 
 
 # ----------------------------------------------------------------------

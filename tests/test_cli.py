@@ -630,6 +630,19 @@ def test_verify_small(capsys):
     assert code == 0 and "FAIL" not in out
 
 
+def test_verify_answers_at_any_max_rank(capsys):
+    # every family of the rank plan stops at or below S40, so a larger max
+    # rank prints the same checks
+    names = {}
+    for rank in ("40", "1000000"):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-rank", rank)
+        assert code == 0 and "FAIL" not in out
+        names[rank] = [line.split(": ")[0] for line in out.splitlines()]
+    assert names["40"] == names["1000000"]
+    assert "PASS  S40-generator-relations" in names["40"]
+    assert "PASS  S8-reduced-words-vs-hooks" in names["40"]
+
+
 def test_verify_max_rank_ignores_the_test_rank_variable(capsys, monkeypatch):
     # REDWORDS_MAX_RANK gates the pytest suite alone; verify runs the ranks
     # that --max-rank asks for
