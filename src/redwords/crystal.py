@@ -423,20 +423,22 @@ def weight_vector_count(system: CoxeterSystem, w, parts: tuple[int, ...]) -> int
 def _position_components(size: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Components of the undirected graph on the positions 0..size-1 with
     the given edge pairs, by union-find with path halving, each a list of
-    positions, ordered by their least position."""
+    positions, ordered by their least position.  The root walks are written
+    out in the loops: a nested ``find`` call per endpoint cost about as
+    much as the walk itself."""
     parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in pairs:
-        parent[find(u)] = find(v)
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        parent[u] = v
     groups: dict[int, list[int]] = {}
     for k in range(size):
-        groups.setdefault(find(k), []).append(k)
+        root = k
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        groups.setdefault(root, []).append(k)
     return list(groups.values())
 
 
@@ -529,12 +531,12 @@ class CrystalGraph:
 
     def highest_weights(self) -> list[tuple[object, tuple[int, ...]]]:
         """Vertices with no incoming f-arrow of any colour, with weights."""
-        e_rows = self.e_rows
-        return [
-            (v, self.weight(v))
-            for k, v in enumerate(self.vertices)
-            if all(row[k] < 0 for row in e_rows)
-        ]
+        weight = self.weight
+        if not self.e_rows:  # no colours: every vertex is highest
+            return [(v, weight(v)) for v in self.vertices]
+        # a column of the e rows holds -1 for each colour exactly when its
+        # vertex has no incoming arrow
+        return [(v, weight(v)) for v, column in zip(self.vertices, zip(*self.e_rows)) if max(column) < 0]
 
     def _string_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """The string lengths of every vertex: ``(epsilon, phi)`` where
@@ -634,21 +636,37 @@ def factorization_crystal(system: CoxeterSystem, w, num_factors: int | None = No
     """
     if num_factors is None:
         num_factors = default_num_factors(system, w)
-    live = system._crystals
-    if live is None:
-        from weakref import WeakValueDictionary
-
-        live = system._crystals = WeakValueDictionary()
-    key = (w, num_factors)
-    graph = live.get(key)
+    graph = _held_crystal(system, w, num_factors)
     if graph is None:
-        index_set = tuple(range(1, num_factors))
-        sequences = tuple(_block_sequences(system, w, num_factors))
-        position = {blocks: k for k, blocks in enumerate(sequences)}
-        f_rows = _operator_rows(sequences, position, index_set, "f", _lowered)
+        index_set, sequences, _, f_rows = _crystal_rows(system, w, num_factors)
         vertices = tuple(_unchecked(blocks, w) for blocks in sequences)
-        graph = live[key] = CrystalGraph(vertices, index_set, f_rows, DecreasingFactorization.weight)
+        graph = CrystalGraph(vertices, index_set, f_rows, DecreasingFactorization.weight)
+        live = system._crystals
+        if live is None:
+            from weakref import WeakValueDictionary
+
+            live = system._crystals = WeakValueDictionary()
+        live[w, num_factors] = graph
     return graph
+
+
+def _held_crystal(system: CoxeterSystem, w, num_factors: int) -> CrystalGraph | None:
+    """The graph :func:`factorization_crystal` built for ``(w,
+    num_factors)`` while a caller still holds it, else None."""
+    live = system._crystals
+    return None if live is None else live.get((w, num_factors))
+
+
+def _crystal_rows(system: CoxeterSystem, w, num_factors: int) -> tuple[
+        tuple[int, ...], tuple[tuple[Word, ...], ...], dict[tuple[Word, ...], int], list[list[int]]]:
+    """What :func:`factorization_crystal` builds its graph from, with no
+    vertex object made: ``(index_set, sequences, position, f_rows)``, the
+    sorted block tuples of ``w``, each tuple's place among them, and each
+    colour's f row."""
+    index_set = tuple(range(1, num_factors))
+    sequences = tuple(_block_sequences(system, w, num_factors))
+    position = {blocks: k for k, blocks in enumerate(sequences)}
+    return index_set, sequences, position, _operator_rows(sequences, position, index_set, "f", _lowered)
 
 
 def _operator_rows(

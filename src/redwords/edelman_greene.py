@@ -15,8 +15,12 @@ tuple on, a walk memoises each (P rows, block) it inserts, since the
 vertices of one crystal share few insertion tableaux.  ``EGPair`` and
 ``Tableau`` are built only by the public functions, and an ``EGPair`` keeps
 Q packed until ``.q`` is read.  :func:`intertwining_check` reads its block
-tuples and f rows from ``factorization_crystal``, so a caller that still
-holds that crystal does not build it twice.
+tuples and f rows from a crystal its caller still holds, and otherwise
+builds only those, not the graph.
+
+The Coxeter-Knuth relations are one window rule, :func:`_ck_window`, read
+by :func:`ck_moves`, by the forward edges of :func:`_ck_edges` and by the
+window-local :func:`ck_edge_operator_identity`.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ from .coxeter import CoxeterSystem, Word, format_word
 from .crystal import (
     CrystalGraph,
     DecreasingFactorization,
+    _crystal_rows,
+    _held_crystal,
     _lowered,
     _moved,
     _operator_rows,
     _position_components,
     _raised,
-    factorization_crystal,
+    default_num_factors,
 )
 from .reports import CheckReport, Frozen
 from .tableaux import Tableau, _signature
@@ -261,23 +267,35 @@ MIDDLE_FIRST = "bac~bca"
 MIDDLE_LAST = "cab~acb"
 
 
-def ck_moves(word: Word) -> list[tuple[Word, str]]:
-    """Single-relation rewrites of three consecutive letters, with the kind.
+def _ck_window(x: int, y: int, z: int) -> tuple[Word, str] | None:
+    """The Coxeter-Knuth move of the window xyz, as (partner window, kind),
+    or None when it has none.
 
-    The braid move swaps (a+1)a(a+1) with a(a+1)a; for letters a < b < c the
-    windows bac/bca exchange their last two letters and cab/acb their first
-    two.
+    The braid move swaps (a+1)a(a+1) with a(a+1)a; for letters a < b < c
+    the windows bac/bca exchange their last two letters and cab/acb their
+    first two.  The three patterns are mutually exclusive, so a window has
+    at most one move.  The left-hand side of each kind is the side whose
+    middle letter is its least (y < x).
     """
+    if x == z:
+        return ((y, x, y), BRAID) if abs(x - y) == 1 else None
+    if min(y, z) < x < max(y, z):
+        return (x, z, y), MIDDLE_FIRST
+    if min(x, y) < z < max(x, y):
+        return (y, x, z), MIDDLE_LAST
+    return None
+
+
+def ck_moves(word: Word) -> list[tuple[Word, str]]:
+    """Single-relation rewrites of three consecutive letters, with the kind,
+    one per window that has a move (see :func:`_ck_window`)."""
     word = tuple(word)
     out: list[tuple[Word, str]] = []
     for j in range(len(word) - 2):
-        x, y, z = word[j:j + 3]
-        if x == z and abs(x - y) == 1:
-            out.append((word[:j] + (y, x, y) + word[j + 3:], BRAID))
-        if min(y, z) < x < max(y, z):
-            out.append((word[:j] + (x, z, y) + word[j + 3:], MIDDLE_FIRST))
-        if min(x, y) < z < max(x, y):
-            out.append((word[:j] + (y, x, z) + word[j + 3:], MIDDLE_LAST))
+        move = _ck_window(*word[j:j + 3])
+        if move is not None:
+            partner, kind = move
+            out.append((word[:j] + partner + word[j + 3:], kind))
     return out
 
 
@@ -320,25 +338,43 @@ class CKGraph(Frozen):
 
 def _ck_edges(system: CoxeterSystem, words: tuple[Word, ...]) -> Iterator[tuple[int, int, str]]:
     """``(k, l, kind)`` for each single Coxeter-Knuth move from ``words[k]``
-    to a larger word ``words[l]``; a move to a word outside ``words``, the
-    reduced words of one element of ``system``, raises ValueError."""
+    to a larger word ``words[l]``, in order of k, then of the window; a
+    move to a word outside ``words``, the reduced words of one element of
+    ``system``, raises ValueError.
+
+    A move is forward when its partner window is larger than its window,
+    so only forward moves build a partner word; each distinct window is
+    read by :func:`_ck_window` once per call.
+    """
     position = {word: k for k, word in enumerate(words)}
+    forward: dict[Word, tuple[Word, str] | None] = {}  # window -> its forward move, None when it has none
     for k, u in enumerate(words):
-        for v, kind in ck_moves(u):
-            if u < v:
+        for j in range(len(u) - 2):
+            window = u[j:j + 3]
+            move = forward.get(window, False)
+            if move is False:
+                move = _ck_window(*window)
+                if move is not None and move[0] < window:
+                    move = None
+                forward[window] = move
+            if move is not None:
+                v = u[:j] + move[0] + u[j + 3:]
                 target = position.get(v)
                 if target is None:
                     raise ValueError(
                         f"Coxeter-Knuth move {format_word(u)} -> {format_word(v)} leaves the "
                         f"reduced words of {system!r}; the relations are those of type A"
                     )
-                yield k, target, kind
+                yield k, target, move[1]
 
 
 def ck_graph(system: CoxeterSystem, w) -> CKGraph:
+    """The Coxeter-Knuth graph of ``w``: its reduced words, in lexicographic
+    order, and each move once as (smaller word, larger word, kind), sorted.
+    The words are numbered in that order, so sorting the integer edges of
+    :func:`_ck_edges` sorts the word triples."""
     words = system.reduced_words(w)
-    edges = {(words[k], words[target], kind) for k, target, kind in _ck_edges(system, words)}
-    return CKGraph(words, tuple(sorted(edges)))
+    return CKGraph(words, tuple((words[k], words[l], kind) for k, l, kind in sorted(_ck_edges(system, words))))
 
 
 def ck_components(system: CoxeterSystem, w) -> tuple[frozenset[Word], ...]:
@@ -402,40 +438,44 @@ def ck_edge_operator_identity(system: CoxeterSystem, w) -> CheckReport:
     """On each relation edge the word with the left-hand pattern maps to the
     other by f_m f_{m+1} e_m e_{m+1}, m determined by the window position.
 
-    The operators act on the word's singleton blocks through the one block
-    step :func:`~redwords.crystal._moved`, four per window, and the result
-    must be the partner's singleton blocks.  The partner must also be a reduced word of ``w``, so it spells
-    the same element.
+    The four operators act on blocks m, m+1 and m+2 alone, the window's
+    singleton blocks, so each distinct window is decided once per call: the
+    one block step :func:`~redwords.crystal._moved` runs four times on
+    ``((z,), (y,), (x,))`` for the window xyz, and the result must be the
+    partner window's singleton blocks.  The partner window must also spell
+    the same element, so the partner word is a reduced word of ``w``.  A
+    failing window counts once per word it occurs in.
     """
-    words = system.reduced_words(w)
-    word_set = set(words)
-    k = system.length(w)
-    failures = []
-    for word in words:
-        source = tuple((letter,) for letter in reversed(word))
-        for j in range(k - 2):
-            x, y, z = word[j:j + 3]
-            partner = None
-            if x == z and y == x - 1:
-                partner = word[:j] + (y, x, y) + word[j + 3:]
-            elif y < x < z:
-                partner = word[:j] + (x, z, y) + word[j + 3:]
-            elif y < z < x:
-                partner = word[:j] + (y, x, z) + word[j + 3:]
-            if partner is None:
-                continue
-            m = k - j - 2  # blocks are numbered from the right, 1-based
-            cur = _moved(_raised, source, m + 1)
-            cur = _moved(_raised, cur, m)
-            cur = _moved(_lowered, cur, m + 1)
-            cur = _moved(_lowered, cur, m)
-            if partner not in word_set or cur != tuple((letter,) for letter in reversed(partner)):
-                failures.append((word, j))
+    failing: dict[Word, bool] = {}  # window -> its verdict; False where it has no left-hand move
+    failures = 0
+    for word in system.reduced_words(w):
+        for j in range(len(word) - 2):
+            window = word[j:j + 3]
+            fails = failing.get(window)
+            if fails is None:
+                fails = failing[window] = _ck_window_fails(system, window)
+            failures += fails
     return CheckReport(
         "CK-edge-operator-identity",
         not failures,
-        f"{len(failures)} failing windows" if failures else "all windows verified",
+        f"{failures} failing windows" if failures else "all windows verified",
     )
+
+
+def _ck_window_fails(system: CoxeterSystem, window: Word) -> bool:
+    """True when the window's left-hand move breaks the edge identity of
+    :func:`ck_edge_operator_identity`; False when it has none."""
+    x, y, z = window
+    move = _ck_window(x, y, z)
+    if move is None or y > x:
+        return False
+    partner, _ = move
+    blocks = ((z,), (y,), (x,))  # blocks are numbered from the right, 1-based
+    blocks = _moved(_raised, blocks, 2)
+    blocks = _moved(_raised, blocks, 1)
+    blocks = _moved(_lowered, blocks, 2)
+    blocks = _moved(_lowered, blocks, 1)
+    return blocks != tuple(zip(reversed(partner))) or system.evaluate(partner) != system.evaluate(window)
 
 
 def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None) -> CheckReport:
@@ -444,21 +484,28 @@ def intertwining_check(system: CoxeterSystem, w, num_factors: int | None = None)
     For every vertex and every index, applying e or f before or after taking
     the recording tableau gives the same answer, with None matching None.
     The block tuples and the f rows are those of
-    ``factorization_crystal(system, w, num_factors)``, the graph a caller
-    still holding it gets back without a rebuild, and one
-    :func:`_eg_walk` inserts the tuples.  The e rows are filled from
-    ``crystal._raised``, each splice looked up among the tuples, so the
-    check tests two operators and not one operator and its inverse; an
-    image outside the tuples raises ValueError.  No tableau is built (see
-    :func:`_intertwining`).
+    ``factorization_crystal(system, w, num_factors)``: a caller still
+    holding that graph lends its rows, and otherwise they are built as the
+    crystal builds them (``crystal._crystal_rows``), with no vertex object
+    and no graph.  One :func:`_eg_walk` inserts the tuples.  The e rows are
+    filled from ``crystal._raised``, each splice looked up among the tuples,
+    so the check tests two operators and not one operator and its inverse;
+    an image outside the tuples raises ValueError.  No tableau is built
+    (see :func:`_intertwining`).
     """
-    graph = factorization_crystal(system, w, num_factors)
+    if num_factors is None:
+        num_factors = default_num_factors(system, w)
+    graph = _held_crystal(system, w, num_factors)
+    if graph is None:
+        index_set, sequences, position, f_rows = _crystal_rows(system, w, num_factors)
+    else:
+        index_set, f_rows = graph.index_set, graph.f_rows
+        sequences = [v.factors for v in graph.vertices]
+        position = {blocks: k for k, blocks in enumerate(sequences)}
+    e_rows = _operator_rows(sequences, position, index_set, "e", _raised)
     top = max(system.index_set, default=0)
-    sequences = [v.factors for v in graph.vertices]
-    position = {blocks: k for k, blocks in enumerate(sequences)}
-    e_rows = _operator_rows(sequences, position, graph.index_set, "e", _raised)
     qs = [q for _, q in _eg_walk(sequences, top)]
-    return _intertwining(qs, graph.f_rows, e_rows, graph.index_set, top)
+    return _intertwining(qs, f_rows, e_rows, index_set, top)
 
 
 def _intertwining(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -579,6 +581,58 @@ def test_ck_components_match_the_dict_union_find(s4):
     for g in s4.elements():
         graph = ck_graph(s4, g)
         assert graph.components() == dict_union_find(graph.vertices, ((u, v) for u, v, _ in graph.edges))
+
+
+def breadth_first_components(size, pairs):
+    """Components by a breadth-first search from each unvisited position in
+    increasing order, each a list of positions in increasing order."""
+    neighbours = [[] for _ in range(size)]
+    for u, v in pairs:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    seen = [False] * size
+    out = []
+    for start in range(size):
+        if not seen[start]:
+            seen[start] = True
+            queue = [start]
+            for x in queue:
+                for y in neighbours[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        queue.append(y)
+            out.append(sorted(queue))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_position_components_match_a_breadth_first_search(seed):
+    # seeded edge lists with self-loops, repeated and reversed edges and
+    # isolated vertices; seed 0 is the empty graph
+    rng = random.Random(seed)
+    size = 0 if seed == 0 else rng.choice([1, 2, rng.randrange(3, 60)])
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randrange(size + 1))]
+    if pairs:
+        u, v = pairs[0]
+        pairs += [(u, v), (v, u), (u, u)]
+        rng.shuffle(pairs)
+    assert crystal._position_components(size, pairs) == breadth_first_components(size, pairs)
+
+
+def test_highest_weights_are_the_vertices_without_e(s4):
+    # highest means e undefined at every colour; with no colour, every
+    # vertex is highest
+    bare = CrystalGraph(("a", "b", "c"), (), [], len)
+    assert bare.highest_weights() == [("a", 1), ("b", 1), ("c", 1)]
+    for g in s4.elements():
+        for num_factors in (None, 1):
+            graph = factorization_crystal(s4, g, num_factors)
+            expected = [
+                (v, v.weight()) for k, v in enumerate(graph.vertices) if all(row[k] < 0 for row in graph.e_rows)
+            ]
+            assert graph.highest_weights() == expected
+            if num_factors == 1:
+                assert expected == [(v, v.weight()) for v in graph.vertices]
 
 
 def test_operators_off_the_graph_are_undefined(s3):

@@ -14,6 +14,7 @@ from redwords.edelman_greene import (
     ck_components,
     ck_edge_operator_identity,
     ck_graph,
+    ck_moves,
     ck_neighbors,
     EGPair,
     eg_insert,
@@ -287,8 +288,44 @@ def test_ck_graph_outside_type_a_is_an_error():
     # the braid move 121 -> 212 leaves the reduced words of the dihedral
     # group of order 8, whose longest element is 1212 = 2121
     d4 = Dihedral(4)
-    with pytest.raises(ValueError, match="type A"):
+    with pytest.raises(ValueError) as raised:
         ck_graph(d4, d4.longest_element)
+    assert str(raised.value) == (
+        "Coxeter-Knuth move 1212 -> 2122 leaves the reduced words of Dihedral(4); "
+        "the relations are those of type A"
+    )
+
+
+def reference_ck_moves(word):
+    # each relation's pattern tested on its own at every window, so a
+    # window matching two patterns would list two moves
+    out = []
+    for j in range(len(word) - 2):
+        x, y, z = word[j:j + 3]
+        if x == z and abs(x - y) == 1:
+            out.append((word[:j] + (y, x, y) + word[j + 3:], BRAID))
+        if min(y, z) < x < max(y, z):
+            out.append((word[:j] + (x, z, y) + word[j + 3:], MIDDLE_FIRST))
+        if min(x, y) < z < max(x, y):
+            out.append((word[:j] + (y, x, z) + word[j + 3:], MIDDLE_LAST))
+    return out
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, pytest.param(5, marks=requires_s5)])
+def test_ck_edges_are_the_forward_moves(rank):
+    # the window rule lists the moves of the three patterns; the edges are
+    # the moves to a larger word, in order of word, then window, and the
+    # graph's edges are their word triples sorted, each once
+    system = SymmetricGroup(rank)
+    for g in system.elements():
+        words = system.reduced_words(g)
+        position = {word: k for k, word in enumerate(words)}
+        for u in words:
+            assert ck_moves(u) == reference_ck_moves(u)
+        forward = [(k, position[v], kind) for k, u in enumerate(words) for v, kind in ck_moves(u) if u < v]
+        assert list(edelman_greene._ck_edges(system, words)) == forward
+        reference = sorted({(u, v, kind) for u in words for v, kind in ck_moves(u) if u < v})
+        assert ck_graph(system, g).edges == tuple(reference)
 
 
 def test_ck_components_pinned(s3, s4):
@@ -432,6 +469,19 @@ def test_a_wrong_operator_fails_the_ck_edge_identity(monkeypatch, s4):
     assert not ck_edge_operator_identity(s4, s4.longest_element).passed
 
 
+def test_a_failing_window_counts_once_per_occurrence(monkeypatch, s4):
+    # f read from e's table in both modules, so the object identity fails
+    # too: four distinct windows fail, at 24 places in the words of w0,
+    # and the window-local verdicts count every place
+    monkeypatch.setattr(crystal, "_lowered", crystal._raised)
+    monkeypatch.setattr(edelman_greene, "_lowered", crystal._raised)
+    w0 = s4.longest_element
+    failures = reference_ck_edge_failures(s4, w0)
+    windows = {word[j:j + 3] for word in s4.reduced_words(w0) for j in range(4)}
+    assert failures > len(windows)
+    assert ck_edge_operator_identity(s4, w0).detail == f"{failures} failing windows"
+
+
 # ----------------------------------------------------------------------
 # intertwining
 
@@ -464,6 +514,22 @@ def test_intertwining_reads_a_held_crystal(monkeypatch, s4):
     assert not s4._crystals
     assert intertwining_check(s4, w0, 4) == alone
     assert filled == ["e", "f", "e"]
+
+
+def test_intertwining_without_a_held_crystal_builds_no_graph(monkeypatch):
+    # with no live graph of its key, the check builds the block tuples and
+    # f rows alone: no vertex object, no graph, and no table of graphs
+    s4 = SymmetricGroup(4)
+    w0 = s4.longest_element
+    expected = intertwining_check(SymmetricGroup(4), w0, 4)
+
+    def refused(*args):
+        raise AssertionError("built a vertex or a graph")
+
+    monkeypatch.setattr(crystal, "_unchecked", refused)
+    monkeypatch.setattr(crystal.CrystalGraph, "__init__", refused)
+    assert intertwining_check(s4, w0, 4) == expected
+    assert expected.passed and s4._crystals is None
 
 
 def test_recording_tableau_is_the_crystal_isomorphism(s3):
